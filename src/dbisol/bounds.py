@@ -3,9 +3,10 @@
 The energy density, truncated to N terms of its series in the sum of squared
 strain eigenvalues, is bounded below by a multiple of the eigenvalue product
 via two rounds of arithmetic-geometric mean inequalities.  The multiple is
-maximized over the admissible weight simplex, certified pointwise by Monte
-Carlo sampling, and checked against the dual one-dimensional minimization on
-the equal-eigenvalue ray where every inequality in the chain is tight.
+maximized over the admissible weight simplex in closed form (the Lagrange
+condition reduces to one monotone root find), certified pointwise by Monte
+Carlo sampling, and checked against the one-dimensional minimization on the
+equal-eigenvalue ray where every inequality in the chain is tight.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DbisolError, OptimizerError
-from .numerics import golden_max, golden_min
+from .numerics import bisect_monotone, golden_max
 
 __all__ = [
     "BoundCertificate", "taylor_coefficients", "weights_for_alpha", "bound_constant",
@@ -48,12 +49,6 @@ def _coeff_floats(n: int) -> np.ndarray:
     if n not in _COEFF_CACHE:
         _COEFF_CACHE[n] = np.array([float(c) for c in taylor_coefficients(n)])
     return _COEFF_CACHE[n]
-
-
-def _constant_fast(order: int, w: np.ndarray) -> float:
-    c = _coeff_floats(order)
-    logs = np.where(w > 0, w * np.log(np.where(w > 0, c / np.where(w > 0, w, 1.0), 1.0)), 0.0)
-    return float(3.0 ** 1.5 * math.exp(logs.sum()))
 
 
 def weights_for_alpha(alpha: float) -> tuple[float, float, float]:
@@ -91,8 +86,10 @@ def bound_constant(order: int, weights_or_alpha, beta: float = 1.0) -> float:
     else:
         weights = weights_or_alpha
     w = _check_weights(order, weights)
+    c = _coeff_floats(order)
     # w log(c/w) -> 0 as w -> 0 (degenerate boundary weights)
-    return _constant_fast(order, w)
+    logs = np.where(w > 0, w * np.log(np.where(w > 0, c / np.where(w > 0, w, 1.0), 1.0)), 0.0)
+    return float(3.0 ** 1.5 * math.exp(logs.sum()))
 
 
 @dataclass(frozen=True)
@@ -127,90 +124,76 @@ class BoundCertificate:
             raise DbisolError("certificate product exponent is not one")
 
 
-def _free_to_weights(order: int, free: np.ndarray) -> np.ndarray | None:
-    """Map the order-2 free components (w_3..w_N) to a full feasible weight vector."""
-    i = np.arange(3, order + 1)
-    w2 = 0.5 - ((i - 1) * free).sum()
-    w1 = 0.5 + ((i - 2) * free).sum()
-    if w2 <= 0 or w1 <= 0 or np.any(free < 0):
-        return None
-    return np.concatenate([[w1, w2], free])
+MAX_ORDER = 64
+# x_2 = 4, x_3 = 4/3, and x_N decreases to 3/4, the root for the full series
+_ROOT_BRACKET = (0.75, 4.0)
 
 
-def optimize_bound(order: int, beta: float = 1.0, *, energy_scale: float = 1.0,
-                   seed: int = 0, tol: float = 1e-10) -> BoundCertificate:
-    """Maximize the bound constant over the admissible weights.
+def _lagrange_root(order: int) -> float:
+    """Root x of sum k c_k x^k / sum c_k x^k = 3/2, the moment condition.
 
-    Order 2 is forced (single feasible point); order 3 is a one-dimensional
-    golden-section maximization; higher orders run coordinate ascent with
-    golden-section line searches from several random feasible starts.
+    Solved as p(x) = sum_k (2k - 3) c_k x^(k-1) = 0: only the constant term
+    of p is negative, so p increases for x > 0, and p(4) = 0 is exact at
+    order 2.
     """
-    if order < 2 or order > 8:
-        raise DbisolError("supported truncation orders are 2..8")
-    if order == 2:
-        w = (0.5, 0.5)
-        return BoundCertificate(2, w, None, 0.5 * 3.0 ** 1.5, beta, energy_scale)
-    if order == 3:
-        a_lo, a_hi = 0.5 + 1e-9, 0.75 - 1e-9
-        alpha, _ = golden_max(lambda a: bound_constant(3, a), a_lo, a_hi, tol=tol)
-        w = weights_for_alpha(alpha)
-        return BoundCertificate(3, tuple(w), alpha, bound_constant(3, alpha), beta,
-                                energy_scale)
+    k = np.arange(1, order + 1)
+    p = (2 * k - 3) * _coeff_floats(order)
 
-    rng = np.random.default_rng(seed)
-    nfree = order - 2
-    i_idx = np.arange(3, order + 1)
-    best_w, best_c = None, -np.inf
-    for _ in range(10):
-        # random feasible start: scale a positive draw into the halfspace
-        raw = rng.uniform(0.1, 1.0, nfree)
-        free = raw * (0.4 / ((i_idx - 1) * raw).sum())
-        current = _constant_fast(order, _free_to_weights(order, free))
-        for _sweep in range(60):
-            improved = 0.0
-            for j in range(nfree):
-                others = ((i_idx - 1) * free).sum() - (i_idx[j] - 1) * free[j]
-                hi = (0.5 - others) / (i_idx[j] - 1) - 1e-12
-                if hi <= 0:
-                    continue
+    def poly(x: np.ndarray) -> np.ndarray:
+        return (p * x[:, None] ** (k - 1)).sum(axis=1)
 
-                def line(v, j=j):
-                    f = free.copy()
-                    f[j] = v
-                    w = _free_to_weights(order, f)
-                    return -np.inf if w is None else _constant_fast(order, w)
+    lo, hi = poly(np.array(_ROOT_BRACKET)).tolist()
+    if not lo <= 0.0 <= hi:
+        raise OptimizerError(f"moment condition {lo!r}..{hi!r} on {_ROOT_BRACKET} has no "
+                             f"sign change at order {order}")
+    return float(bisect_monotone(poly, np.zeros(1), *_ROOT_BRACKET, increasing=True)[0])
 
-                vj, cj = golden_max(line, 0.0, hi, tol=tol)
-                if cj > current:
-                    improved = max(improved, cj - current)
-                    free[j] = vj
-                    current = cj
-            if improved < 1e-13:
-                break
-        else:
-            raise OptimizerError("coordinate ascent did not stabilize",
-                                 best=_free_to_weights(order, free))
-        if current > best_c:
-            best_c = current
-            best_w = _free_to_weights(order, free)
-    return BoundCertificate(order, tuple(best_w), None, best_c, beta, energy_scale)
+
+def optimize_bound(order: int, beta: float = 1.0, *,
+                   energy_scale: float = 1.0) -> BoundCertificate:
+    """Maximize the bound constant over the admissible weights, in closed form.
+
+    Stationarity of sum_k w_k log(c_k / w_k) under both weight constraints
+    gives w_k = c_k x^k / sum_j c_j x^j with x the root of the moment
+    condition sum_k k w_k = 3/2, and then C = 3^(3/2) sum_k c_k x^k / x^(3/2).
+    Order 3 also reports alpha = w_1 (9/14).
+    """
+    if not 2 <= order <= MAX_ORDER:
+        raise DbisolError(f"supported truncation orders are 2..{MAX_ORDER}")
+    x = _lagrange_root(order)
+    k = np.arange(1, order + 1)
+    terms = _coeff_floats(order) * x ** k
+    total = terms.sum()
+    w = terms / total
+    miss = abs((k * w).sum() - 1.5)
+    if miss > 1e-12:
+        raise OptimizerError(f"weights miss sum k w_k = 3/2 by {miss:.2e} at order {order}")
+    alpha = float(w[0]) if order == 3 else None
+    return BoundCertificate(order, tuple(w.tolist()), alpha,
+                            float(3.0 ** 1.5 * total / x ** 1.5), beta, energy_scale)
 
 
 def _slack_arrays(cert: BoundCertificate, lam: np.ndarray) -> np.ndarray:
-    c = _coeff_floats(cert.order)
-    s = (lam * lam).sum(axis=1)
-    prod = np.abs(lam).prod(axis=1)
-    lhs = np.zeros_like(s)
-    sk = np.ones_like(s)
-    for k in range(1, cert.order + 1):
-        sk = sk * s
-        lhs += c[k - 1] * sk / cert.beta ** (2 * k - 2)
-    return lhs - cert.constant / cert.beta * prod
+    # sum_k c_k s^k / beta^(2k-2) by Horner; s^N may pass the float range,
+    # where the slack is +inf and never the minimum
+    a = _coeff_floats(cert.order) / (cert.beta * cert.beta) ** np.arange(cert.order)
+    s = np.einsum("ij,ij->i", lam, lam)
+    with np.errstate(over="ignore"):
+        lhs = np.full_like(s, a[-1])
+        for ak in a[-2::-1]:
+            lhs *= s
+            lhs += ak
+        lhs *= s
+    prod = lam[:, 0] * lam[:, 1]
+    prod *= lam[:, 2]
+    prod *= cert.constant / cert.beta
+    lhs -= prod
+    return lhs
 
 
 def _tight_ray_points(cert: BoundCertificate) -> np.ndarray:
     """Equal-eigenvalue ray including the tightness point, plus degenerate axes."""
-    s_star, _ = sharpness_location(cert)
+    s_star = cert.beta ** 2 * _lagrange_root(cert.order)
     t = np.concatenate([np.logspace(-3, 3, 41), [math.sqrt(s_star / 3.0)]])
     ray = np.repeat(t[:, None], 3, axis=1)
     axes = []
@@ -240,13 +223,17 @@ def verify_pointwise(cert: BoundCertificate, sample_count: int, *, seed: int = 0
     ray (where the bound is tight) and axis-degenerate triples are always
     included.  A valid certificate never goes below -1e-12.
     """
+    if sample_count < 0:
+        raise DbisolError(f"sample count must be non-negative, got {sample_count}")
     cert.validate()
     rng = np.random.default_rng(seed)
     min_slack = float(_slack_arrays(cert, _tight_ray_points(cert)).min())
     remaining = int(sample_count)
     while remaining > 0:
         m = min(chunk, remaining)
-        lam = 10.0 ** rng.uniform(-3.0, 3.0, size=(m, 3))
+        lam = rng.uniform(-3.0, 3.0, size=(m, 3))
+        lam *= math.log(10.0)
+        np.exp(lam, out=lam)
         min_slack = min(min_slack, float(_slack_arrays(cert, lam).min()))
         remaining -= m
     return min_slack
@@ -259,24 +246,29 @@ def certify(cert: BoundCertificate, sample_count: int, *, seed: int = 0) -> Boun
 
 
 def sharpness_location(cert: BoundCertificate) -> tuple[float, float]:
-    """(s*, value) of the dual minimization on the equal-eigenvalue ray."""
+    """(s*, value) of the minimal pointwise ratio on the equal-eigenvalue ray.
+
+    On the ray s = 3 t^2 the ratio of the truncated density to t^3 is
+    (3^(3/2)/beta) sum_k c_k y^k / y^(3/2) in the scaled variable y = s/beta^2,
+    which keeps every power finite up to the largest order.
+    """
     c = _coeff_floats(cert.order)
-    b = cert.beta
 
-    def ratio(u: float) -> float:
-        s = math.exp(u)
-        lhs = sum(ck * s ** (k + 1) / b ** (2 * k) for k, ck in enumerate(c))
-        return lhs / (s / 3.0) ** 1.5
+    def neg_ratio(u: float) -> float:
+        y = math.exp(u)
+        return -sum(ck * y ** (k + 1) for k, ck in enumerate(c)) / y ** 1.5
 
-    u_star, val = golden_min(ratio, math.log(1e-4 * b * b), math.log(1e4 * b * b), tol=1e-13)
-    return math.exp(u_star), val
+    u_star, val = golden_max(neg_ratio, math.log(1e-4), math.log(1e4), tol=1e-13)
+    return cert.beta ** 2 * math.exp(u_star), float(-3.0 ** 1.5 * val / cert.beta)
 
 
 def sharpness(cert: BoundCertificate) -> float:
     """Minimal pointwise ratio on the equal-eigenvalue ray; equals C/beta.
 
-    This is the dual of the weight optimization: every inequality in the
-    chain is simultaneously tight on this ray at the minimizer.
+    Every inequality in the chain is tight on this ray at the minimizer, so
+    this is the optimized constant again.  It minimizes the same ray function
+    whose stationarity condition gives the closed-form weights, so it checks
+    the arithmetic, not the bound; the Monte-Carlo certificate does that.
     """
     return sharpness_location(cert)[1]
 

@@ -6,7 +6,8 @@ written to a temporary name and atomically renamed so no partial artifact
 survives a failure.
 
 Exit codes: 0 success, 1 invalid configuration, 2 no soliton exists at the
-requested couplings, 3 verification failures, 4 optimizer failure.
+requested couplings, 3 verification failures, 4 the closed-form bound weights
+failed their root bracket or moment check.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class RunConfig:
     n: int = 1
     alpha_k: float | None = None
     grid: int = 1000
-    out: str = "run"
+    out: str | None = None
     seed: int = 0
     tol: float = 1e-9
     order: int = 3
@@ -331,9 +332,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_bound(cfg: RunConfig) -> int:
-    if not 2 <= cfg.order <= 8:
-        raise DbisolError("truncation order must lie in 2..8")
-    cert = optimize_bound(cfg.order, cfg.beta, seed=cfg.seed)
+    cert = optimize_bound(cfg.order, cfg.beta)
     cert = certify(cert, cfg.samples, seed=cfg.seed)
     payload = cert.to_json_dict()
     payload["sharpness_minimum"] = sharpness(cert)
@@ -388,7 +387,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
 def cmd_classify(cfg: RunConfig) -> int:
     model = cfg.model()
     potential = cfg.make_potential()
-    predicted = classify_localization(potential.vacuum_exponent, model.sector)
+    predicted = classify_localization(potential.vacuum_exponent, model.sector,
+                                      model.kinetic_law)
     profile = solve_profile(model, potential, GridSpec(count=cfg.grid))
     empirical = tail_fit(profile)
     payload = {
@@ -468,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = merge_config(args.command, args)
-        if cfg.out == "run":
+        if cfg.out is None:
             cfg.out = args.command
         return _COMMANDS[args.command](cfg)
     except NoSolitonError as exc:

@@ -19,8 +19,4 @@ class SectorMismatchError(DbisolError):
 
 
 class OptimizerError(DbisolError):
-    """Weight optimizer failed to converge; carries the best iterate."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """Closed-form bound weights failed their root bracket or moment check."""

@@ -85,6 +85,9 @@ class ModelParams:
 
 def validate_params(params: ModelParams) -> ModelParams:
     """Return params unchanged if all invariants hold, else raise."""
+    for name in ("beta", "mu", "energy_scale"):
+        if not math.isfinite(getattr(params, name)):
+            raise DbisolError(f"{name} must be finite, got {getattr(params, name)}")
     if params.beta <= 0:
         raise DbisolError(f"beta must be positive, got {params.beta}")
     if params.mu < 0:
@@ -99,9 +102,9 @@ def validate_params(params: ModelParams) -> ModelParams:
     if law.kind not in ("dbi", "power"):
         raise DbisolError(f"unknown kinetic law {law.kind!r}")
     if law.kind == "power":
-        if law.alpha_k is None or law.alpha_k <= 0.5:
+        if law.alpha_k is None or not 0.5 < law.alpha_k < math.inf:
             raise DbisolError(
-                "power-family exponent must exceed 1/2; at and below that value the "
+                "power-family exponent must be finite and exceed 1/2; at and below 1/2 the "
                 "first-order law cannot meet the vacuum boundary condition "
                 f"(got {law.alpha_k})")
     return params

@@ -122,9 +122,3 @@ def golden_max(f: Callable[[float], float], a: float, b: float,
     if yc > yd:
         return c, yc
     return d, yd
-
-
-def golden_min(f: Callable[[float], float], a: float, b: float,
-               tol: float = 1e-10) -> tuple[float, float]:
-    x, y = golden_max(lambda t: -f(t), a, b, tol)
-    return x, -y

@@ -26,7 +26,7 @@ from scipy.optimize import brentq
 
 from .bps import BpsLaw, bps_law_for
 from .errors import DbisolError, NoSolitonError, SectorMismatchError
-from .model import ModelParams, PotentialSpec, Sector, validate_params
+from .model import KineticLaw, ModelParams, PotentialSpec, Sector, validate_params
 from .numerics import CumulativeIntegral, bisect_monotone
 
 __all__ = [
@@ -70,6 +70,10 @@ class GridSpec:
     field_floor: float = 1e-9
     padding: int = 10
     segments: int = 1500
+
+    def __post_init__(self):
+        if self.spacing is None and self.count < 2:
+            raise DbisolError(f"grid needs at least 2 samples, got {self.count}")
 
 
 @dataclass(frozen=True)
@@ -252,18 +256,21 @@ def endpoint_asymptotics(sigma: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # classification
 
-def classify_localization(vacuum_exponent: float, sector: Sector) -> LocalizationClass:
-    """Localization type from the near-vacuum power of the potential.
+def classify_localization(vacuum_exponent: float, sector: Sector,
+                          kinetic_law: KineticLaw = KineticLaw.dbi()) -> LocalizationClass:
+    """Localization type from the near-vacuum power A of the potential.
 
-    Planar thresholds sit at 2.  In the 3-D radial chart the inverse-map
-    integrability puts them at 6; see SKYRME_LOCALIZATION_THRESHOLD.
+    B0 vanishes like the field to the power A/2 (DBI law) or A/(2 alpha_k)
+    (power law); twice that power is compared with the DBI thresholds, 2
+    planar and 6 in the 3-D radial chart (see SKYRME_LOCALIZATION_THRESHOLD).
     """
     if vacuum_exponent <= 0:
         raise DbisolError("vacuum exponent must be positive")
     th = BABY_LOCALIZATION_THRESHOLD if sector is Sector.BABY2D else SKYRME_LOCALIZATION_THRESHOLD
-    if abs(vacuum_exponent - th) < 1e-12:
+    a = 2.0 * _near_vacuum_density_exponent(kinetic_law, vacuum_exponent)
+    if abs(a - th) < 1e-12:
         return LocalizationClass.EXPONENTIAL
-    if vacuum_exponent < th:
+    if a < th:
         return LocalizationClass.COMPACTON
     return LocalizationClass.POWER_LAW
 
@@ -311,11 +318,11 @@ def _slope_scale(sector: Sector, params: ModelParams) -> float:
     return 1.0 / (math.sqrt(2.0) * params.beta)
 
 
-def _near_vacuum_density_exponent(model: ModelParams, potential: PotentialSpec) -> float:
+def _near_vacuum_density_exponent(law: KineticLaw, vacuum_exponent: float) -> float:
     """Power of the field with which B0 vanishes at the vacuum."""
-    if model.kinetic_law.is_dbi:
-        return potential.vacuum_exponent / 2.0
-    return potential.vacuum_exponent / (2.0 * model.kinetic_law.alpha_k)
+    if law.is_dbi:
+        return vacuum_exponent / 2.0
+    return vacuum_exponent / (2.0 * law.alpha_k)
 
 
 def _is_compacton(sector: Sector, a: float) -> bool:
@@ -401,7 +408,7 @@ class _InverseMap:
                 return 1.0 / (scale * b0)
             return np.sin(f) ** 2 / (scale * b0)
 
-        a = _near_vacuum_density_exponent(model, potential)
+        a = _near_vacuum_density_exponent(model.kinetic_law, potential.vacuum_exponent)
         self.compact = _is_compacton(sector, a)
         self.law = the_law
         self.anti = anti

@@ -251,7 +251,7 @@ def test_criterion_11_bounds():
     ok_ref = abs(cmp["reference_energy"] - 87.638) <= 1e-3 \
         and abs(cmp["bound_energy_c35"] - 69.087) <= 1e-3 \
         and abs(cmp["relative_error_c35"] - 0.21) <= 0.005
-    c4 = optimize_bound(4, seed=1)
+    c4 = optimize_bound(4)
     ok_mono = c2.constant < c3.constant <= c4.constant + 1e-12
     ok = ok_c2 and ok_alpha and ok_c3 and ok_slack and ok_sharp and ok_ref and ok_mono
     report(11, "energy bounds: constants, pointwise slack, duality, reference gap", ok,

@@ -1,15 +1,36 @@
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dbisol import (DbisolError, PAVLOVSKII_REFERENCE, bound_constant, bound_energy,
                     certify, compare_reference, optimize_bound, pointwise_slack,
                     sharpness, taylor_coefficients, verify_pointwise, weights_for_alpha)
 
 C2_EXACT = 0.5 * 3.0 ** 1.5
+
+ORDERS = st.integers(min_value=2, max_value=64)
+BETAS = st.floats(min_value=-2.0, max_value=2.0).map(lambda e: 10.0 ** e)
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def mp_bound_constant(order: int) -> mp.mpf:
+    """C_N at 40 digits from the Lagrange conditions, solved by mpmath."""
+    with mp.workdps(40):
+        c = [mp.mpf(f.numerator) / f.denominator for f in taylor_coefficients(order)]
+
+        def series(x, power=0):
+            return sum((k + 1) ** power * ck * x ** (k + 1) for k, ck in enumerate(c))
+
+        x = mp.findroot(lambda x: series(x, 1) / series(x) - mp.mpf(1.5),
+                        (mp.mpf("0.75"), mp.mpf(4)), solver="anderson")
+        return 3 ** mp.mpf(1.5) * series(x) / x ** 1.5
 
 
 class TestCoefficients:
@@ -90,24 +111,62 @@ class TestOptimize:
         cert.validate()
 
     def test_monotone_improvement(self):
-        consts = [optimize_bound(n, seed=1).constant for n in range(2, 9)]
+        consts = [optimize_bound(n).constant for n in range(2, 9)]
         assert consts[0] < consts[1]
         for a, b in zip(consts, consts[1:]):
             assert b >= a - 1e-12
         assert consts[1] == pytest.approx(3.5, abs=1e-8)
         assert consts[2] == pytest.approx(3.77525596, abs=1e-4)
 
+    def test_constant_increases_with_order_below_four(self):
+        consts = [optimize_bound(n).constant for n in range(2, 65)]
+        assert all(b > a for a, b in zip(consts, consts[1:]))
+        assert consts[-1] < 4.0
+
+    def test_matches_mpmath(self):
+        with mp.workdps(40):
+            assert mp.almosteq(mp_bound_constant(3), mp.mpf(7) / 2, rel_eps=mp.mpf("1e-35"))
+        assert optimize_bound(3).constant == pytest.approx(3.5, abs=1e-13)
+        for n in (4, 8, 16):
+            assert optimize_bound(n).constant == pytest.approx(float(mp_bound_constant(n)),
+                                                               abs=1e-13)
+        assert optimize_bound(16).constant == pytest.approx(3.99917, abs=1e-5)
+
+    @PROPERTY
+    @given(order=ORDERS, beta=BETAS)
+    @example(order=64, beta=10.0)
+    def test_weights_admissible(self, order, beta):
+        cert = optimize_bound(order, beta)
+        w = np.array(cert.weights)
+        k = np.arange(1, order + 1)
+        assert np.all(w >= 0)
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert abs((k * w).sum() - 1.5) <= 1e-12
+
+    @PROPERTY
+    @given(order=ORDERS, beta=BETAS)
+    def test_constant_is_weighted_product(self, order, beta):
+        cert = optimize_bound(order, beta)
+        assert bound_constant(order, cert.weights) == pytest.approx(cert.constant, rel=1e-14)
+
+    @PROPERTY
+    @given(order=ORDERS, beta=BETAS)
+    @example(order=64, beta=10.0)
+    def test_sharpness_is_constant_over_beta(self, order, beta):
+        cert = optimize_bound(order, beta)
+        assert sharpness(cert) == pytest.approx(cert.constant / beta, rel=1e-12)
+
     def test_rejects_bad_order(self):
         with pytest.raises(DbisolError):
             optimize_bound(1)
         with pytest.raises(DbisolError):
-            optimize_bound(9)
+            optimize_bound(65)
 
 
 class TestDuality:
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_sharpness_equals_constant(self, order):
-        cert = optimize_bound(order, seed=2)
+        cert = optimize_bound(order)
         assert sharpness(cert) == pytest.approx(cert.constant, rel=1e-6)
 
     def test_sharpness_scales_with_beta(self):
@@ -144,6 +203,26 @@ class TestPointwise:
         c = [float(x) for x in taylor_coefficients(3)]
         lhs = sum(ck * s ** (k + 1) for k, ck in enumerate(c))
         assert _slack_arrays(cert, lam)[0] == pytest.approx(lhs, rel=1e-15)
+
+    def test_horner_kernel_matches_direct_sum(self):
+        from dbisol.bounds import _slack_arrays
+        cert = replace(optimize_bound(8), beta=2.5)
+        lam = 10.0 ** np.random.default_rng(3).uniform(-2.0, 2.0, size=(50, 3))
+        want = [math.fsum(float(ck) * s ** (k + 1) / 2.5 ** (2 * k)
+                          for k, ck in enumerate(taylor_coefficients(8)))
+                - cert.constant / 2.5 * a * b * c
+                for s, (a, b, c) in zip((lam * lam).sum(axis=1), lam)]
+        np.testing.assert_allclose(_slack_arrays(cert, lam), want, rtol=1e-13)
+
+    def test_slack_past_float_range_is_infinite(self):
+        cert = optimize_bound(64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pointwise_slack(cert, (1e3, 1e3, 1e3)) == math.inf
+
+    def test_rejects_negative_sample_count(self):
+        with pytest.raises(DbisolError, match="non-negative"):
+            certify(optimize_bound(2), -5)
 
     def test_inflated_constant_fails(self):
         cert = optimize_bound(3)
@@ -220,7 +299,7 @@ class TestCertificate:
 
     def test_weight_invariants(self):
         for n in (2, 3, 5):
-            cert = optimize_bound(n, seed=3)
+            cert = optimize_bound(n)
             w = np.array(cert.weights)
             k = np.arange(1, n + 1)
             assert abs(w.sum() - 1.0) < 1e-12

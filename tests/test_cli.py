@@ -49,6 +49,23 @@ class TestSolveCommand:
             main(["solve", "--sector", "mars", "--out", str(tmp_path / "x")])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("flag,value", [("--beta", "nan"), ("--mu", "inf"),
+                                            ("--beta", "-inf")])
+    def test_non_finite_coupling_exits_one(self, tmp_path, capsys, flag, value):
+        code = main(["solve", f"{flag}={value}", "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("grid", ["1", "0", "-3"])
+    def test_degenerate_grid_exits_one(self, tmp_path, capsys, grid):
+        code = main(["solve", "--grid", grid, "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: grid needs at least 2 samples, got {grid}\n"
+
     def test_bad_potential_exits_one(self, tmp_path):
         code = main(["solve", "--potential", "mexican", "--out", str(tmp_path / "x")])
         assert code == 1
@@ -100,7 +117,21 @@ class TestBoundCommand:
         assert data["constant"] == pytest.approx(2.598076, abs=1e-6)
 
     def test_bad_order(self, tmp_path):
-        assert main(["bound", "--order", "12", "--out", str(tmp_path / "b")]) == 1
+        assert main(["bound", "--order", "65", "--out", str(tmp_path / "b")]) == 1
+
+    def test_order_sixty_four(self, tmp_path):
+        code = main(["bound", "--order", "64", "--samples", "20000",
+                     "--out", str(tmp_path / "b64")])
+        assert code == 0
+        data = json.loads((tmp_path / "b64.json").read_text())
+        assert 3.9999999 < data["constant"] < 4.0
+        assert data["min_slack"] >= -1e-12
+
+    def test_negative_samples_exit_one(self, tmp_path, capsys):
+        code = main(["bound", "--samples", "-5", "--out", str(tmp_path / "b")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: sample count must be non-negative, got -5\n"
+        assert not (tmp_path / "b.json").exists()
 
 
 class TestSweepCommand:
@@ -134,10 +165,12 @@ class TestClassifyCommand:
         ("baby", "old:2", "exponential"),
         ("skyrme", "standard", "compacton"),
         ("skyrme", "bps", "compacton"),
+        ("baby", "old:2 --alpha-k 2", "compacton"),
+        ("baby", "old:3 --alpha-k 1", "power-law"),
     ])
     def test_agreement(self, tmp_path, sector, pot, expected):
         out = tmp_path / "c"
-        code = main(["classify", "--sector", sector, "--potential", pot,
+        code = main(["classify", "--sector", sector, "--potential", *pot.split(),
                      "--out", str(out)])
         assert code == 0
         data = json.loads((tmp_path / "c.json").read_text())
@@ -188,6 +221,17 @@ class TestConfigHandling:
         # flag wins over file
         assert data["config"]["beta"] == 1.0
         assert data["config"]["sector"] == "skyrme"
+
+    def test_out_defaults_to_command_name(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bound", "--order", "2", "--samples", "100"]) == 0
+        assert (tmp_path / "bound.json").exists()
+
+    def test_explicit_out_run_is_kept(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bound", "--order", "2", "--samples", "100", "--out", "run"]) == 0
+        assert (tmp_path / "run.json").exists()
+        assert not (tmp_path / "bound.json").exists()
 
     def test_config_file_bad_key(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

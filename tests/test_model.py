@@ -125,6 +125,17 @@ class TestValidateParams:
         with pytest.raises(DbisolError):
             validate_params(params(beta=-2.0))
 
+    @pytest.mark.parametrize("field", ["beta", "mu", "energy_scale"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_couplings(self, field, value):
+        with pytest.raises(DbisolError, match=f"{field} must be finite"):
+            validate_params(params(**{field: value}))
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_rejects_non_finite_power_exponent(self, alpha):
+        with pytest.raises(DbisolError, match="must be finite"):
+            validate_params(params(kinetic_law=KineticLaw.power(alpha)))
+
     def test_accepts_power_family(self):
         validate_params(params(kinetic_law=KineticLaw.power(0.75)))
 
