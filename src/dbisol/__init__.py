@@ -22,8 +22,7 @@ from .profiles import (BABY_LOCALIZATION_THRESHOLD, SKYRME_LOCALIZATION_THRESHOL
 from .observables import (BetaSweepResult, EnergyReport, MuSweepResult,
                           SKYRME_CHART_FACTOR, baby_energy_closed, bps_energy_integral,
                           charge_quadrature, compute_energy_report, energy_quadrature,
-                          energy_per_charge_average, energy_per_charge_average_plain,
-                          large_beta_sweep, limiting_baby_slope,
+                          energy_per_charge_average, large_beta_sweep, limiting_baby_slope,
                           power_family_energy_per_charge, skyrme_bps_energy_closed,
                           skyrme_standard_energy_closed, small_mu_sweep)
 from .bounds import (PAVLOVSKII_REFERENCE, BoundCertificate, bound_constant,

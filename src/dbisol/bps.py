@@ -21,7 +21,7 @@ from .errors import DbisolError, SectorMismatchError
 from .model import ModelParams, PotentialSpec, Sector, validate_params
 
 __all__ = [
-    "BpsLaw", "EomResidualReport", "bps_law_for",
+    "BpsLaw", "EomResidualReport", "bps_law_for", "kinetic_density",
     "dbi_bps_density", "power_bps_density", "numeric_bps_density",
     "baby_bps_slope", "skyrme_bps_slope", "eom_residual",
 ]
@@ -57,6 +57,15 @@ def power_bps_density(v_value, mu: float, alpha_k: float):
         raise DbisolError("potential value must be non-negative")
     out = np.power(mu ** 2 * v / (2.0 * alpha_k - 1.0), 1.0 / (2.0 * alpha_k))
     return out if out.ndim else float(out)
+
+
+def kinetic_density(params: ModelParams, b0):
+    """Static kinetic energy density as a function of the charge density B0."""
+    b0 = np.asarray(b0, dtype=float)
+    if params.kinetic_law.is_dbi:
+        r = b0 * b0 / (2.0 * params.beta ** 2)
+        return params.beta ** 2 * r / (1.0 + np.sqrt(np.maximum(1.0 - r, 0.0)))
+    return np.power(b0 * b0, params.kinetic_law.alpha_k)
 
 
 def numeric_bps_density(F: Callable[[float, float], float], field_value: float, *,
@@ -130,24 +139,16 @@ class BpsLaw:
     sign: int
     origin: str
 
-    def ceiling(self, params: ModelParams) -> float:
-        return math.sqrt(2.0) * params.beta
-
 
 def bps_law_for(model: ModelParams, potential: PotentialSpec) -> BpsLaw:
     """Closed-form first-order law for the model's kinetic prescription."""
     validate_params(model)
     if model.kinetic_law.is_dbi:
-        def density(s):
-            return math.sqrt(2.0) * model.beta * _rel_ceiling(
-                model.mu ** 2 * np.asarray(potential.evaluate(s), dtype=float) / model.beta ** 2)
-        return BpsLaw(density, -1, "closed-form DBI")
+        return BpsLaw(lambda s: dbi_bps_density(potential.evaluate(s), model), -1,
+                      "closed-form DBI")
     ak = model.kinetic_law.alpha_k
-
-    def density(s):
-        return np.power(model.mu ** 2 * np.asarray(potential.evaluate(s), dtype=float)
-                        / (2.0 * ak - 1.0), 1.0 / (2.0 * ak))
-    return BpsLaw(density, -1, "closed-form power")
+    return BpsLaw(lambda s: power_bps_density(potential.evaluate(s), model.mu, ak), -1,
+                  "closed-form power")
 
 
 def baby_bps_slope(h, potential: PotentialSpec, params: ModelParams):
@@ -158,7 +159,7 @@ def baby_bps_slope(h, potential: PotentialSpec, params: ModelParams):
     if np.any((harr < 0) | (harr > 1)):
         raise DbisolError("field value outside [0, 1]")
     law = bps_law_for(params, potential)
-    out = -2.0 * math.pi / abs(params.charge) * law.density(harr)
+    out = -2.0 * math.pi / abs(params.charge) * np.asarray(law.density(harr))
     return out if out.ndim else float(out)
 
 
@@ -227,14 +228,14 @@ def eom_residual(profile, model: ModelParams | None = None, *,
         else:
             w = np.sin(f) ** 2 * u
             G = w / np.sqrt(np.maximum(1.0 - w * w, 1e-300))
-    R = np.full_like(f, np.nan)
-    dG = (G[3:-1] - G[1:-3]) / (2.0 * delta)
-    if profile.sector is Sector.BABY2D:
-        R[2:-2] = n2 * dG - 8.0 * math.pi ** 2 * params.mu ** 2 \
-            * np.asarray(pot.derivative(f[2:-2]), dtype=float)
-    else:
-        R[2:-2] = params.beta ** 2 * np.sin(f[2:-2]) ** 2 * dG \
-            - params.mu ** 2 * np.asarray(pot.derivative(f[2:-2]), dtype=float)
+        R = np.full_like(f, np.nan)
+        dG = (G[3:-1] - G[1:-3]) / (2.0 * delta)
+        # V' may diverge at the vacuum padding, which the support mask drops
+        dV = np.asarray(pot.derivative(f[2:-2]), dtype=float)
+        if profile.sector is Sector.BABY2D:
+            R[2:-2] = n2 * dG - 8.0 * math.pi ** 2 * params.mu ** 2 * dV
+        else:
+            R[2:-2] = params.beta ** 2 * np.sin(f[2:-2]) ** 2 * dG - params.mu ** 2 * dV
 
     support = f > vacuum_threshold
     # distance to the nearest support edge, counting domain endpoints

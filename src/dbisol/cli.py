@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -31,7 +29,7 @@ from .observables import (bps_energy_integral, compute_energy_report,
 from .profiles import (GridSpec, baby_old_exact, baby_old_radius,
                        classify_localization, profile_on_grid, skyrme_standard_exact,
                        skyrme_standard_radius, solve_profile, tail_fit,
-                       write_profile_csv)
+                       write_atomic, write_profile_csv)
 
 __all__ = ["main", "RunConfig"]
 
@@ -61,19 +59,6 @@ def _emit_json(obj) -> str:
     raise DbisolError(f"cannot serialize {type(obj).__name__}")
 
 
-def write_atomic(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".dbisol-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def write_json_atomic(path: str, obj) -> None:
     write_atomic(path, _emit_json(obj) + "\n")
 
@@ -93,7 +78,6 @@ class RunConfig:
     grid: int = 1000
     out: str | None = None
     seed: int = 0
-    tol: float = 1e-9
     order: int = 3
     samples: int = 1_000_000
     axis: str = "mu"
@@ -141,7 +125,7 @@ class RunConfig:
 
 _BOOL_KEYS = {"compare_pavlovskii", "inject_perturbation"}
 _INT_KEYS = {"n", "grid", "seed", "order", "samples"}
-_FLOAT_KEYS = {"beta", "mu", "alpha_k", "tol"}
+_FLOAT_KEYS = {"beta", "mu", "alpha_k"}
 
 
 def _coerce(key: str, raw: str):
@@ -198,7 +182,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     potential = cfg.make_potential()
     profile = solve_profile(model, potential, GridSpec(count=cfg.grid))
     profile.validate_invariants()
-    report = compute_energy_report(profile, model, potential, epsrel=min(cfg.tol, 1e-9))
+    report = compute_energy_report(profile, model, potential)
     resid = eom_residual(profile)
     summary = {
         "config": cfg.to_dict(),
@@ -423,7 +407,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--grid", type=int)
     p.add_argument("--out", help="output path prefix")
     p.add_argument("--seed", type=int)
-    p.add_argument("--tol", type=float)
 
 
 def build_parser() -> _Parser:

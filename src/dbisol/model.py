@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DbisolError
+from .numerics import tanh_sinh
 
 __all__ = [
     "Sector", "KineticLaw", "PotentialSpec", "ModelParams", "TargetMeasure",
@@ -217,14 +217,11 @@ class TargetMeasure:
     domain: tuple[float, float]
 
     def mass(self) -> float:
-        val, _ = quad(lambda s: float(self.weight(s)), *self.domain,
-                      epsabs=1e-13, epsrel=1e-12, limit=200)
-        return val
+        return tanh_sinh(self.weight, *self.domain)
 
-    def average(self, fn: Callable[[float], float]) -> float:
-        val, _ = quad(lambda s: float(self.weight(s)) * float(fn(s)), *self.domain,
-                      epsabs=1e-13, epsrel=1e-12, limit=200)
-        return val
+    def average(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
+        """Weighted integral of fn, a vectorized function of the target coordinate."""
+        return tanh_sinh(lambda s: self.weight(s) * fn(s), *self.domain)
 
 
 def target_measure(sector: Sector) -> TargetMeasure:

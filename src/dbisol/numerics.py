@@ -1,9 +1,12 @@
 """Small vectorized quadrature and root-finding helpers.
 
-Composite Gauss-Legendre rules are used for cumulative integrals of smooth
-integrands (the inverse profile maps are arranged to be smooth by endpoint
-substitutions), and plain bisection is used wherever a monotone function has
-to be inverted for a whole array of targets at once.
+Every quadrature rule of the package lives here.  A fixed-level tanh-sinh
+rule computes the definite integrals (energies, target-space averages),
+whose integrands behave like algebraic powers at the vacuum endpoint.
+Composite Gauss-Legendre rules are used for the cumulative integrals of the
+inverse profile maps, which need prefix integrals and are arranged to be
+smooth by endpoint substitutions.  Plain bisection is used wherever a
+monotone function has to be inverted for a whole array of targets at once.
 """
 
 from __future__ import annotations
@@ -14,12 +17,50 @@ from typing import Callable
 import numpy as np
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_TS_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+# tanh-sinh step 2^-6: every energy and average lands within 1e-15 of a
+# 20-digit reference over the whole coupling range
+_TS_LEVEL = 6
 
 
 def _gl_nodes(deg: int) -> tuple[np.ndarray, np.ndarray]:
     if deg not in _GL_CACHE:
         _GL_CACHE[deg] = np.polynomial.legendre.leggauss(deg)
     return _GL_CACHE[deg]
+
+
+def _ts_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tanh-sinh nodes on [0, 1] as distances from both ends, with weights.
+
+    Node k sits at t = k h, h = 2^-level, |t| <= 6, i.e. at the fraction
+    1 / (1 + exp(-2u)) of the interval with u = (pi/2) sinh t.  The distances
+    from the lower and the upper end are formed separately, so neither loses
+    digits to cancellation; the outermost nodes are about 1e-275 from the ends.
+    """
+    if level not in _TS_CACHE:
+        h = 2.0 ** -level
+        t = h * np.arange(-6 * 2 ** level, 6 * 2 ** level + 1)
+        u = 0.5 * math.pi * np.sinh(t)
+        lo = 1.0 / (1.0 + np.exp(-2.0 * u))
+        hi = 1.0 / (1.0 + np.exp(2.0 * u))
+        _TS_CACHE[level] = (lo, hi, h * math.pi * np.cosh(t) * lo * hi)
+    return _TS_CACHE[level]
+
+
+def tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
+    """Integral of f over (a, b) by the tanh-sinh rule (Takahasi and Mori, 1974).
+
+    f is called once, on the array of nodes.  The nodes crowd double
+    exponentially towards both ends, so algebraic endpoint behaviour (a
+    bounded power, or an integrable singularity at an end at zero) converges
+    to machine precision.  f is never evaluated at a or b: nodes that round
+    onto an end are dropped.
+    """
+    lo, hi, w = _ts_nodes(_TS_LEVEL)
+    span = b - a
+    x = np.where(lo <= 0.5, a + span * lo, b - span * hi)
+    keep = (x > a) & (x < b)
+    return span * float(np.dot(w[keep], f(x[keep])))
 
 
 class CumulativeIntegral:

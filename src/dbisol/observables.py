@@ -3,8 +3,11 @@
 Quadrature energies are computed in field space: along a first-order profile
 every density is a closed function of the field, so the coordinate integral
 transforms exactly into an integral over the traversed field range with the
-inverse-map Jacobian.  This keeps adaptive quadrature away from the slope
-singularities at compact edges.
+inverse-map Jacobian.  This keeps the quadrature away from the slope
+singularities at compact edges; what remains is algebraic behaviour at the
+vacuum end, which the tanh-sinh rule of `numerics` resolves to machine
+precision.  Target-space averages use the same rule, and the charge of a
+first-order profile is in closed form.
 """
 
 from __future__ import annotations
@@ -15,21 +18,21 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
-from .bps import BpsLaw, bps_law_for
+from .bps import BpsLaw, bps_law_for, kinetic_density
 from .errors import DbisolError, SectorMismatchError
-from .model import (ModelParams, PotentialSpec, Sector, TargetMeasure,
+from .model import (ModelParams, PotentialSpec, Sector, TargetMeasure, _eta,
                     make_potential, target_measure, validate_params)
-from .profiles import (GridSpec, SolitonProfile, baby_old_radius,
-                       profile_field_at, solve_profile)
+from .numerics import tanh_sinh
+from .profiles import (GridSpec, SolitonProfile, _chart_prefactor, _slope_scale,
+                       baby_old_radius, profile_field_at, skyrme_bps_radius,
+                       solve_profile)
 
 __all__ = [
     "EnergyReport", "compute_energy_report",
     "energy_quadrature", "charge_quadrature", "bps_energy_integral",
     "baby_energy_closed", "skyrme_standard_energy_closed", "skyrme_bps_energy_closed",
-    "energy_per_charge_average", "energy_per_charge_average_plain",
-    "power_family_energy_per_charge",
+    "energy_per_charge_average", "power_family_energy_per_charge",
     "small_mu_sweep", "large_beta_sweep", "limiting_baby_slope",
     "MuSweepResult", "BetaSweepResult", "SKYRME_CHART_FACTOR",
 ]
@@ -41,8 +44,6 @@ __all__ = [
 # both closed-form energies, and is independent of beta, mu and sigma.
 SKYRME_CHART_FACTOR = 1.0 / 3.0
 
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-10, limit=200)
-
 
 def _check_sector(profile: SolitonProfile, model: ModelParams, potential: PotentialSpec):
     if profile.sector is not model.sector:
@@ -52,71 +53,50 @@ def _check_sector(profile: SolitonProfile, model: ModelParams, potential: Potent
         raise SectorMismatchError("potential domain does not match the model sector")
 
 
-def _kinetic_density(model: ModelParams, b0: float) -> float:
-    """Static kinetic energy density as a function of the charge density."""
-    if model.kinetic_law.is_dbi:
-        r = b0 * b0 / (2.0 * model.beta ** 2)
-        return model.beta ** 2 * r / (1.0 + math.sqrt(max(1.0 - r, 0.0)))
-    return (b0 * b0) ** model.kinetic_law.alpha_k
-
-
-def _chart_prefactor(model: ModelParams) -> float:
-    if model.sector is Sector.BABY2D:
-        return 2.0 * math.pi
-    return math.sqrt(2.0) * abs(model.charge) / (3.0 * math.pi * model.beta)
-
-
 def bps_energy_integral(model: ModelParams, potential: PotentialSpec,
                         field_range: tuple[float, float] | None = None, *,
-                        law: BpsLaw | None = None, epsrel: float = 1e-10) -> float:
-    """Chart energy of the first-order profile by adaptive quadrature.
+                        law: BpsLaw | None = None) -> float:
+    """Chart energy of the first-order profile by tanh-sinh quadrature.
 
     Integrates the energy density against the inverse-map Jacobian over the
-    traversed field range; a power substitution absorbs the vacuum endpoint.
+    traversed field range.  At the vacuum the integrand vanishes like a power
+    of the field; where B0 underflows to zero it is taken as its limit 0.
     """
     validate_params(model)
     if model.mu == 0.0:
         return 0.0
     the_law = law if law is not None else bps_law_for(model, potential)
     lo, hi = field_range if field_range is not None else (0.0, potential.domain[1])
-    pref = _chart_prefactor(model)
-    scale = 2.0 * math.pi / abs(model.charge) if model.sector is Sector.BABY2D \
-        else 1.0 / (math.sqrt(2.0) * model.beta)
+    scale = _slope_scale(model.sector, model)
 
-    def integrand(f: float) -> float:
-        b0 = float(the_law.density(f))
-        if b0 == 0.0:
-            return 0.0
-        v = float(potential.evaluate(f))
-        dens = _kinetic_density(model, b0) + model.mu ** 2 * v
-        if model.sector is Sector.BABY2D:
-            jac = 1.0 / (scale * b0)
-        else:
-            jac = math.sin(f) ** 2 / (scale * b0)
-        return dens * jac
+    def integrand(f):
+        b0 = np.asarray(the_law.density(f), dtype=float)
+        dens = kinetic_density(model, b0) \
+            + model.mu ** 2 * np.asarray(potential.evaluate(f), dtype=float)
+        jac = 1.0 if model.sector is Sector.BABY2D else np.sin(f) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(b0 > 0.0, dens * jac / (scale * b0), 0.0)
 
-    if lo <= 0.0:
-        # field = t^2 removes the vanishing slope at the vacuum
-        t_hi = math.sqrt(hi)
-        val, _ = quad(lambda t: 2.0 * t * integrand(t * t), 0.0, t_hi,
-                      epsabs=1e-13, epsrel=epsrel, limit=200)
-    else:
-        val, _ = quad(integrand, lo, hi, epsabs=1e-13, epsrel=epsrel, limit=200)
-    return pref * val * model.energy_scale
+    return _chart_prefactor(model) * tanh_sinh(integrand, lo, hi) * model.energy_scale
 
 
 def energy_quadrature(profile: SolitonProfile, model: ModelParams,
-                      potential: PotentialSpec, *, epsrel: float = 1e-10) -> float:
-    """Total chart energy of a profile, adaptive to relative tolerance 1e-9."""
+                      potential: PotentialSpec) -> float:
+    """Total chart energy of a profile over the field range it traverses."""
     _check_sector(profile, model, potential)
     if profile.bps_backed:
-        return bps_energy_integral(model, potential, profile.field_range(), epsrel=epsrel)
+        return bps_energy_integral(model, potential, profile.field_range())
     # sampled fallback for profiles that do not sit on the first-order law
     return float(np.trapezoid(profile.energy_density, profile.coordinates))
 
 
 def charge_quadrature(profile: SolitonProfile, model: ModelParams | None = None) -> float:
-    """Integrated topological charge; equals the integer charge for full profiles."""
+    """Integrated topological charge; equals the integer charge for full profiles.
+
+    On the first-order law the charge density integrates in closed form over
+    the traversed field range: n (hi - lo) planar, n (2/pi) (eta(hi) - eta(lo))
+    in 3-D, with eta the incomplete volume.
+    """
     params = model if model is not None else profile.params
     if model is not None and profile.sector is not model.sector:
         raise SectorMismatchError("profile and model sectors differ")
@@ -124,10 +104,8 @@ def charge_quadrature(profile: SolitonProfile, model: ModelParams | None = None)
     if profile.bps_backed:
         lo, hi = profile.field_range()
         if profile.sector is Sector.BABY2D:
-            val, _ = quad(lambda h: 1.0, lo, hi, **_QUAD_OPTS)
-        else:
-            val, _ = quad(lambda x: (2.0 / math.pi) * math.sin(x) ** 2, lo, hi, **_QUAD_OPTS)
-        return n * val
+            return n * (hi - lo)
+        return n * (2.0 / math.pi) * float(_eta(hi) - _eta(lo))
     return float(np.trapezoid(profile.charge_density, profile.coordinates))
 
 
@@ -173,7 +151,7 @@ def skyrme_bps_energy_closed(params: ModelParams) -> float:
     if params.mu == 0.0:
         raise DbisolError("closed form undefined at mu = 0 (no soliton)")
     s = params.sigma
-    z0 = 0.5 * math.sqrt(math.pi) * math.sqrt(math.pi + 4.0 * s)
+    z0 = skyrme_bps_radius(s)
     val = z0 * math.sqrt(1.0 + (z0 / s) ** 2) - s * math.asinh(z0 / s)
     return math.sqrt(2.0) * params.beta / (6.0 * math.pi) * abs(params.charge) \
         * val * params.energy_scale
@@ -185,8 +163,8 @@ def skyrme_bps_energy_closed(params: ModelParams) -> float:
 def _average_root(model: ModelParams, potential: PotentialSpec,
                   measure: TargetMeasure) -> float:
     def fn(s):
-        v = float(potential.evaluate(s))
-        return math.sqrt(model.mu ** 2 * v * v / model.beta ** 2 + 2.0 * v)
+        v = np.asarray(potential.evaluate(s), dtype=float)
+        return np.sqrt(model.mu ** 2 * v * v / model.beta ** 2 + 2.0 * v)
     return measure.average(fn)
 
 
@@ -211,21 +189,6 @@ def energy_per_charge_average(model: ModelParams, potential: PotentialSpec,
         * model.energy_scale
 
 
-def energy_per_charge_average_plain(model: ModelParams, potential: PotentialSpec,
-                                    measure: TargetMeasure | None = None) -> float:
-    """The same average with the plain sqrt(2) mu prefactor and no chart factor.
-
-    Reported for transparency next to the chart-consistent value; it differs
-    from quadrature/|n| by a fixed normalization (2x planar, 6x in 3-D).
-    """
-    validate_params(model)
-    if model.mu == 0.0:
-        return 0.0
-    meas = measure if measure is not None else target_measure(model.sector)
-    return math.sqrt(2.0) * model.mu * _average_root(model, potential, meas) \
-        * model.energy_scale
-
-
 def power_family_energy_per_charge(model: ModelParams, potential: PotentialSpec,
                                    measure: TargetMeasure | None = None) -> float:
     """Per-charge energy of the pure-power law from the target average."""
@@ -239,7 +202,7 @@ def power_family_energy_per_charge(model: ModelParams, potential: PotentialSpec,
         return 0.0
     meas = measure if measure is not None else target_measure(model.sector)
     expo = 1.0 - 1.0 / (2.0 * a)
-    avg = meas.average(lambda s: float(potential.evaluate(s)) ** expo)
+    avg = meas.average(lambda s: np.asarray(potential.evaluate(s), dtype=float) ** expo)
     return 2.0 * a * ((2.0 * a - 1.0) / model.mu ** 2) ** (1.0 / (2.0 * a) - 1.0) \
         * avg * model.energy_scale
 
@@ -353,9 +316,9 @@ def _closed_form_for(model: ModelParams, potential: PotentialSpec) -> float | No
 
 
 def compute_energy_report(profile: SolitonProfile, model: ModelParams,
-                          potential: PotentialSpec, *, epsrel: float = 1e-10) -> EnergyReport:
+                          potential: PotentialSpec) -> EnergyReport:
     """Quadrature energy with closed-form and average-route cross checks."""
-    e_quad = energy_quadrature(profile, model, potential, epsrel=epsrel)
+    e_quad = energy_quadrature(profile, model, potential)
     charge = charge_quadrature(profile, model)
     closed = _closed_form_for(model, potential)
     if model.kinetic_law.is_dbi:

@@ -7,7 +7,8 @@ vanishing of the slope at the vacuum is removed by the substitution
 field = t^p with p chosen from the near-vacuum exponent of the potential,
 after which the integrand is smooth and a composite Gauss-Legendre rule is
 exact to machine precision.  A forward adaptive stepper with vacuum-event
-detection is provided as an independent cross-check.
+detection is provided as an independent cross-check; it is the one place
+that uses scipy, imported when it is called.
 
 Closed-form evaluators for the three exactly solvable cases live here too,
 together with tail classification.
@@ -17,16 +18,16 @@ from __future__ import annotations
 
 import enum
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
-from .bps import BpsLaw, bps_law_for
+from .bps import BpsLaw, bps_law_for, kinetic_density
 from .errors import DbisolError, NoSolitonError, SectorMismatchError
-from .model import KineticLaw, ModelParams, PotentialSpec, Sector, validate_params
+from .model import KineticLaw, ModelParams, PotentialSpec, Sector, _eta, validate_params
 from .numerics import CumulativeIntegral, bisect_monotone
 
 __all__ = [
@@ -36,7 +37,7 @@ __all__ = [
     "skyrme_standard_exact", "skyrme_standard_radius", "skyrme_standard_implicit_lhs",
     "skyrme_bps_exact", "skyrme_bps_radius",
     "angular_profile", "coordinate_map",
-    "classify_localization", "tail_fit", "endpoint_asymptotics",
+    "classify_localization", "tail_fit", "endpoint_asymptotics", "write_atomic",
     "write_profile_csv", "BABY_LOCALIZATION_THRESHOLD", "SKYRME_LOCALIZATION_THRESHOLD",
 ]
 
@@ -106,9 +107,8 @@ class SolitonProfile:
         return 1.0 if self.sector is Sector.BABY2D else math.pi
 
     def field_range(self) -> tuple[float, float]:
-        """Traversed field interval (min, max), padding excluded."""
-        pos = self.field[self.field > 0]
-        lo = float(pos.min()) if pos.size else 0.0
+        """Traversed field interval (min, max); 0 once the vacuum or the floor is reached."""
+        lo = float(self.field.min())
         return (0.0 if lo <= self.field_floor else lo, float(self.field[0]))
 
     def validate_invariants(self, boundary_tol: float = 1e-8) -> None:
@@ -228,13 +228,7 @@ def skyrme_bps_exact(z, sigma: float, tol_iters: int = 60):
     zz = np.atleast_1d(np.asarray(z, dtype=float))
     z0 = skyrme_bps_radius(sigma)
     target = _eta_of_z(np.clip(zz, 0.0, z0), sigma)
-
-    def eta(x):
-        x2 = x * x
-        series = x * x2 * (2.0 / 3.0 - x2 * (2.0 / 15.0 - x2 * (4.0 / 315.0 - x2 * (2.0 / 2835.0))))
-        return 0.5 * np.where(np.abs(x) < 0.1, series, x - np.cos(x) * np.sin(x))
-
-    xi = bisect_monotone(eta, target, 0.0, math.pi, increasing=True, iters=tol_iters)
+    xi = bisect_monotone(_eta, target, 0.0, math.pi, increasing=True, iters=tol_iters)
     xi = np.where(zz >= z0, 0.0, xi)
     xi = np.where(zz <= 0.0, math.pi, xi)
     return xi if np.ndim(z) else float(xi[0])
@@ -318,6 +312,13 @@ def _slope_scale(sector: Sector, params: ModelParams) -> float:
     return 1.0 / (math.sqrt(2.0) * params.beta)
 
 
+def _chart_prefactor(params: ModelParams) -> float:
+    """Factor between the chart energy density and kinetic plus potential density."""
+    if params.sector is Sector.BABY2D:
+        return 2.0 * math.pi
+    return math.sqrt(2.0) * abs(params.charge) / (3.0 * math.pi * params.beta)
+
+
 def _near_vacuum_density_exponent(law: KineticLaw, vacuum_exponent: float) -> float:
     """Power of the field with which B0 vanishes at the vacuum."""
     if law.is_dbi:
@@ -343,7 +344,6 @@ def _assemble_columns(sector: Sector, params: ModelParams, potential: PotentialS
                       law: BpsLaw, field: np.ndarray, n_pad: int):
     """Derivative, energy density and charge density along a first-order profile."""
     n = params.charge
-    beta = params.beta
     interior = slice(0, len(field) - n_pad if n_pad else len(field))
     deriv = np.zeros_like(field)
     edens = np.zeros_like(field)
@@ -351,26 +351,19 @@ def _assemble_columns(sector: Sector, params: ModelParams, potential: PotentialS
     f = field[interior]
     b0 = np.asarray(law.density(f), dtype=float)
     v = np.asarray(potential.evaluate(f), dtype=float)
+    edens[interior] = _chart_prefactor(params) * (kinetic_density(params, b0)
+                                                  + params.mu ** 2 * v) * params.energy_scale
     if sector is Sector.BABY2D:
-        slope = law.sign * (2.0 * math.pi / abs(n)) * b0
+        slope = law.sign * _slope_scale(sector, params) * b0
         deriv[interior] = slope
-        if params.kinetic_law.is_dbi:
-            r2 = n ** 2 * slope ** 2 / (8.0 * math.pi ** 2 * beta ** 2)
-            kin = beta ** 2 * r2 / (1.0 + np.sqrt(np.maximum(1.0 - r2, 0.0)))
-        else:
-            kin = np.power(b0 * b0, params.kinetic_law.alpha_k)
-        edens[interior] = 2.0 * math.pi * (kin + params.mu ** 2 * v) * params.energy_scale
         cdens[interior] = n * np.abs(slope)
     else:
-        y = law.sign * b0 / (math.sqrt(2.0) * beta)
+        y = law.sign * b0 / (math.sqrt(2.0) * params.beta)
         # the slope itself diverges at the anti-vacuum boundary sample
         at_pole = f >= math.pi - 1e-12
         with np.errstate(divide="ignore", invalid="ignore"):
             deriv[interior] = np.where(at_pole, -np.inf,
                                        y / np.where(at_pole, 1.0, np.sin(f) ** 2))
-        kin = beta ** 2 * y * y / (1.0 + np.sqrt(np.maximum(1.0 - y * y, 0.0)))
-        pref = math.sqrt(2.0) * abs(n) / (3.0 * math.pi * beta)
-        edens[interior] = pref * (kin + params.mu ** 2 * v) * params.energy_scale
         cdens[interior] = n * (2.0 / math.pi) * np.abs(y)
     return deriv, edens, cdens
 
@@ -542,6 +535,9 @@ def solve_profile_forward(model: ModelParams, potential: PotentialSpec, *,
     the 3-D sector steps the incomplete volume variable, which stays regular
     at the anti-vacuum boundary, and maps back to the field by bisection.
     """
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import brentq
+
     validate_params(model)
     if model.mu == 0.0:
         raise NoSolitonError("mu = 0 admits no profile")
@@ -564,20 +560,14 @@ def solve_profile_forward(model: ModelParams, potential: PotentialSpec, *,
         return xs, np.clip(hs, 0.0, 1.0)
 
     # 3-D: integrate deta/dz = -B0/(sqrt2 beta) with eta the incomplete volume
-    def eta(x):
-        x = np.asarray(x, dtype=float)
-        x2 = x * x
-        series = x * x2 * (2.0 / 3.0 - x2 * (2.0 / 15.0 - x2 * (4.0 / 315.0)))
-        return 0.5 * np.where(np.abs(x) < 0.1, series, x - np.cos(x) * np.sin(x))
-
-    eta_max = eta(math.pi)
+    eta_max = _eta(math.pi)
 
     def xi_of_eta(e):
         if e <= 0:
             return 0.0
         if e >= eta_max:
             return math.pi
-        return brentq(lambda x: float(eta(x)) - e, 0.0, math.pi, xtol=1e-14)
+        return brentq(lambda x: float(_eta(x)) - e, 0.0, math.pi, xtol=1e-14)
 
     def rhs(z, y):
         xi = xi_of_eta(y[0])
@@ -597,11 +587,23 @@ def solve_profile_forward(model: ModelParams, potential: PotentialSpec, *,
     return zs, xis
 
 
+def write_atomic(path, text: str) -> None:
+    """Write text to a temporary file next to path, then rename it onto path."""
+    d = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".dbisol-")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_profile_csv(profile: SolitonProfile, path) -> None:
-    """Export the sample table; floats carry 17 significant digits."""
+    """Export the sample table atomically; floats carry 17 significant digits."""
     lines = ["coordinate,field,derivative,energy_density,charge_density"]
     for row in profile.samples():
         lines.append(",".join(f"{v:.17g}" for v in row))
-    text = "\n".join(lines) + "\n"
-    with open(path, "w") as fh:
-        fh.write(text)
+    write_atomic(path, "\n".join(lines) + "\n")

@@ -244,7 +244,7 @@ class TestBpsLaw:
             assert float(law.density(0.0)) == 0.0
             grid = np.linspace(0.0, pot.domain[1], 300)
             assert np.all(law.density(grid) >= 0)
-            assert np.all(law.density(grid) < law.ceiling(model))
+            assert np.all(law.density(grid) < math.sqrt(2) * model.beta)
             assert law.sign == -1
 
     def test_power_law_origin(self):

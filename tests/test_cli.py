@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -69,6 +71,32 @@ class TestSolveCommand:
     def test_bad_potential_exits_one(self, tmp_path):
         code = main(["solve", "--potential", "mexican", "--out", str(tmp_path / "x")])
         assert code == 1
+
+    def test_compacton_with_divergent_potential_slope_warns_nothing(self, tmp_path):
+        # V' = h^(-1/2)/2 diverges on the zero padding past the radius
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "--potential", "old:0.5", "--out", str(tmp_path / "x")])
+        assert code == 0
+
+    def test_tol_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--tol", "1e-9", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 1
+
+    def test_failed_rename_keeps_old_csv(self, tmp_path, monkeypatch):
+        out = tmp_path / "s"
+        assert main(["solve", "--out", str(out)]) == 0
+        before = (tmp_path / "s.csv").read_text()
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+        monkeypatch.setattr(os, "replace", refuse)
+        code = main(["solve", "--mu", "2", "--out", str(out)])
+        assert code == 1
+        unchanged = (tmp_path / "s.csv").read_text() == before
+        assert unchanged, "the CSV of the failed run replaced the old one"
+        assert not [p for p in os.listdir(tmp_path) if p.startswith(".dbisol-")]
 
 
 class TestVerifyCommand:

@@ -1,17 +1,22 @@
 import math
 
+import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from dbisol import (DbisolError, GridSpec, KineticLaw, ModelParams, Sector,
                     baby_energy_closed, baby_old_exact, baby_old_radius,
-                    charge_quadrature, compute_energy_report, energy_per_charge_average,
-                    energy_per_charge_average_plain, energy_quadrature,
+                    bps_energy_integral, charge_quadrature, compute_energy_report,
+                    energy_per_charge_average, energy_quadrature,
                     large_beta_sweep, limiting_baby_slope, make_potential,
                     power_family_energy_per_charge, profile_on_grid,
                     skyrme_bps_energy_closed, skyrme_standard_energy_closed,
+                    skyrme_standard_exact, skyrme_standard_radius,
                     small_mu_sweep, solve_profile, target_measure)
+from dbisol.cli import RunConfig
 
 OLD = make_potential("old-baby-power", 1.0)
 STD = make_potential("skyrme-standard")
@@ -153,6 +158,30 @@ class TestCharge:
                                count=300, extent=x_half)
         assert charge_quadrature(prof, p) == pytest.approx(0.5, abs=1e-8)
 
+    @pytest.mark.parametrize("charge", [1, -2, 3])
+    def test_full_profiles_carry_the_integer_exactly(self, charge):
+        for p, pot in ((baby(charge=charge), OLD), (skyrme(charge=charge), STD),
+                       (skyrme(charge=charge), BPSPOT)):
+            assert charge_quadrature(solve_profile(p, pot), p) == charge
+
+    def test_truncated_skyrme_profile_partial_charge(self):
+        p = skyrme(beta=2.0)
+        z0 = skyrme_standard_radius(p.sigma)
+        prof = profile_on_grid(lambda z: skyrme_standard_exact(z, p.sigma), p, STD,
+                               count=300, extent=0.5 * z0)
+        lo, hi = prof.field_range()
+        want = mp.quad(lambda x: 2 / mp.pi * mp.sin(x) ** 2, [lo, hi])
+        assert charge_quadrature(prof, p) == pytest.approx(float(want), rel=1e-14)
+
+    def test_compacton_field_range_reaches_the_vacuum(self):
+        # regression: the lower end was the last interior sample (about 7e-81),
+        # and the energy missed the average route by 3.75e-8
+        p = baby(beta=0.10598984467990771, mu=5.2659254551851475, charge=-2)
+        pot = make_potential("old-baby-power", 1.5)
+        prof = solve_profile(p, pot)
+        assert prof.field_range() == (0.0, 1.0)
+        assert compute_energy_report(prof, p, pot).rel_discrepancy_avg <= 1e-12
+
 
 class TestAverages:
     def test_baby_average_matches_quadrature(self):
@@ -176,14 +205,6 @@ class TestAverages:
         prof = solve_profile(p, pot)
         per = energy_quadrature(prof, p, pot) / abs(p.charge)
         assert abs(energy_per_charge_average(p, pot) - per) / per < 1e-8
-
-    def test_plain_prefactor_ratio(self):
-        # the plain sqrt(2) mu convention differs by the fixed chart factors
-        b = energy_per_charge_average(baby(), OLD)
-        assert energy_per_charge_average_plain(baby(), OLD) == pytest.approx(2 * b, rel=1e-12)
-        s = energy_per_charge_average(skyrme(), BPSPOT)
-        assert energy_per_charge_average_plain(skyrme(), BPSPOT) == pytest.approx(6 * s,
-                                                                                  rel=1e-12)
 
     def test_mu_zero_warns_and_returns_zero(self):
         with pytest.warns(UserWarning, match="no soliton"):
@@ -284,3 +305,80 @@ class TestMeasureConsistency:
         meas = target_measure(Sector.BABY2D)
         assert energy_per_charge_average(baby(), OLD, meas) == pytest.approx(
             energy_per_charge_average(baby(), OLD), rel=1e-14)
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+COUPLINGS = st.floats(min_value=-2.0, max_value=2.0).map(lambda e: 10.0 ** e)
+CHARGES = st.integers(min_value=-5, max_value=5).filter(lambda n: n != 0)
+BUILT_IN = [(Sector.BABY2D, make_potential("old-baby-power", a))
+            for a in (0.5, 1.0, 1.5, 2.0, 3.0)]
+BUILT_IN += [(Sector.SKYRME3D, STD), (Sector.SKYRME3D, BPSPOT)]
+
+
+class TestEnergyEqualsChargeTimesAverage:
+    @pytest.mark.parametrize("sector,pot", BUILT_IN,
+                             ids=[f"{s.value}-{p.tag}-{p.vacuum_exponent}" for s, p in BUILT_IN])
+    @PROPERTY
+    @given(beta=COUPLINGS, mu=COUPLINGS, n=CHARGES)
+    def test_dbi(self, sector, pot, beta, mu, n):
+        p = ModelParams(beta, mu, n, sector)
+        assert bps_energy_integral(p, pot) == pytest.approx(
+            abs(n) * energy_per_charge_average(p, pot), rel=1e-12)
+
+    @PROPERTY
+    @given(beta=COUPLINGS, mu=COUPLINGS, n=CHARGES,
+           alpha=st.sampled_from([0.5000001, 0.75, 1.0, 2.0]),
+           a=st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+    def test_power_law(self, beta, mu, n, alpha, a):
+        p = baby(beta=beta, mu=mu, charge=n, kinetic_law=KineticLaw.power(alpha))
+        pot = make_potential("old-baby-power", a)
+        assert bps_energy_integral(p, pot) == pytest.approx(
+            abs(n) * power_family_energy_per_charge(p, pot), rel=1e-12)
+
+
+def mp_energy(sector, potential, beta, mu, n, alpha_k=None):
+    """|n| times the per-charge target average, at 30 digits and apart from dbisol."""
+    with mp.workdps(30):
+        beta, mu = mp.mpf(beta), mp.mpf(mu)
+        if potential.startswith("old:") or potential.startswith("power:"):
+            a = mp.mpf(potential.split(":")[1])
+            v = lambda s: s ** a  # noqa: E731
+        else:
+            v = lambda s: 2 * mp.sin(s / 2) ** 2  # noqa: E731
+        if alpha_k is None:
+            def fn(s):
+                return mu / mp.sqrt(2) * mp.sqrt(mu ** 2 * v(s) ** 2 / beta ** 2 + 2 * v(s))
+        else:
+            k = mp.mpf(alpha_k)
+
+            def fn(s):
+                return 2 * k * ((2 * k - 1) / mu ** 2) ** (1 / (2 * k) - 1) \
+                    * v(s) ** (1 - 1 / (2 * k))
+        if sector == "baby":
+            avg = mp.quad(fn, [0, 0.25, 0.5, 1])
+        else:
+            avg = mp.quad(lambda s: 2 / mp.pi * mp.sin(s) ** 2 * fn(s),
+                          [0, mp.pi / 4, mp.pi / 2, mp.pi]) / 3
+        return float(abs(n) * avg)
+
+
+EDGE_CASES = [
+    ("skyrme", "standard", 1e4, 1.0, 1, None),        # sigma = 1e8
+    ("baby", "old:1", 1.0, 1e-8, 1, None),            # mu = 1e-8
+    ("skyrme", "standard", 1.0, 1e-8, 2, None),
+    ("baby", "old:1.99", 1.0, 1.0, 1, None),          # next to the planar threshold
+    ("baby", "old:50", 1.0, 1.0, -3, None),           # far above it
+    ("skyrme", "power:5.99", 1.0, 1.0, 1, None),      # next to the 3-D threshold
+    ("baby", "old:1", 1.0, 1.0, 1, 0.5000001),        # power law next to alpha_k = 1/2
+    ("baby", "old:1.5", 0.10598984467990771, 5.2659254551851475, -2, None),
+]
+
+
+@pytest.mark.parametrize("sector,potential,beta,mu,n,alpha_k", EDGE_CASES)
+def test_edge_configurations_match_mpmath(sector, potential, beta, mu, n, alpha_k):
+    cfg = RunConfig(sector=sector, potential=potential, beta=beta, mu=mu, n=n, alpha_k=alpha_k)
+    p, pot = cfg.model(), cfg.make_potential()
+    want = mp_energy(sector, potential, beta, mu, n, alpha_k)
+    per = energy_per_charge_average if alpha_k is None else power_family_energy_per_charge
+    assert bps_energy_integral(p, pot) == pytest.approx(want, rel=1e-12)
+    assert abs(n) * per(p, pot) == pytest.approx(want, rel=1e-12)
