@@ -177,6 +177,10 @@ def skyrme_bps_slope(xi, potential: PotentialSpec, params: ModelParams):
     return out if out.ndim else float(out)
 
 
+# 100 interior samples plus the two at each end that lack a full stencil
+EOM_MIN_SAMPLES = 104
+
+
 @dataclass(frozen=True)
 class EomResidualReport:
     grid_spacing: float
@@ -190,13 +194,13 @@ class EomResidualReport:
 
 
 def eom_residual(profile, model: ModelParams | None = None, *,
-                 edge_margin: float | None = None,
-                 vacuum_threshold: float = 1e-12) -> EomResidualReport:
+                 edge_margin: float | None = None) -> EomResidualReport:
     """Central-difference residual of the reduced second-order equation.
 
     Evaluated on interior samples only: full stencils, inside the support of
-    the field, and at least edge_margin away from any support edge (default
-    5 grid spacings), where the derivative of a compact profile degenerates.
+    the field (above 1e-12), and at least edge_margin away from any support
+    edge (default 5 grid spacings), where the derivative of a compact profile
+    degenerates.  The profile needs at least EOM_MIN_SAMPLES samples.
     For a profile on the first-order law the maximum residual decays like the
     square of the spacing.
     """
@@ -205,8 +209,9 @@ def eom_residual(profile, model: ModelParams | None = None, *,
         raise SectorMismatchError("profile and model sectors differ")
     x = profile.coordinates
     f = profile.field
-    if len(x) < 104:
-        raise DbisolError("need at least 100 interior samples")
+    if len(x) < EOM_MIN_SAMPLES:
+        raise DbisolError(f"need at least {EOM_MIN_SAMPLES} samples "
+                          f"({EOM_MIN_SAMPLES - 4} with a full stencil), got {len(x)}")
     steps = np.diff(x)
     delta = float(steps[0])
     if not np.allclose(steps, delta, rtol=1e-8, atol=1e-12):
@@ -237,7 +242,7 @@ def eom_residual(profile, model: ModelParams | None = None, *,
         else:
             R[2:-2] = params.beta ** 2 * np.sin(f[2:-2]) ** 2 * dG - params.mu ** 2 * dV
 
-    support = f > vacuum_threshold
+    support = f > 1e-12
     # distance to the nearest support edge, counting domain endpoints
     idx = np.arange(len(x))
     in_support = idx[support]

@@ -64,21 +64,20 @@ def tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> floa
 
 
 class CumulativeIntegral:
-    """Prefix integral of f on [a, b] over a uniform segment mesh.
+    """Prefix integral of f on [a, b] over a uniform mesh of 1500 segments.
 
     prefix[j] approximates the integral of f from a to edges[j].  Segment
-    integrals use a fixed Gauss-Legendre rule, so the result is accurate to
-    machine precision for analytic integrands and fully deterministic.
+    integrals use a fixed 12-point Gauss-Legendre rule, so the result is
+    accurate to machine precision for analytic integrands and fully
+    deterministic.
     """
 
-    def __init__(self, f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                 segments: int = 1500, deg: int = 12):
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
         self.f = f
         self.a = float(a)
         self.b = float(b)
-        self.deg = deg
-        x, w = _gl_nodes(deg)
-        self.edges = np.linspace(self.a, self.b, segments + 1)
+        x, w = _gl_nodes(12)
+        self.edges = np.linspace(self.a, self.b, 1501)
         h = self.edges[1] - self.edges[0]
         mids = 0.5 * (self.edges[:-1] + self.edges[1:])
         nodes = mids[:, None] + 0.5 * h * x[None, :]
@@ -93,14 +92,14 @@ class CumulativeIntegral:
         """Integral of f over (lo_i, hi_i), vectorized."""
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
-        x, w = _gl_nodes(self.deg)
+        x, w = _gl_nodes(12)
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         nodes = mid[None, :] + half[None, :] * x[:, None]
         return half * (self.f(nodes) * w[:, None]).sum(axis=0)
 
-    def invert(self, targets: np.ndarray, iters: int = 55) -> np.ndarray:
-        """Solve prefix-integral(t) = target for each target (increasing f >= 0)."""
+    def invert(self, targets: np.ndarray) -> np.ndarray:
+        """Solve prefix-integral(t) = target for each target (f >= 0), 55 bisection steps."""
         targets = np.asarray(targets, dtype=float)
         targets = np.clip(targets, 0.0, self.total)
         j = np.clip(np.searchsorted(self.prefix, targets) - 1, 0, len(self.edges) - 2)
@@ -108,7 +107,7 @@ class CumulativeIntegral:
         hi = self.edges[j + 1].copy()
         base = self.prefix[j]
         start = self.edges[j]
-        for _ in range(iters):
+        for _ in range(55):
             mid = 0.5 * (lo + hi)
             val = base + self.partial(start, mid)
             go_up = val < targets
@@ -118,12 +117,12 @@ class CumulativeIntegral:
 
 
 def bisect_monotone(f: Callable[[np.ndarray], np.ndarray], targets: np.ndarray,
-                    lo: float, hi: float, increasing: bool, iters: int = 60) -> np.ndarray:
-    """Invert a monotone scalar function for an array of targets by bisection."""
+                    lo: float, hi: float, increasing: bool) -> np.ndarray:
+    """Invert a monotone scalar function for an array of targets by 60 bisection steps."""
     targets = np.asarray(targets, dtype=float)
     a = np.full(targets.shape, float(lo))
     b = np.full(targets.shape, float(hi))
-    for _ in range(iters):
+    for _ in range(60):
         mid = 0.5 * (a + b)
         val = f(mid)
         below = (val < targets) if increasing else (val > targets)

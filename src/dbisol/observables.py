@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .bps import BpsLaw, bps_law_for, kinetic_density
-from .errors import DbisolError, SectorMismatchError
-from .model import (ModelParams, PotentialSpec, Sector, TargetMeasure, _eta,
+from .errors import DbisolError, NoSolitonError, SectorMismatchError
+from .model import (ModelParams, PotentialSpec, Sector, _eta,
                     make_potential, target_measure, validate_params)
 from .numerics import tanh_sinh
 from .profiles import (GridSpec, SolitonProfile, _chart_prefactor, _slope_scale,
@@ -54,8 +54,7 @@ def _check_sector(profile: SolitonProfile, model: ModelParams, potential: Potent
 
 
 def bps_energy_integral(model: ModelParams, potential: PotentialSpec,
-                        field_range: tuple[float, float] | None = None, *,
-                        law: BpsLaw | None = None) -> float:
+                        field_range: tuple[float, float] | None = None) -> float:
     """Chart energy of the first-order profile by tanh-sinh quadrature.
 
     Integrates the energy density against the inverse-map Jacobian over the
@@ -65,12 +64,12 @@ def bps_energy_integral(model: ModelParams, potential: PotentialSpec,
     validate_params(model)
     if model.mu == 0.0:
         return 0.0
-    the_law = law if law is not None else bps_law_for(model, potential)
+    law = bps_law_for(model, potential)
     lo, hi = field_range if field_range is not None else (0.0, potential.domain[1])
     scale = _slope_scale(model.sector, model)
 
     def integrand(f):
-        b0 = np.asarray(the_law.density(f), dtype=float)
+        b0 = np.asarray(law.density(f), dtype=float)
         dens = kinetic_density(model, b0) \
             + model.mu ** 2 * np.asarray(potential.evaluate(f), dtype=float)
         jac = 1.0 if model.sector is Sector.BABY2D else np.sin(f) ** 2
@@ -84,10 +83,7 @@ def energy_quadrature(profile: SolitonProfile, model: ModelParams,
                       potential: PotentialSpec) -> float:
     """Total chart energy of a profile over the field range it traverses."""
     _check_sector(profile, model, potential)
-    if profile.bps_backed:
-        return bps_energy_integral(model, potential, profile.field_range())
-    # sampled fallback for profiles that do not sit on the first-order law
-    return float(np.trapezoid(profile.energy_density, profile.coordinates))
+    return bps_energy_integral(model, potential, profile.field_range())
 
 
 def charge_quadrature(profile: SolitonProfile, model: ModelParams | None = None) -> float:
@@ -101,12 +97,10 @@ def charge_quadrature(profile: SolitonProfile, model: ModelParams | None = None)
     if model is not None and profile.sector is not model.sector:
         raise SectorMismatchError("profile and model sectors differ")
     n = params.charge
-    if profile.bps_backed:
-        lo, hi = profile.field_range()
-        if profile.sector is Sector.BABY2D:
-            return n * (hi - lo)
-        return n * (2.0 / math.pi) * float(_eta(hi) - _eta(lo))
-    return float(np.trapezoid(profile.charge_density, profile.coordinates))
+    lo, hi = profile.field_range()
+    if profile.sector is Sector.BABY2D:
+        return n * (hi - lo)
+    return n * (2.0 / math.pi) * float(_eta(hi) - _eta(lo))
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +154,7 @@ def skyrme_bps_energy_closed(params: ModelParams) -> float:
 # ---------------------------------------------------------------------------
 # target-space averages
 
-def _average_root(model: ModelParams, potential: PotentialSpec,
-                  measure: TargetMeasure) -> float:
-    def fn(s):
-        v = np.asarray(potential.evaluate(s), dtype=float)
-        return np.sqrt(model.mu ** 2 * v * v / model.beta ** 2 + 2.0 * v)
-    return measure.average(fn)
-
-
-def energy_per_charge_average(model: ModelParams, potential: PotentialSpec,
-                              measure: TargetMeasure | None = None) -> float:
+def energy_per_charge_average(model: ModelParams, potential: PotentialSpec) -> float:
     """Energy per unit charge from the unit-mass target average.
 
     (mu / sqrt(2)) <sqrt(mu^2 V^2 / beta^2 + 2 V)> times the chart Jacobian
@@ -183,14 +168,17 @@ def energy_per_charge_average(model: ModelParams, potential: PotentialSpec,
     if model.mu == 0.0:
         warnings.warn("mu = 0 admits no soliton; returning zero energy", stacklevel=2)
         return 0.0
-    meas = measure if measure is not None else target_measure(model.sector)
+
+    def root(s):
+        v = np.asarray(potential.evaluate(s), dtype=float)
+        return np.sqrt(model.mu ** 2 * v * v / model.beta ** 2 + 2.0 * v)
+
     chart = 1.0 if model.sector is Sector.BABY2D else SKYRME_CHART_FACTOR
-    return model.mu / math.sqrt(2.0) * chart * _average_root(model, potential, meas) \
+    return model.mu / math.sqrt(2.0) * chart * target_measure(model.sector).average(root) \
         * model.energy_scale
 
 
-def power_family_energy_per_charge(model: ModelParams, potential: PotentialSpec,
-                                   measure: TargetMeasure | None = None) -> float:
+def power_family_energy_per_charge(model: ModelParams, potential: PotentialSpec) -> float:
     """Per-charge energy of the pure-power law from the target average."""
     validate_params(model)
     law = model.kinetic_law
@@ -200,15 +188,21 @@ def power_family_energy_per_charge(model: ModelParams, potential: PotentialSpec,
     a = law.alpha_k
     if model.mu == 0.0:
         return 0.0
-    meas = measure if measure is not None else target_measure(model.sector)
     expo = 1.0 - 1.0 / (2.0 * a)
-    avg = meas.average(lambda s: np.asarray(potential.evaluate(s), dtype=float) ** expo)
+    avg = target_measure(model.sector).average(
+        lambda s: np.asarray(potential.evaluate(s), dtype=float) ** expo)
     return 2.0 * a * ((2.0 * a - 1.0) / model.mu ** 2) ** (1.0 / (2.0 * a) - 1.0) \
         * avg * model.energy_scale
 
 
 # ---------------------------------------------------------------------------
 # limit laws
+
+def _check_planar(model: ModelParams) -> None:
+    if model.sector is not Sector.BABY2D:
+        raise SectorMismatchError(
+            f"sweeps run in the planar sector only, not {model.sector.value}")
+
 
 @dataclass(frozen=True)
 class MuSweepResult:
@@ -220,13 +214,13 @@ class MuSweepResult:
 def small_mu_sweep(model: ModelParams, mus: Sequence[float],
                    potential: PotentialSpec | None = None) -> MuSweepResult:
     """Least-squares slope through the origin of E(mu) for the linear potential."""
+    _check_planar(model)
     if len(mus) < 3:
         raise DbisolError("need at least 3 mu values for a slope estimate")
+    if 0.0 in mus:
+        raise NoSolitonError("mu = 0 admits no soliton")
     pot = potential if potential is not None else make_potential("old-baby-power", 1.0)
-    energies = []
-    for mu in mus:
-        p = replace(model, mu=float(mu), sector=Sector.BABY2D)
-        energies.append(bps_energy_integral(p, pot))
+    energies = [bps_energy_integral(replace(model, mu=float(mu)), pot) for mu in mus]
     mu_arr = np.asarray(mus, dtype=float)
     e_arr = np.asarray(energies)
     slope = float(np.dot(e_arr, mu_arr) / np.dot(mu_arr, mu_arr))
@@ -260,17 +254,17 @@ class BetaSweepResult:
 
 
 def large_beta_sweep(model: ModelParams, betas: Sequence[float],
-                     potential: PotentialSpec | None = None,
-                     grid_count: int = 800) -> BetaSweepResult:
+                     potential: PotentialSpec | None = None) -> BetaSweepResult:
     """Sup-norm distance of profiles to the large-beta limit, with decay fit."""
-    if len(betas) < 3:
-        raise DbisolError("need at least 3 beta values for an exponent fit")
+    _check_planar(model)
+    if len(set(betas)) < 3:
+        raise DbisolError("need at least 3 distinct beta values for an exponent fit")
     pot = potential if potential is not None else make_potential("old-baby-power", 1.0)
     energies = []
     distances = []
     for beta in betas:
-        p = replace(model, beta=float(beta), sector=Sector.BABY2D)
-        prof = solve_profile(p, pot, GridSpec(count=grid_count))
+        p = replace(model, beta=float(beta))
+        prof = solve_profile(p, pot, GridSpec(count=800))
         energies.append(bps_energy_integral(p, pot))
         limit_field = profile_field_at(p, pot, prof.coordinates, law=_limit_law(p, pot))
         distances.append(float(np.max(np.abs(prof.field - limit_field))))

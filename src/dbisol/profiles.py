@@ -61,19 +61,16 @@ class LocalizationClass(enum.Enum):
 class GridSpec:
     """Sampling request for solve_profile.
 
-    count is ignored when spacing is given.  Non-compact profiles are
-    resolved down to field_floor; compact profiles get `padding` exact-zero
+    count uniform samples span the extent.  Non-compact profiles are
+    resolved down to field_floor; compact profiles get 10 exact-zero
     samples past the radius.
     """
 
     count: int = 1000
-    spacing: float | None = None
     field_floor: float = 1e-9
-    padding: int = 10
-    segments: int = 1500
 
     def __post_init__(self):
-        if self.spacing is None and self.count < 2:
+        if self.count < 2:
             raise DbisolError(f"grid needs at least 2 samples, got {self.count}")
 
 
@@ -89,7 +86,6 @@ class SolitonProfile:
     compacton_radius: float | None
     params: ModelParams
     potential: PotentialSpec | None
-    bps_backed: bool = True
     field_floor: float = 0.0
 
     def __post_init__(self):
@@ -186,7 +182,7 @@ def skyrme_standard_radius(sigma: float) -> float:
     return rs * (1.0 + sigma) + (1.0 - sigma ** 2) * math.atan(1.0 / rs)
 
 
-def skyrme_standard_exact(z, sigma: float, tol_iters: int = 60):
+def skyrme_standard_exact(z, sigma: float):
     """Profile of the standard potential by bisection on the implicit relation.
 
     Within a machine-level band of the radius the implicit relation is
@@ -199,7 +195,7 @@ def skyrme_standard_exact(z, sigma: float, tol_iters: int = 60):
     zz = np.atleast_1d(np.asarray(z, dtype=float))
     z0 = skyrme_standard_radius(sigma)
     xi = bisect_monotone(lambda t: skyrme_standard_implicit_lhs(t, sigma), zz,
-                         0.0, math.pi, increasing=False, iters=tol_iters)
+                         0.0, math.pi, increasing=False)
     u = z0 - zz
     edge = np.sqrt(2.0 * np.clip(u, 0.0, None)) * sigma ** -0.25
     xi = np.where(u < 1e-9 * max(1.0, z0), edge, xi)
@@ -221,14 +217,14 @@ def _eta_of_z(z, sigma: float):
     return sigma * w * w / (1.0 + np.sqrt(1.0 + w * w))
 
 
-def skyrme_bps_exact(z, sigma: float, tol_iters: int = 60):
+def skyrme_bps_exact(z, sigma: float):
     """Profile of the cubic-vacuum potential: closed form in eta, inverted to xi."""
     if sigma <= 0:
         raise DbisolError("sigma must be positive")
     zz = np.atleast_1d(np.asarray(z, dtype=float))
     z0 = skyrme_bps_radius(sigma)
     target = _eta_of_z(np.clip(zz, 0.0, z0), sigma)
-    xi = bisect_monotone(_eta, target, 0.0, math.pi, increasing=True, iters=tol_iters)
+    xi = bisect_monotone(_eta, target, 0.0, math.pi, increasing=True)
     xi = np.where(zz >= z0, 0.0, xi)
     xi = np.where(zz <= 0.0, math.pi, xi)
     return xi if np.ndim(z) else float(xi[0])
@@ -269,14 +265,14 @@ def classify_localization(vacuum_exponent: float, sector: Sector,
     return LocalizationClass.POWER_LAW
 
 
-def tail_fit(profile: SolitonProfile, tie_tol: float = 1e-6,
-             min_samples: int = 10) -> LocalizationClass:
+def tail_fit(profile: SolitonProfile) -> LocalizationClass:
     """Empirical localization class from the solved tail.
 
     Finite-radius termination wins immediately.  Otherwise log(field) is
     fitted against the coordinate and against log(coordinate) over the last
-    decade of field magnitude and the better correlation decides; fits whose
-    r^2 differ by less than tie_tol are reported as Ambiguous.
+    decade of field magnitude (at least 10 samples) and the better
+    correlation decides; fits whose r^2 differ by less than 1e-6 are
+    reported as Ambiguous.
     """
     if profile.compacton_radius is not None:
         return LocalizationClass.COMPACTON
@@ -287,7 +283,7 @@ def tail_fit(profile: SolitonProfile, tie_tol: float = 1e-6,
         raise DbisolError("tail not resolved below 1e-3; solve deeper before fitting")
     fmin = f[pos].min()
     sel = pos & (f <= 10.0 * fmin) & (x > 0)
-    if sel.sum() < min_samples:
+    if sel.sum() < 10:
         raise DbisolError("insufficient tail samples for a fit")
     logf = np.log(f[sel])
 
@@ -297,7 +293,7 @@ def tail_fit(profile: SolitonProfile, tie_tol: float = 1e-6,
 
     r2_exp = r2(x[sel])
     r2_pow = r2(np.log(x[sel]))
-    if abs(r2_exp - r2_pow) < tie_tol:
+    if abs(r2_exp - r2_pow) < 1e-6:
         return LocalizationClass.AMBIGUOUS
     return LocalizationClass.EXPONENTIAL if r2_exp > r2_pow else LocalizationClass.POWER_LAW
 
@@ -340,32 +336,49 @@ def _substitution_power(sector: Sector, a: float) -> float:
     return max(2.0, 1.0 / (3.0 - a)) if a < 3.0 else 2.0
 
 
-def _assemble_columns(sector: Sector, params: ModelParams, potential: PotentialSpec,
-                      law: BpsLaw, field: np.ndarray, n_pad: int):
-    """Derivative, energy density and charge density along a first-order profile."""
-    n = params.charge
-    interior = slice(0, len(field) - n_pad if n_pad else len(field))
+def _profile_on_law(model: ModelParams, potential: PotentialSpec, law: BpsLaw,
+                    coords: np.ndarray, field: np.ndarray, compacton_radius: float | None,
+                    field_floor: float = 0.0) -> SolitonProfile:
+    """Profile of field samples on the first-order law, with its derived columns.
+
+    Derivative, energy density and charge density follow from the field
+    through the law; samples at the vacuum (field 0) are zero in every column.
+    """
+    n = model.charge
+    inside = field > 0.0
     deriv = np.zeros_like(field)
     edens = np.zeros_like(field)
     cdens = np.zeros_like(field)
-    f = field[interior]
+    f = field[inside]
     b0 = np.asarray(law.density(f), dtype=float)
     v = np.asarray(potential.evaluate(f), dtype=float)
-    edens[interior] = _chart_prefactor(params) * (kinetic_density(params, b0)
-                                                  + params.mu ** 2 * v) * params.energy_scale
-    if sector is Sector.BABY2D:
-        slope = law.sign * _slope_scale(sector, params) * b0
-        deriv[interior] = slope
-        cdens[interior] = n * np.abs(slope)
+    edens[inside] = _chart_prefactor(model) * (kinetic_density(model, b0)
+                                               + model.mu ** 2 * v) * model.energy_scale
+    if model.sector is Sector.BABY2D:
+        slope = law.sign * _slope_scale(model.sector, model) * b0
+        deriv[inside] = slope
+        cdens[inside] = n * np.abs(slope)
     else:
-        y = law.sign * b0 / (math.sqrt(2.0) * params.beta)
+        y = law.sign * b0 / (math.sqrt(2.0) * model.beta)
         # the slope itself diverges at the anti-vacuum boundary sample
         at_pole = f >= math.pi - 1e-12
         with np.errstate(divide="ignore", invalid="ignore"):
-            deriv[interior] = np.where(at_pole, -np.inf,
-                                       y / np.where(at_pole, 1.0, np.sin(f) ** 2))
-        cdens[interior] = n * (2.0 / math.pi) * np.abs(y)
-    return deriv, edens, cdens
+            deriv[inside] = np.where(at_pole, -np.inf,
+                                     y / np.where(at_pole, 1.0, np.sin(f) ** 2))
+        cdens[inside] = n * (2.0 / math.pi) * np.abs(y)
+    return SolitonProfile(
+        sector=model.sector,
+        coordinate_name="x" if model.sector is Sector.BABY2D else "z",
+        coordinates=coords,
+        field=field,
+        derivative=deriv,
+        energy_density=edens,
+        charge_density=cdens,
+        compacton_radius=compacton_radius,
+        params=model,
+        potential=potential,
+        field_floor=field_floor,
+    )
 
 
 class _InverseMap:
@@ -376,8 +389,7 @@ class _InverseMap:
     """
 
     def __init__(self, model: ModelParams, potential: PotentialSpec,
-                 law: BpsLaw | None = None, *, field_floor: float = 1e-9,
-                 segments: int = 1500):
+                 law: BpsLaw | None = None, *, field_floor: float = 1e-9):
         validate_params(model)
         sector = model.sector
         anti = 1.0 if sector is Sector.BABY2D else math.pi
@@ -405,7 +417,6 @@ class _InverseMap:
         self.compact = _is_compacton(sector, a)
         self.law = the_law
         self.anti = anti
-        self.field_floor = field_floor
         if self.compact:
             p = _substitution_power(sector, a)
             t_hi = anti ** (1.0 / p)
@@ -414,88 +425,60 @@ class _InverseMap:
                 tt = np.asarray(t, dtype=float)
                 return p * np.power(tt, p - 1.0) * inv_integrand(np.power(tt, p))
 
-            self.cum = CumulativeIntegral(g, 0.0, t_hi, segments=segments)
-            self.to_field = lambda t: np.power(t, p)
+            self._cum = CumulativeIntegral(g, 0.0, t_hi)
+            self._to_field = lambda t: np.power(t, p)
         else:
             def g(s):
                 f = np.exp(np.asarray(s, dtype=float))
                 return f * inv_integrand(f)
 
-            self.cum = CumulativeIntegral(g, math.log(field_floor), math.log(anti),
-                                          segments=segments)
-            self.to_field = np.exp
-        self.extent = self.cum.total
+            self._cum = CumulativeIntegral(g, math.log(field_floor), math.log(anti))
+            self._to_field = np.exp
+        self.extent = self._cum.total
         if not math.isfinite(self.extent) or self.extent <= 0:
             raise DbisolError("inverse map integral did not converge; slope singularity "
                               "is not integrable for this potential")
 
-    def field_at(self, coords: np.ndarray) -> np.ndarray:
-        t = self.cum.invert(self.extent - np.asarray(coords, dtype=float))
-        field = self.to_field(t)
-        return np.where(np.asarray(coords) >= self.extent, 0.0 if self.compact else field, field)
+    def field_at(self, coords) -> np.ndarray:
+        """Field at each coordinate.
+
+        Exactly the anti-vacuum value at coordinates <= 0 and, for a
+        compacton, exactly 0 at coordinates >= the radius.
+        """
+        x = np.asarray(coords, dtype=float)
+        field = np.where(x <= 0.0, self.anti, self._to_field(self._cum.invert(self.extent - x)))
+        return np.where(x >= self.extent, 0.0, field) if self.compact else field
 
 
 def profile_field_at(model: ModelParams, potential: PotentialSpec, coords, *,
-                     law: BpsLaw | None = None, segments: int = 1500) -> np.ndarray:
-    """Field values of the first-order profile at arbitrary coordinates."""
-    return _InverseMap(model, potential, law, segments=segments).field_at(
-        np.asarray(coords, dtype=float))
+                     law: BpsLaw | None = None) -> np.ndarray:
+    """Field values of the first-order profile at arbitrary coordinates.
+
+    law replaces the model's own first-order law (the sweeps pass the
+    beta -> infinity limit law).
+    """
+    return _InverseMap(model, potential, law).field_at(coords)
 
 
 def solve_profile(model: ModelParams, potential: PotentialSpec,
-                  grid_spec: GridSpec | None = None, *,
-                  law: BpsLaw | None = None) -> SolitonProfile:
+                  grid_spec: GridSpec | None = None) -> SolitonProfile:
     """Construct the symmetric profile of the first-order law.
 
     The inverse map coordinate(field) is integrated by a composite
     Gauss-Legendre rule in a regularized parameter and then inverted on a
     uniform coordinate grid.  Compact profiles report their radius and are
-    padded with exact-zero samples; others are resolved down to
+    padded with 10 exact-zero samples; others are resolved down to
     grid_spec.field_floor.
     """
     grid = grid_spec or GridSpec()
-    inv = _InverseMap(model, potential, law, field_floor=grid.field_floor,
-                      segments=grid.segments)
-    sector = model.sector
-    anti = inv.anti
-    the_law = inv.law
-    cum = inv.cum
-    to_field = inv.to_field
-    compact = inv.compact
-    extent = inv.extent
-
-    if grid.spacing is not None:
-        n_interior = int(math.floor(extent / grid.spacing)) + 1
-        coords = np.arange(n_interior, dtype=float) * grid.spacing
-        delta = grid.spacing
-    else:
-        coords = np.linspace(0.0, extent, grid.count)
-        delta = coords[1] - coords[0]
-    t = cum.invert(extent - coords)
-    field = to_field(t)
-    field[0] = anti
-    n_pad = grid.padding if compact else 0
-    if n_pad:
-        pad_coords = coords[-1] + delta * np.arange(1, n_pad + 1)
-        coords = np.concatenate([coords, pad_coords])
-        field = np.concatenate([field, np.zeros(n_pad)])
-
-    deriv, edens, cdens = _assemble_columns(sector, model, potential, the_law, field, n_pad)
-    prof = SolitonProfile(
-        sector=sector,
-        coordinate_name="x" if sector is Sector.BABY2D else "z",
-        coordinates=coords,
-        field=field,
-        derivative=deriv,
-        energy_density=edens,
-        charge_density=cdens,
-        compacton_radius=extent if compact else None,
-        params=model,
-        potential=potential,
-        bps_backed=True,
-        field_floor=0.0 if compact else grid.field_floor,
-    )
-    return prof
+    inv = _InverseMap(model, potential, field_floor=grid.field_floor)
+    coords = np.linspace(0.0, inv.extent, grid.count)
+    field = inv.field_at(coords)
+    if inv.compact:
+        coords = np.concatenate([coords, coords[-1] + (coords[1] - coords[0]) * np.arange(1, 11)])
+        field = np.concatenate([field, np.zeros(10)])
+        return _profile_on_law(model, potential, inv.law, coords, field, inv.extent)
+    return _profile_on_law(model, potential, inv.law, coords, field, None, grid.field_floor)
 
 
 def profile_on_grid(field_fn: Callable[[np.ndarray], np.ndarray], model: ModelParams,
@@ -509,21 +492,8 @@ def profile_on_grid(field_fn: Callable[[np.ndarray], np.ndarray], model: ModelPa
     else:
         coords = np.linspace(0.0, extent, count or 1000)
     field = np.asarray(field_fn(coords), dtype=float)
-    law = bps_law_for(model, potential)
-    deriv, edens, cdens = _assemble_columns(model.sector, model, potential, law, field, 0)
-    return SolitonProfile(
-        sector=model.sector,
-        coordinate_name="x" if model.sector is Sector.BABY2D else "z",
-        coordinates=coords,
-        field=field,
-        derivative=deriv,
-        energy_density=edens,
-        charge_density=cdens,
-        compacton_radius=compacton_radius,
-        params=model,
-        potential=potential,
-        bps_backed=True,
-    )
+    return _profile_on_law(model, potential, bps_law_for(model, potential), coords, field,
+                           compacton_radius)
 
 
 def solve_profile_forward(model: ModelParams, potential: PotentialSpec, *,

@@ -68,6 +68,20 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err == f"error: grid needs at least 2 samples, got {grid}\n"
 
+    @pytest.mark.parametrize("potential,grid,smallest", [("old:1", 50, 94),
+                                                         ("old:2", 100, 104)])
+    def test_grid_too_small_for_residual_names_smallest_grid(self, tmp_path, capsys,
+                                                             potential, grid, smallest):
+        # compactons carry 10 padding samples, so they need a smaller --grid
+        out = str(tmp_path / "x")
+        code = main(["solve", "--potential", potential, "--grid", str(grid), "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == (f"error: --grid {grid} is too small for the residual "
+                                           f"check; use --grid {smallest} or more\n")
+        assert not (tmp_path / "x.json").exists()
+        assert main(["solve", "--potential", potential, "--grid", str(smallest),
+                     "--out", out]) == 0
+
     def test_bad_potential_exits_one(self, tmp_path):
         code = main(["solve", "--potential", "mexican", "--out", str(tmp_path / "x")])
         assert code == 1
@@ -155,6 +169,11 @@ class TestBoundCommand:
         assert 3.9999999 < data["constant"] < 4.0
         assert data["min_slack"] >= -1e-12
 
+    def test_compare_pavlovskii_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "--compare-pavlovskii", "--out", str(tmp_path / "b")])
+        assert exc.value.code == 1
+
     def test_negative_samples_exit_one(self, tmp_path, capsys):
         code = main(["bound", "--samples", "-5", "--out", str(tmp_path / "b")])
         assert code == 1
@@ -185,6 +204,20 @@ class TestSweepCommand:
     def test_single_value_exits_one(self, tmp_path):
         assert main(["sweep", "--axis", "mu", "--values", "0.5",
                      "--out", str(tmp_path / "s")]) == 1
+
+    @pytest.mark.parametrize("args,code,message", [
+        (["--values", "0,0,0"], 2, "no soliton: mu = 0 admits no soliton"),
+        (["--axis", "beta", "--values", "1,1,1"], 1,
+         "error: need at least 3 distinct beta values for an exponent fit"),
+        (["--sector", "skyrme", "--values", "1e-2,1e-3,1e-4"], 1,
+         "error: sweeps run in the planar sector only, not skyrme"),
+    ], ids=["zero-mu", "repeated-beta", "skyrme-sector"])
+    def test_bad_input_gives_one_line(self, tmp_path, capfd, args, code, message):
+        assert main(["sweep", *args, "--out", str(tmp_path / "s")]) == code
+        out, err = capfd.readouterr()
+        assert err == message + "\n"
+        assert out == ""
+        assert not (tmp_path / "s.json").exists()
 
 
 class TestClassifyCommand:

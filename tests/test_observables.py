@@ -15,7 +15,7 @@ from dbisol import (DbisolError, GridSpec, KineticLaw, ModelParams, Sector,
                     power_family_energy_per_charge, profile_on_grid,
                     skyrme_bps_energy_closed, skyrme_standard_energy_closed,
                     skyrme_standard_exact, skyrme_standard_radius,
-                    small_mu_sweep, solve_profile, target_measure)
+                    small_mu_sweep, solve_profile)
 from dbisol.cli import RunConfig
 
 OLD = make_potential("old-baby-power", 1.0)
@@ -298,13 +298,6 @@ class TestEnergyReport:
         assert rep.energy_closed_form is None
         assert rep.rel_discrepancy_closed is None
         assert rep.rel_discrepancy_avg < 1e-8
-
-
-class TestMeasureConsistency:
-    def test_explicit_measure_argument(self):
-        meas = target_measure(Sector.BABY2D)
-        assert energy_per_charge_average(baby(), OLD, meas) == pytest.approx(
-            energy_per_charge_average(baby(), OLD), rel=1e-14)
 
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -168,7 +168,7 @@ class TestSolveBaby:
         assert prof.compacton_radius == pytest.approx(1 / math.pi, abs=1e-10)
 
     def test_padding_and_grid(self):
-        grid = GridSpec(count=500, padding=10)
+        grid = GridSpec(count=500)
         prof = solve_profile(baby(), OLD, grid)
         assert len(prof.field) == 510
         assert np.all(prof.field[-10:] == 0.0)
@@ -239,6 +239,25 @@ class TestFieldAt:
         got = profile_field_at(p, OLD, coords)
         expected = baby_old_exact(coords, p)
         assert np.max(np.abs(got - expected)) < 1e-10
+
+    @pytest.mark.parametrize("pot", [STD, BPSPOT], ids=["standard", "bps"])
+    def test_anti_vacuum_value_is_exact(self, pot):
+        assert profile_field_at(skyrme(), pot, [0.0])[0] == math.pi
+
+    @pytest.mark.parametrize("model,pot", [(baby(), OLD),
+                                           (baby(), make_potential("old-baby-power", 3.0)),
+                                           (skyrme(beta=2.0), STD)],
+                             ids=["planar-compacton", "planar-power-law", "3d-compacton"])
+    def test_solve_profile_samples_the_same_map(self, model, pot):
+        count = 300
+        prof = solve_profile(model, pot, GridSpec(count=count))
+        coords = prof.coordinates[:count]
+        assert np.array_equal(prof.field[:count], profile_field_at(model, pot, coords))
+        if prof.compacton_radius is not None:
+            assert coords[-1] == prof.compacton_radius
+            radius_row = [prof.field[count - 1], prof.derivative[count - 1],
+                          prof.energy_density[count - 1], prof.charge_density[count - 1]]
+            assert radius_row == [0.0, 0.0, 0.0, 0.0]
 
 
 class TestClassification:
