@@ -130,24 +130,30 @@ def numeric_bps_density(F: Callable[[float, float], float], field_value: float, 
 class BpsLaw:
     """The relation B0 = W(field) for one model and potential.
 
-    density maps a target coordinate to B0 >= 0; sign selects the branch of
-    the slope (-1 for profiles decreasing from the anti-vacuum boundary to
-    the vacuum, which is the boundary condition used throughout).
+    B0 depends on the field only through the potential value: of_potential
+    maps V >= 0 to B0 >= 0, so a caller that needs V anyway evaluates it once.
+    sign selects the branch of the slope (-1 for profiles decreasing from the
+    anti-vacuum boundary to the vacuum, which is the boundary condition used
+    throughout).
     """
 
-    density: Callable[[np.ndarray], np.ndarray]
+    of_potential: Callable[[np.ndarray], np.ndarray]
+    potential: PotentialSpec
     sign: int
     origin: str
+
+    def density(self, field):
+        """B0 at target coordinates."""
+        return self.of_potential(self.potential.evaluate(field))
 
 
 def bps_law_for(model: ModelParams, potential: PotentialSpec) -> BpsLaw:
     """Closed-form first-order law for the model's kinetic prescription."""
     validate_params(model)
     if model.kinetic_law.is_dbi:
-        return BpsLaw(lambda s: dbi_bps_density(potential.evaluate(s), model), -1,
-                      "closed-form DBI")
+        return BpsLaw(lambda v: dbi_bps_density(v, model), potential, -1, "closed-form DBI")
     ak = model.kinetic_law.alpha_k
-    return BpsLaw(lambda s: power_bps_density(potential.evaluate(s), model.mu, ak), -1,
+    return BpsLaw(lambda v: power_bps_density(v, model.mu, ak), potential, -1,
                   "closed-form power")
 
 

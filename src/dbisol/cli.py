@@ -26,7 +26,7 @@ from .errors import DbisolError, NoSolitonError, OptimizerError
 from .model import KineticLaw, ModelParams, Sector, make_potential, validate_params
 from .observables import (bps_energy_integral, compute_energy_report,
                           large_beta_sweep, small_mu_sweep)
-from .profiles import (GridSpec, baby_old_exact, baby_old_radius,
+from .profiles import (GridSpec, _require_potential_term, baby_old_exact, baby_old_radius,
                        classify_localization, profile_on_grid, skyrme_standard_exact,
                        skyrme_standard_radius, solve_profile, tail_fit,
                        write_atomic, write_profile_csv)
@@ -229,6 +229,8 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
                                  baby_old_radius(model), lambda x: baby_old_exact(x, model),
                                  1.0, 1e-1, cfg.inject_perturbation))
     else:
+        # the checks below run at mu = 1 and take sigma = beta^2 / mu^2 from the config
+        _require_potential_term(cfg.model())
         for sigma in (0.25, 1.0, 4.0):
             model = replace(cfg.model(), beta=math.sqrt(sigma), mu=1.0)
             for tag in ("standard", "bps"):

@@ -5,8 +5,10 @@ rule computes the definite integrals (energies, target-space averages),
 whose integrands behave like algebraic powers at the vacuum endpoint.
 Composite Gauss-Legendre rules are used for the cumulative integrals of the
 inverse profile maps, which need prefix integrals and are arranged to be
-smooth by endpoint substitutions.  Plain bisection is used wherever a
-monotone function has to be inverted for a whole array of targets at once.
+smooth by endpoint substitutions; they are inverted by a Newton iteration
+bracketed by the mesh segment, since the derivative of a prefix integral is
+the integrand itself.  Plain bisection inverts the other monotone functions
+(closed-form profiles, the bound weights' root) for whole arrays of targets.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ _TS_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 # tanh-sinh step 2^-6: every energy and average lands within 1e-15 of a
 # 20-digit reference over the whole coupling range
 _TS_LEVEL = 6
+# cap on the Newton steps of CumulativeIntegral.invert; the profile
+# integrands converge in 1-2
+_NEWTON_STEPS = 8
 
 
 def _gl_nodes(deg: int) -> tuple[np.ndarray, np.ndarray]:
@@ -99,21 +104,50 @@ class CumulativeIntegral:
         return half * (self.f(nodes) * w[:, None]).sum(axis=0)
 
     def invert(self, targets: np.ndarray) -> np.ndarray:
-        """Solve prefix-integral(t) = target for each target (f >= 0), 55 bisection steps."""
-        targets = np.asarray(targets, dtype=float)
-        targets = np.clip(targets, 0.0, self.total)
-        j = np.clip(np.searchsorted(self.prefix, targets) - 1, 0, len(self.edges) - 2)
-        lo = self.edges[j].copy()
-        hi = self.edges[j + 1].copy()
+        """Solve prefix-integral(t) = target for each target (f >= 0).
+
+        Safeguarded Newton iteration inside the mesh segment that holds each
+        target, started from linear interpolation of the prefix.  The
+        derivative of the prefix integral is f itself.  Each residual shrinks
+        the segment bracket by its sign; a step that is not finite or leaves
+        the closed bracket falls back to the bracket midpoint.  The loop
+        stops after a step that moves no sample by more than 1e-6 of a
+        segment: the next correction would be of order 1e-12 of a segment,
+        below the rounding noise of the residual.  A step costs 13
+        evaluations of f per target (55 bisection steps took 660), and the
+        profile integrands take 1-2 steps.  Targets 0 and total map exactly
+        to a and b, and f is not evaluated for them.
+        """
+        targets = np.clip(np.asarray(targets, dtype=float), 0.0, self.total)
+        out = np.where(targets <= 0.0, self.a, self.b)
+        inner = (targets > 0.0) & (targets < self.total)
+        out[inner] = self._newton(targets[inner])
+        return out
+
+    def _newton(self, targets: np.ndarray) -> np.ndarray:
+        # 0 < target < total, so prefix[j] < target <= prefix[j + 1]
+        j = np.searchsorted(self.prefix, targets) - 1
+        lo = self.edges[j]
+        hi = self.edges[j + 1]
+        start = lo
         base = self.prefix[j]
-        start = self.edges[j]
-        for _ in range(55):
-            mid = 0.5 * (lo + hi)
-            val = base + self.partial(start, mid)
-            go_up = val < targets
-            lo = np.where(go_up, mid, lo)
-            hi = np.where(go_up, hi, mid)
-        return 0.5 * (lo + hi)
+        t = lo + (targets - base) / (self.prefix[j + 1] - base) * (hi - lo)
+        tol = 1e-6 * (self.b - self.a) / (len(self.edges) - 1)
+        # a segment end may hold 0*inf (compacton chart) or 1/0 (where B0
+        # rounds to 0); the bracket and the midpoint fallback absorb it
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(_NEWTON_STEPS):
+                r = base + self.partial(start, t) - targets
+                lo = np.where(r < 0.0, t, lo)
+                hi = np.where(r > 0.0, t, hi)
+                tn = t - r / self.f(t)
+                ok = np.isfinite(tn) & (lo <= tn) & (tn <= hi)
+                tn = np.where(ok, tn, 0.5 * (lo + hi))
+                moved = np.max(np.abs(tn - t), initial=0.0)
+                t = tn
+                if moved <= tol:
+                    break
+        return t
 
 
 def bisect_monotone(f: Callable[[np.ndarray], np.ndarray], targets: np.ndarray,

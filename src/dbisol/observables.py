@@ -69,9 +69,9 @@ def bps_energy_integral(model: ModelParams, potential: PotentialSpec,
     scale = _slope_scale(model.sector, model)
 
     def integrand(f):
-        b0 = np.asarray(law.density(f), dtype=float)
-        dens = kinetic_density(model, b0) \
-            + model.mu ** 2 * np.asarray(potential.evaluate(f), dtype=float)
+        v = np.asarray(potential.evaluate(f), dtype=float)
+        b0 = np.asarray(law.of_potential(v), dtype=float)
+        dens = kinetic_density(model, b0) + model.mu ** 2 * v
         jac = 1.0 if model.sector is Sector.BABY2D else np.sin(f) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(b0 > 0.0, dens * jac / (scale * b0), 0.0)
@@ -240,9 +240,8 @@ def limiting_baby_slope(h, potential: PotentialSpec, params: ModelParams):
 
 
 def _limit_law(model: ModelParams, potential: PotentialSpec) -> BpsLaw:
-    def density(s):
-        return 2.0 * model.mu * np.sqrt(np.asarray(potential.evaluate(s), dtype=float))
-    return BpsLaw(density, -1, "beta-infinity limit")
+    return BpsLaw(lambda v: 2.0 * model.mu * np.sqrt(np.asarray(v, dtype=float)), potential,
+                  -1, "beta-infinity limit")
 
 
 @dataclass(frozen=True)

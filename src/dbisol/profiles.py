@@ -93,11 +93,6 @@ class SolitonProfile:
                     self.energy_density, self.charge_density):
             arr.setflags(write=False)
 
-    def samples(self):
-        """Rows of (coordinate, field, derivative, energy density, charge density)."""
-        return zip(self.coordinates, self.field, self.derivative,
-                   self.energy_density, self.charge_density)
-
     @property
     def anti_vacuum(self) -> float:
         return 1.0 if self.sector is Sector.BABY2D else math.pi
@@ -350,8 +345,8 @@ def _profile_on_law(model: ModelParams, potential: PotentialSpec, law: BpsLaw,
     edens = np.zeros_like(field)
     cdens = np.zeros_like(field)
     f = field[inside]
-    b0 = np.asarray(law.density(f), dtype=float)
     v = np.asarray(potential.evaluate(f), dtype=float)
+    b0 = np.asarray(law.of_potential(v), dtype=float)
     edens[inside] = _chart_prefactor(model) * (kinetic_density(model, b0)
                                                + model.mu ** 2 * v) * model.energy_scale
     if model.sector is Sector.BABY2D:
@@ -381,6 +376,13 @@ def _profile_on_law(model: ModelParams, potential: PotentialSpec, law: BpsLaw,
     )
 
 
+def _require_potential_term(model: ModelParams) -> None:
+    if model.mu == 0.0:
+        raise NoSolitonError(
+            "mu = 0 removes the potential term; the first-order law degenerates to "
+            "a vanishing slope and cannot connect the anti-vacuum boundary to the vacuum")
+
+
 class _InverseMap:
     """Cumulative inverse map of one first-order profile.
 
@@ -396,10 +398,7 @@ class _InverseMap:
         if abs(potential.domain[1] - anti) > 1e-12 or potential.domain[0] != 0.0:
             raise SectorMismatchError(
                 f"potential domain {potential.domain} does not match sector {sector.value}")
-        if model.mu == 0.0:
-            raise NoSolitonError(
-                "mu = 0 removes the potential term; the first-order law degenerates to "
-                "a vanishing slope and cannot connect the anti-vacuum boundary to the vacuum")
+        _require_potential_term(model)
         if sector is Sector.SKYRME3D and not model.kinetic_law.is_dbi:
             raise DbisolError("power-family profiles are defined on the planar chart only")
 
@@ -573,7 +572,8 @@ def write_atomic(path, text: str) -> None:
 
 def write_profile_csv(profile: SolitonProfile, path) -> None:
     """Export the sample table atomically; floats carry 17 significant digits."""
+    rows = np.column_stack([profile.coordinates, profile.field, profile.derivative,
+                            profile.energy_density, profile.charge_density]).tolist()
     lines = ["coordinate,field,derivative,energy_density,charge_density"]
-    for row in profile.samples():
-        lines.append(",".join(f"{v:.17g}" for v in row))
+    lines += ["%.17g,%.17g,%.17g,%.17g,%.17g" % tuple(row) for row in rows]
     write_atomic(path, "\n".join(lines) + "\n")

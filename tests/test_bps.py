@@ -6,7 +6,8 @@ import pytest
 from scipy.optimize import brentq
 
 from dbisol import (DbisolError, KineticLaw, ModelParams, Sector, baby_bps_slope,
-                    baby_old_exact, baby_old_radius, bps_law_for, dbi_bps_density,
+                    baby_old_exact, baby_old_radius, bps_energy_integral, bps_law_for,
+                    dbi_bps_density,
                     eom_residual, make_potential, numeric_bps_density,
                     power_bps_density, profile_on_grid, skyrme_bps_slope,
                     skyrme_standard_exact, skyrme_standard_radius)
@@ -251,3 +252,25 @@ class TestBpsLaw:
         law = bps_law_for(baby(kinetic_law=KineticLaw.power(1.0)), OLD)
         assert "power" in law.origin
         assert float(law.density(0.25)) == pytest.approx(0.5, abs=1e-14)
+
+    def test_density_is_of_potential_at_the_potential_value(self):
+        law = bps_law_for(skyrme(beta=1.5, mu=0.7), STD)
+        xi = np.linspace(0.0, math.pi, 50)
+        np.testing.assert_array_equal(law.density(xi), law.of_potential(STD.evaluate(xi)))
+
+    @pytest.mark.parametrize("kinetic_law", [KineticLaw.dbi(), KineticLaw.power(0.75)])
+    def test_potential_evaluated_once_per_node(self, kinetic_law):
+        calls = []
+
+        def counted(s):
+            calls.append(np.size(s))
+            return OLD.evaluate(s)
+        pot = replace(OLD, evaluate=counted)
+        model = baby(kinetic_law=kinetic_law)
+        bps_energy_integral(model, pot)
+        # tanh-sinh calls the integrand once, on every node
+        assert len(calls) == 1
+        calls.clear()
+        prof = profile_on_grid(lambda x: baby_old_exact(x, baby()), model, pot, count=300,
+                               extent=1.2 * baby_old_radius(baby()))
+        assert calls == [np.count_nonzero(prof.field > 0.0)]

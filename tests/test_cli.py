@@ -127,6 +127,18 @@ class TestVerifyCommand:
         code = main(["verify", "--sector", "skyrme", "--out", str(tmp_path / "v")])
         assert code == 0
 
+    @pytest.mark.parametrize("sector", ["baby", "skyrme"])
+    def test_mu_zero_exits_two_with_one_line(self, tmp_path, capfd, sector):
+        solve = main(["solve", "--mu", "0", "--out", str(tmp_path / "s")])
+        expected = capfd.readouterr().err
+        assert solve == 2 and expected.startswith("no soliton: mu = 0 ")
+        code = main(["verify", "--sector", sector, "--mu", "0", "--out", str(tmp_path / "v")])
+        out, err = capfd.readouterr()
+        assert code == 2
+        assert err == expected and err.count("\n") == 1
+        assert out == ""
+        assert not (tmp_path / "v.json").exists()
+
     def test_perturbation_fails_with_exit_three(self, tmp_path, capsys):
         code = main(["verify", "--sector", "baby", "--inject-perturbation",
                      "--out", str(tmp_path / "v")])

@@ -1,12 +1,14 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from dbisol import Sector, target_measure
-from dbisol.numerics import _ts_nodes, tanh_sinh
+from dbisol import KineticLaw, ModelParams, Sector, make_potential, target_measure
+from dbisol.numerics import CumulativeIntegral, _ts_nodes, tanh_sinh
+from dbisol.profiles import _InverseMap
 
 
 class TestTanhSinh:
@@ -69,3 +71,103 @@ def test_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def _bisect_reference(cum, targets):
+    """The 55-step bisection inside each target's segment that Newton replaced."""
+    j = np.clip(np.searchsorted(cum.prefix, targets) - 1, 0, len(cum.edges) - 2)
+    lo, hi = cum.edges[j].copy(), cum.edges[j + 1].copy()
+    start, base = cum.edges[j], cum.prefix[j]
+    for _ in range(55):
+        mid = 0.5 * (lo + hi)
+        up = base + cum.partial(start, mid) < targets
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _xi_power(a):
+    return make_potential("custom",
+                          evaluate=lambda xi: np.power(np.asarray(xi, dtype=float), a),
+                          derivative=lambda xi: a * np.power(np.asarray(xi, dtype=float), a - 1),
+                          domain=(0.0, math.pi), vacuum_coordinate=0.0, vacuum_exponent=a)
+
+
+def _family(sector, tag, alpha_k, beta, mu, n):
+    law = KineticLaw.dbi() if alpha_k is None else KineticLaw.power(alpha_k)
+    if tag.startswith("old:"):
+        pot = make_potential("old-baby-power", float(tag[4:]))
+    elif tag == "standard":
+        pot = make_potential("skyrme-standard")
+    elif tag == "bps":
+        pot = make_potential("bps-potential")
+    else:
+        pot = _xi_power(float(tag[6:]))
+    return pytest.param(ModelParams(beta, mu, n, sector, law), pot, id=f"{tag}-{alpha_k}")
+
+
+B, S = Sector.BABY2D, Sector.SKYRME3D
+# one configuration of every family the inverse map serves: compactons,
+# exponential and power-law tails, both kinetic laws, both sectors
+FAMILIES = [
+    _family(B, "old:0.5", None, 0.4, 2.5, 3), _family(B, "old:1", None, 1.0, 1.0, 1),
+    _family(B, "old:1.5", None, 6.3, 0.16, -2), _family(B, "old:2", None, 0.25, 4.0, 5),
+    _family(B, "old:3", None, 2.5, 0.4, -1), _family(B, "old:4", None, 10.0, 0.1, 2),
+    _family(B, "old:1", 0.75, 1.6, 0.6, 4), _family(B, "old:1", 1.0, 0.1, 10.0, -3),
+    _family(B, "old:1", 2.0, 4.0, 0.25, 1), _family(B, "old:2", 0.75, 0.6, 1.6, -5),
+    _family(B, "old:2", 1.0, 1.0, 2.5, 2), _family(B, "old:2", 2.0, 2.5, 1.0, -1),
+    _family(S, "standard", None, 1.6, 0.4, 2), _family(S, "bps", None, 0.4, 1.6, -1),
+    _family(S, "power:2.5", None, 1.0, 6.3, 3), _family(S, "power:4", None, 6.3, 1.0, -4),
+    _family(S, "power:7", None, 0.16, 0.25, 1),
+]
+
+
+class TestCumulativeInversion:
+    @pytest.mark.parametrize("f,a,b,inverse", [
+        (np.exp, 0.5, 3.0, lambda y: np.log(y + math.exp(0.5))),
+        # x^(-1/2) on [0, 4] after x = t^2: the integrand 2t/sqrt(t^2) is 0/0 at t = 0
+        (lambda t: 2.0 * t / np.sqrt(t * t), 0.0, 2.0, lambda y: 0.5 * y),
+        (lambda t: np.full_like(t, 3.0), 0.5, 2.5, lambda y: 0.5 + y / 3.0),
+    ], ids=["exp", "inverse-sqrt", "constant"])
+    def test_known_primitives(self, f, a, b, inverse):
+        cum = CumulativeIntegral(f, a, b)
+        targets = np.linspace(0.0, cum.total, 2001)[1:-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cum.invert(targets)
+        np.testing.assert_allclose(got, inverse(targets), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("f,a,b", [(np.exp, -1.0, 2.0),
+                                       (lambda t: 2.0 * t / np.sqrt(t * t), 0.0, 2.0)])
+    def test_ends_map_exactly(self, f, a, b):
+        cum = CumulativeIntegral(f, a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = cum.invert(np.array([0.0, cum.total, -1.0, 2.0 * cum.total]))
+        assert got.tolist() == [a, b, a, b]
+
+    def test_sorted_targets_give_monotone_result(self):
+        cum = CumulativeIntegral(lambda t: 1.0 + 0.9 * np.sin(7.0 * t), 0.0, 3.0)
+        targets = np.sort(np.random.default_rng(5).uniform(0.0, cum.total, 20000))
+        assert np.all(np.diff(cum.invert(targets)) >= 0.0)
+
+    @pytest.mark.parametrize("model,pot", FAMILIES)
+    def test_newton_matches_bisection(self, model, pot):
+        inv = _InverseMap(model, pot)
+        x = np.linspace(0.0, inv.extent, 1000)[1:-1]
+        targets = inv.extent - x
+        newton = inv._to_field(inv._cum.invert(targets))
+        reference = inv._to_field(_bisect_reference(inv._cum, targets))
+        inner = reference > 0.0
+        assert inner.sum() > 900
+        np.testing.assert_allclose(newton[inner], reference[inner], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("model,pot", FAMILIES[::4])
+    def test_integrand_calls_per_inversion(self, model, pot):
+        inv = _InverseMap(model, pot)
+        cum, f = inv._cum, inv._cum.f
+        calls = []
+        cum.f = lambda t: (calls.append(np.size(t)), f(t))[1]
+        inv.field_at(np.linspace(0.0, inv.extent, 1000))
+        # 55 bisection steps of a 12-point rule took 660,000
+        assert 0 < sum(calls) <= 66_000

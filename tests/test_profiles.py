@@ -342,6 +342,39 @@ class TestCsvExport:
         first = [float(v) for v in lines[1].split(",")]
         assert first[1] == prof.field[0]
 
+    def test_rows_match_per_value_formatting(self, tmp_path):
+        # the 3-D anti-vacuum row carries a derivative of -inf
+        prof = solve_profile(skyrme(beta=1.6, mu=0.4, charge=-2), STD)
+        assert prof.derivative[0] == -np.inf
+        path = tmp_path / "prof.csv"
+        write_profile_csv(prof, path)
+        rows = zip(prof.coordinates, prof.field, prof.derivative, prof.energy_density,
+                   prof.charge_density)
+        expected = ["coordinate,field,derivative,energy_density,charge_density"]
+        expected += [",".join(f"{v:.17g}" for v in row) for row in rows]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+class TestSolvedProfileShape:
+    @pytest.mark.parametrize("model,pot", [
+        (baby(beta=0.4, mu=2.5, charge=3), make_potential("old-baby-power", 0.5)),
+        (baby(beta=2.5, mu=0.4, charge=-1), make_potential("old-baby-power", 3.0)),
+        (baby(kinetic_law=KineticLaw.power(0.75)), make_potential("old-baby-power", 2.0)),
+        (skyrme(beta=1.6, mu=0.4, charge=2), STD),
+        (skyrme(beta=0.16, mu=0.25), xi_power_potential(7.0)),
+    ], ids=["old:0.5", "old:3", "old:2-power-law", "standard", "power:7"])
+    def test_monotone_from_anti_vacuum_to_vacuum(self, model, pot):
+        prof = solve_profile(model, pot)
+        assert np.all(np.diff(prof.field) <= 0.0)
+        assert prof.field[0] == prof.anti_vacuum
+        if prof.compacton_radius is not None:
+            past = prof.coordinates >= prof.compacton_radius
+            assert past.sum() == 11
+            assert np.all(prof.field[past] == 0.0)
+            assert np.all(prof.field[~past] > 0.0)
+        else:
+            assert prof.field[-1] == pytest.approx(GridSpec().field_floor, rel=1e-15)
+
 
 class TestTruncatedCharge:
     def test_field_range_of_truncated_profile(self):
