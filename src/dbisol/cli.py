@@ -321,6 +321,9 @@ def cmd_bound(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     values = [float(v) for v in cfg.values.split(",") if v.strip()]
     model = cfg.model()
+    pot = cfg.make_potential()
+    if pot.tag != "old-baby-power" or pot.vacuum_exponent != 1.0:
+        raise DbisolError(f"sweeps run the linear potential old:1 only, not {cfg.potential}")
     rows = []
     if cfg.axis == "mu":
         res = small_mu_sweep(model, values)

@@ -2,6 +2,7 @@ import math
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
@@ -12,12 +13,26 @@ from hypothesis import strategies as st
 from dbisol import (DbisolError, PAVLOVSKII_REFERENCE, bound_constant, bound_energy,
                     certify, compare_reference, optimize_bound, pointwise_slack,
                     sharpness, taylor_coefficients, verify_pointwise, weights_for_alpha)
+from dbisol.bounds import BLOCK_ROWS, _coeff_floats, _slack_arrays, _tight_ray_points
 
 C2_EXACT = 0.5 * 3.0 ** 1.5
 
 ORDERS = st.integers(min_value=2, max_value=64)
 BETAS = st.floats(min_value=-2.0, max_value=2.0).map(lambda e: 10.0 ** e)
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def reference_slack(cert, lam: np.ndarray) -> np.ndarray:
+    """Slack of each row of lam from whole-array expressions."""
+    x, y, z = lam.T
+    s = (x * x + z * z) + y * y
+    a = _coeff_floats(cert.order) / (cert.beta * cert.beta) ** np.arange(cert.order)
+    with np.errstate(over="ignore"):
+        lhs = np.full_like(s, a[-1])
+        for ak in a[-2::-1]:
+            lhs = lhs * s + ak
+        lhs = lhs * s
+    return lhs - x * y * z * (cert.constant / cert.beta)
 
 
 def mp_bound_constant(order: int) -> mp.mpf:
@@ -198,14 +213,12 @@ class TestPointwise:
     def test_degenerate_axis_slack_is_lhs(self):
         cert = optimize_bound(3)
         lam = np.array([[0.0, 2.0, 3.0]])
-        from dbisol.bounds import _slack_arrays
         s = 13.0
         c = [float(x) for x in taylor_coefficients(3)]
         lhs = sum(ck * s ** (k + 1) for k, ck in enumerate(c))
         assert _slack_arrays(cert, lam)[0] == pytest.approx(lhs, rel=1e-15)
 
     def test_horner_kernel_matches_direct_sum(self):
-        from dbisol.bounds import _slack_arrays
         cert = replace(optimize_bound(8), beta=2.5)
         lam = 10.0 ** np.random.default_rng(3).uniform(-2.0, 2.0, size=(50, 3))
         want = [math.fsum(float(ck) * s ** (k + 1) / 2.5 ** (2 * k)
@@ -240,13 +253,46 @@ class TestPointwise:
         b = verify_pointwise(cert, 30_000, seed=42)
         assert a == b
 
-    def test_chunked_reduction_matches(self):
-        cert = optimize_bound(3)
-        a = verify_pointwise(cert, 30_000, seed=42, chunk=30_000)
-        b = verify_pointwise(cert, 30_000, seed=42, chunk=7_000)
-        # same stream consumed in blocks; the min-reduction is associative but
-        # the generator state differs across chunkings, so only compare sign
-        assert a >= -1e-12 and b >= -1e-12
+    @PROPERTY
+    @given(order=ORDERS, beta=BETAS, seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           count=st.one_of(st.sampled_from([0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1]),
+                           st.integers(min_value=0, max_value=3 * BLOCK_ROWS)))
+    @example(order=64, beta=10.0, seed=0, count=BLOCK_ROWS + 1)
+    def test_blocked_kernel_matches_one_array_reference(self, order, beta, seed, count):
+        # the same draws in one array, with s summed explicitly in einsum's order
+        lam = np.random.default_rng(seed).uniform(-3.0, 3.0, (count, 3))
+        lam *= math.log(10.0)
+        np.exp(lam, out=lam)
+        cert = optimize_bound(order, beta)
+        want = reference_slack(cert, lam)
+        assert np.array_equal(_slack_arrays(cert, lam).view(np.int64), want.view(np.int64))
+        # the ray holds the minimum of a valid certificate; with one far point
+        # in its place the minimum falls on the draws
+        for points in (_tight_ray_points(cert), np.full((1, 3), 1e3)):
+            expect = float(reference_slack(cert, points).min())
+            if count:
+                expect = min(expect, float(want.min()))
+            with mock.patch("dbisol.bounds._tight_ray_points", return_value=points):
+                got = verify_pointwise(cert, count, seed=seed)
+            assert got.hex() == expect.hex()
+
+    @pytest.mark.parametrize("triple", [(math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
+                                        (1.0, -math.inf, 1.0)])
+    def test_rejects_non_finite_components(self, triple):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DbisolError, match="finite"):
+                pointwise_slack(optimize_bound(3), triple)
+
+    @pytest.mark.parametrize("count", [2.5, math.nan, math.inf, "5"])
+    def test_rejects_non_integral_sample_count(self, count):
+        with pytest.raises(DbisolError, match="integer"):
+            certify(optimize_bound(2), count)
+        with pytest.raises(DbisolError, match="integer"):
+            verify_pointwise(optimize_bound(2), count)
+
+    def test_integral_float_sample_count_is_accepted(self):
+        assert certify(optimize_bound(2), 3.0, seed=1).samples == 3
 
 
 class TestEnergyBound:

@@ -223,7 +223,16 @@ class TestSweepCommand:
          "error: need at least 3 distinct beta values for an exponent fit"),
         (["--sector", "skyrme", "--values", "1e-2,1e-3,1e-4"], 1,
          "error: sweeps run in the planar sector only, not skyrme"),
-    ], ids=["zero-mu", "repeated-beta", "skyrme-sector"])
+        (["--potential", "standard", "--values", "1e-2,1e-3,1e-4"], 1,
+         "error: sweeps run the linear potential old:1 only, not standard"),
+        (["--potential", "old:2", "--values", "1e-2,1e-3,1e-4"], 1,
+         "error: sweeps run the linear potential old:1 only, not old:2"),
+        (["--axis", "beta", "--potential", "standard", "--values", "10,100,1000"], 1,
+         "error: sweeps run the linear potential old:1 only, not standard"),
+        (["--axis", "beta", "--potential", "old:2", "--values", "10,100,1000"], 1,
+         "error: sweeps run the linear potential old:1 only, not old:2"),
+    ], ids=["zero-mu", "repeated-beta", "skyrme-sector", "mu-standard", "mu-old2",
+            "beta-standard", "beta-old2"])
     def test_bad_input_gives_one_line(self, tmp_path, capfd, args, code, message):
         assert main(["sweep", *args, "--out", str(tmp_path / "s")]) == code
         out, err = capfd.readouterr()
