@@ -243,7 +243,11 @@ def pointwise_slack(cert: BoundCertificate, triple) -> float:
         raise DbisolError(f"strain eigenvalues must be finite, got {tuple(lam[0].tolist())}")
     if np.any(lam < 0):
         raise DbisolError("strain eigenvalues must be non-negative")
-    return float(_slack_arrays(cert, lam)[0])
+    # nan is inf - inf or inf * 0 after the product overflowed: s^N has
+    # overflowed too there, and with N >= 2 it outgrows the product's s^(3/2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slack = float(_slack_arrays(cert, lam)[0])
+    return math.inf if math.isnan(slack) else slack
 
 
 def _sample_count(n) -> int:

@@ -26,9 +26,9 @@ from .errors import DbisolError, NoSolitonError, OptimizerError
 from .model import KineticLaw, ModelParams, Sector, make_potential, validate_params
 from .observables import (bps_energy_integral, compute_energy_report,
                           large_beta_sweep, small_mu_sweep)
-from .profiles import (GridSpec, _require_potential_term, baby_old_exact, baby_old_radius,
-                       classify_localization, profile_on_grid, skyrme_standard_exact,
-                       skyrme_standard_radius, solve_profile, tail_fit,
+from .profiles import (GridSpec, _csv_rows, _require_potential_term, baby_old_exact,
+                       baby_old_radius, classify_localization, profile_on_grid,
+                       skyrme_standard_exact, skyrme_standard_radius, solve_profile, tail_fit,
                        write_atomic, write_profile_csv)
 
 __all__ = ["main", "RunConfig"]
@@ -104,14 +104,22 @@ class RunConfig:
 
     def make_potential(self):
         tag = self.potential
-        if tag.startswith("old:"):
-            return make_potential("old-baby-power", float(tag.split(":", 1)[1]))
+        unknown = DbisolError(f"unknown potential {tag!r}; use old:A, standard, bps or power:A")
+        family, _, exponent = tag.partition(":")
+        if family in ("old", "power"):
+            try:
+                a = float(exponent)
+            except ValueError:
+                a = math.nan
+            if not math.isfinite(a):
+                raise unknown
+        if family == "old":
+            return make_potential("old-baby-power", a)
         if tag == "standard":
             return make_potential("skyrme-standard")
         if tag == "bps":
             return make_potential("bps-potential")
-        if tag.startswith("power:"):
-            a = float(tag.split(":", 1)[1])
+        if family == "power":
             if self.sector == "baby":
                 return make_potential("old-baby-power", a)
             return make_potential(
@@ -119,7 +127,7 @@ class RunConfig:
                 evaluate=lambda xi: np.power(np.asarray(xi, dtype=float), a),
                 derivative=lambda xi: a * np.power(np.asarray(xi, dtype=float), a - 1.0),
                 domain=(0.0, math.pi), vacuum_coordinate=0.0, vacuum_exponent=a)
-        raise DbisolError(f"unknown potential {tag!r}; use old:A, standard, bps or power:A")
+        raise unknown
 
 
 _BOOL_KEYS = {"inject_perturbation"}
@@ -342,9 +350,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         print(f"fitted exponent = {_fmt(res.exponent)}")
     else:
         raise DbisolError(f"unknown sweep axis {cfg.axis!r}")
-    lines = ["parameter,energy,distance_to_limit"]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    write_atomic(cfg.out + ".csv", "\n".join(lines) + "\n")
+    write_atomic(cfg.out + ".csv", b"parameter,energy,distance_to_limit\n" + _csv_rows(rows))
     write_json_atomic(cfg.out + ".json", fit)
     print(f"wrote {cfg.out}.csv and {cfg.out}.json")
     return 0

@@ -12,6 +12,19 @@ that uses scipy, imported when it is called.
 
 Closed-form evaluators for the three exactly solvable cases live here too,
 together with tail classification.
+
+CSV output (profiles here, sweeps in the CLI) writes each value as exactly
+b"%.17g" % v of the stored double, from the numpy kernel of dbisol._csv,
+imported on the first CSV written.  It scales |v| by 10^(16 - E),
+E = floor(log10 |v|), in double-double arithmetic (Dekker's two-product
+with a table of 10^k = hi + lo), which leaves the 17-digit integer and its
+fraction with an absolute error below 1e-14; digits come from a table of
+4-digit groups, and a mask per form (sign, fixed or exponent notation by
+%g's rule, significant digits) lays them out.  A value goes through
+Python's % instead when its fraction lies within 1e-9 of 1/2, when the
+integer misses [10^16, 10^17) (E off by one, or a rounding carry), or when
+|v| lies outside [1e-280, 1e280]; 0, -0, inf, -inf and nan have layouts of
+their own.
 """
 
 from __future__ import annotations
@@ -424,15 +437,19 @@ class _InverseMap:
                 tt = np.asarray(t, dtype=float)
                 return p * np.power(tt, p - 1.0) * inv_integrand(np.power(tt, p))
 
-            self._cum = CumulativeIntegral(g, 0.0, t_hi)
+            span = (0.0, t_hi)
             self._to_field = lambda t: np.power(t, p)
         else:
             def g(s):
                 f = np.exp(np.asarray(s, dtype=float))
                 return f * inv_integrand(f)
 
-            self._cum = CumulativeIntegral(g, math.log(field_floor), math.log(anti))
+            span = (math.log(field_floor), math.log(anti))
             self._to_field = np.exp
+        # an integrand that overflows, divides by zero or turns NaN leaves a
+        # non-finite total, reported below in one line
+        with np.errstate(all="ignore"):
+            self._cum = CumulativeIntegral(g, *span)
         self.extent = self._cum.total
         if not math.isfinite(self.extent) or self.extent <= 0:
             raise DbisolError("inverse map integral did not converge; slope singularity "
@@ -556,13 +573,13 @@ def solve_profile_forward(model: ModelParams, potential: PotentialSpec, *,
     return zs, xis
 
 
-def write_atomic(path, text: str) -> None:
-    """Write text to a temporary file next to path, then rename it onto path."""
+def write_atomic(path, data: str | bytes) -> None:
+    """Write text or bytes to a temporary file next to path, then rename it onto path."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".dbisol-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -570,10 +587,17 @@ def write_atomic(path, text: str) -> None:
         raise
 
 
+def _csv_rows(table) -> bytes:
+    """CSV lines of a 2-D float array, each value b"%.17g" % v byte for byte."""
+    # imported here: without cached bytecode every import compiles the
+    # kernel, which only a CSV writer needs
+    from ._csv import csv_rows
+    return csv_rows(table)
+
+
 def write_profile_csv(profile: SolitonProfile, path) -> None:
-    """Export the sample table atomically; floats carry 17 significant digits."""
-    rows = np.column_stack([profile.coordinates, profile.field, profile.derivative,
-                            profile.energy_density, profile.charge_density]).tolist()
-    lines = ["coordinate,field,derivative,energy_density,charge_density"]
-    lines += ["%.17g,%.17g,%.17g,%.17g,%.17g" % tuple(row) for row in rows]
-    write_atomic(path, "\n".join(lines) + "\n")
+    """Export the sample table atomically; each value is b"%.17g" of the stored double."""
+    table = np.column_stack([profile.coordinates, profile.field, profile.derivative,
+                             profile.energy_density, profile.charge_density])
+    write_atomic(path, b"coordinate,field,derivative,energy_density,charge_density\n"
+                 + _csv_rows(table))

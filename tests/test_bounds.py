@@ -233,6 +233,15 @@ class TestPointwise:
             warnings.simplefilter("error")
             assert pointwise_slack(cert, (1e3, 1e3, 1e3)) == math.inf
 
+    @pytest.mark.parametrize("order", [3, 64])
+    @pytest.mark.parametrize("triple", [(1e103, 1e103, 1e103), (1e200, 1e200, 0.0),
+                                        (1e300, 1e300, 1e300)])
+    def test_slack_with_overflowing_product_is_infinite(self, order, triple):
+        # the eigenvalue product overflows too: inf - inf or inf * 0 in the kernel
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pointwise_slack(optimize_bound(order), triple) == math.inf
+
     def test_rejects_negative_sample_count(self):
         with pytest.raises(DbisolError, match="non-negative"):
             certify(optimize_bound(2), -5)

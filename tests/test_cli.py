@@ -86,6 +86,29 @@ class TestSolveCommand:
         code = main(["solve", "--potential", "mexican", "--out", str(tmp_path / "x")])
         assert code == 1
 
+    @pytest.mark.parametrize("sector", ["baby", "skyrme"])
+    @pytest.mark.parametrize("tag", ["old:abc", "power:abc", "old:", "power:1e", "old:nan",
+                                     "power:inf"])
+    def test_malformed_exponent_names_the_accepted_forms(self, tmp_path, capfd, sector, tag):
+        code = main(["solve", "--sector", sector, "--potential", tag,
+                     "--out", str(tmp_path / "x")])
+        out, err = capfd.readouterr()
+        assert code == 1
+        assert err == f"error: unknown potential {tag!r}; use old:A, standard, bps or power:A\n"
+        assert out == ""
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("tag", ["old:50", "old:1.99"])
+    def test_inverse_map_failure_prints_one_line(self, tmp_path, tag):
+        # a fresh interpreter, so every RuntimeWarning would reach its stderr
+        proc = subprocess.run(
+            [sys.executable, "-m", "dbisol.cli", "solve", "--potential", tag,
+             "--out", str(tmp_path / "x")], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: inverse map integral did not converge")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stdout == ""
+
     def test_compacton_with_divergent_potential_slope_warns_nothing(self, tmp_path):
         # V' = h^(-1/2)/2 diverges on the zero padding past the radius
         with warnings.catch_warnings():
@@ -212,6 +235,11 @@ class TestSweepCommand:
         assert code == 0
         data = json.loads((tmp_path / "sb.json").read_text())
         assert data["exponent"] == pytest.approx(-2.0, abs=0.1)
+        # each value is format(v, ".17g") of the number in the JSON
+        rows = zip(data["values"], data["energies"], data["distances"])
+        expected = ["parameter,energy,distance_to_limit"]
+        expected += [",".join(format(v, ".17g") for v in row) for row in rows]
+        assert (tmp_path / "sb.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
 
     def test_single_value_exits_one(self, tmp_path):
         assert main(["sweep", "--axis", "mu", "--values", "0.5",
