@@ -6,23 +6,21 @@ strain-eigenvalue energy bounds of the square-root model.
 """
 
 from .errors import DbisolError, NoSolitonError, OptimizerError, SectorMismatchError
-from .model import (KineticLaw, ModelParams, PotentialSpec, Sector, TargetMeasure,
+from .model import (Chart, KineticLaw, ModelParams, PotentialSpec, Sector, TargetMeasure,
                     fit_vacuum_exponent, make_potential, target_measure, validate_params)
-from .bps import (BpsLaw, EomResidualReport, baby_bps_slope, bps_law_for,
-                  dbi_bps_density, eom_residual, numeric_bps_density,
-                  power_bps_density, skyrme_bps_slope)
-from .profiles import (BABY_LOCALIZATION_THRESHOLD, SKYRME_LOCALIZATION_THRESHOLD,
-                       GridSpec, LocalizationClass, SolitonProfile, angular_profile,
+from .bps import (BpsLaw, EomResidualReport, bps_law_for, dbi_bps_density, eom_residual,
+                  numeric_bps_density, power_bps_density)
+from .profiles import (GridSpec, LocalizationClass, SolitonProfile, angular_profile,
                        baby_old_exact, baby_old_radius, classify_localization,
-                       coordinate_map, endpoint_asymptotics, profile_field_at,
+                       endpoint_asymptotics, profile_field_at,
                        profile_on_grid, skyrme_bps_exact, skyrme_bps_radius,
                        skyrme_standard_exact, skyrme_standard_implicit_lhs,
                        skyrme_standard_radius, solve_profile, solve_profile_forward,
                        tail_fit, write_profile_csv)
 from .observables import (BetaSweepResult, EnergyReport, MuSweepResult,
-                          SKYRME_CHART_FACTOR, baby_energy_closed, bps_energy_integral,
+                          baby_energy_closed, bps_energy_integral,
                           charge_quadrature, compute_energy_report, energy_quadrature,
-                          energy_per_charge_average, large_beta_sweep, limiting_baby_slope,
+                          energy_per_charge_average, large_beta_sweep,
                           power_family_energy_per_charge, skyrme_bps_energy_closed,
                           skyrme_standard_energy_closed, small_mu_sweep)
 from .bounds import (PAVLOVSKII_REFERENCE, BoundCertificate, bound_constant,

@@ -18,12 +18,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import DbisolError, SectorMismatchError
-from .model import ModelParams, PotentialSpec, Sector, validate_params
+from .model import ModelParams, PotentialSpec, validate_params
 
 __all__ = [
     "BpsLaw", "EomResidualReport", "bps_law_for", "kinetic_density",
-    "dbi_bps_density", "power_bps_density", "numeric_bps_density",
-    "baby_bps_slope", "skyrme_bps_slope", "eom_residual",
+    "dbi_bps_density", "power_bps_density", "numeric_bps_density", "eom_residual",
 ]
 
 
@@ -157,32 +156,6 @@ def bps_law_for(model: ModelParams, potential: PotentialSpec) -> BpsLaw:
                   "closed-form power")
 
 
-def baby_bps_slope(h, potential: PotentialSpec, params: ModelParams):
-    """dh/dx on the first-order law; non-positive, zero exactly at the vacuum."""
-    if params.sector is not Sector.BABY2D:
-        raise SectorMismatchError("baby_bps_slope needs a Baby2D model")
-    harr = np.asarray(h, dtype=float)
-    if np.any((harr < 0) | (harr > 1)):
-        raise DbisolError("field value outside [0, 1]")
-    law = bps_law_for(params, potential)
-    out = -2.0 * math.pi / abs(params.charge) * np.asarray(law.density(harr))
-    return out if out.ndim else float(out)
-
-
-def skyrme_bps_slope(xi, potential: PotentialSpec, params: ModelParams):
-    """The combination sin^2(xi) dxi/dz on the first-order law, in [-1, 0]."""
-    if params.sector is not Sector.SKYRME3D:
-        raise SectorMismatchError("skyrme_bps_slope needs a Skyrme3D model")
-    if not params.kinetic_law.is_dbi:
-        raise DbisolError("the 3-D radial chart is defined for the DBI law only")
-    xarr = np.asarray(xi, dtype=float)
-    if np.any((xarr < 0) | (xarr > math.pi)):
-        raise DbisolError("field value outside [0, pi]")
-    out = -_rel_ceiling(params.mu ** 2 * np.asarray(potential.evaluate(xarr), dtype=float)
-                        / params.beta ** 2)
-    return out if out.ndim else float(out)
-
-
 # 100 interior samples plus the two at each end that lack a full stencil
 EOM_MIN_SAMPLES = 104
 
@@ -229,24 +202,16 @@ def eom_residual(profile, model: ModelParams | None = None, *,
     if pot is None:
         raise DbisolError("profile carries no potential; cannot form the residual")
 
+    chart = profile.sector.chart
     u = np.full_like(f, np.nan)
     u[1:-1] = (f[2:] - f[:-2]) / (2.0 * delta)
-    n2 = params.charge ** 2
     with np.errstate(invalid="ignore", divide="ignore"):
-        if profile.sector is Sector.BABY2D:
-            G = u / np.sqrt(np.maximum(1.0 - n2 * u * u / (8.0 * math.pi ** 2 * params.beta ** 2),
-                                       1e-300))
-        else:
-            w = np.sin(f) ** 2 * u
-            G = w / np.sqrt(np.maximum(1.0 - w * w, 1e-300))
+        G = chart.eom_flux(u, f, params)
         R = np.full_like(f, np.nan)
         dG = (G[3:-1] - G[1:-3]) / (2.0 * delta)
         # V' may diverge at the vacuum padding, which the support mask drops
         dV = np.asarray(pot.derivative(f[2:-2]), dtype=float)
-        if profile.sector is Sector.BABY2D:
-            R[2:-2] = n2 * dG - 8.0 * math.pi ** 2 * params.mu ** 2 * dV
-        else:
-            R[2:-2] = params.beta ** 2 * np.sin(f[2:-2]) ** 2 * dG - params.mu ** 2 * dV
+        R[2:-2] = chart.eom_operator(dG, f[2:-2], dV, params)
 
     support = f > 1e-12
     # distance to the nearest support edge, counting domain endpoints

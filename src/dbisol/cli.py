@@ -332,6 +332,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     pot = cfg.make_potential()
     if pot.tag != "old-baby-power" or pot.vacuum_exponent != 1.0:
         raise DbisolError(f"sweeps run the linear potential old:1 only, not {cfg.potential}")
+    if cfg.sector != "baby":
+        raise DbisolError(f"sweeps run in the planar sector only, not {cfg.sector}")
     rows = []
     if cfg.axis == "mu":
         res = small_mu_sweep(model, values)

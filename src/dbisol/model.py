@@ -2,7 +2,9 @@
 
 Two sectors are supported.  The planar one works on the chart h in [0, 1]
 with the vacuum at h = 0, the three-dimensional one on xi in [0, pi] with the
-vacuum at xi = 0.  All quantities are dimensionless.
+vacuum at xi = 0.  Each sector's `Chart` (`Sector.chart`) holds every fact
+that tells the two apart, and the solvers read it in place of branching on
+the sector.  All quantities are dimensionless.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DbisolError
+from .errors import DbisolError, SectorMismatchError
 from .numerics import tanh_sinh
 
 __all__ = [
-    "Sector", "KineticLaw", "PotentialSpec", "ModelParams", "TargetMeasure",
+    "Sector", "Chart", "KineticLaw", "PotentialSpec", "ModelParams", "TargetMeasure",
     "make_potential", "validate_params", "target_measure", "fit_vacuum_exponent",
 ]
 
@@ -26,6 +28,18 @@ __all__ = [
 class Sector(enum.Enum):
     BABY2D = "baby"
     SKYRME3D = "skyrme"
+
+    @property
+    def chart(self) -> Chart:
+        return CHARTS[self]
+
+    def chart_for(self, potential: PotentialSpec) -> Chart:
+        """The sector's chart, once the potential's domain is checked against it."""
+        chart = self.chart
+        if abs(potential.domain[1] - chart.anti_vacuum) > 1e-12 or potential.domain[0] != 0.0:
+            raise SectorMismatchError(
+                f"potential domain {potential.domain} does not match sector {self.value}")
+        return chart
 
 
 @dataclass(frozen=True)
@@ -63,9 +77,6 @@ class PotentialSpec:
     vacuum_coordinate: float
     vacuum_exponent: float
     tag: str
-
-    def sector(self) -> Sector:
-        return Sector.BABY2D if self.domain[1] <= 1.0 else Sector.SKYRME3D
 
 
 @dataclass(frozen=True)
@@ -129,6 +140,88 @@ def _eta(xi):
 
 def _eta_deriv(xi):
     return np.sin(np.asarray(xi, dtype=float)) ** 2
+
+
+@dataclass(frozen=True)
+class Chart:
+    """The target chart of one sector: each fact that tells the sectors apart.
+
+    The field runs from the vacuum at 0 to anti_vacuum.  B0 vanishes at the
+    vacuum like a power of the field; twice that power below threshold gives
+    a compacton, at it an exponential tail, above it a power-law tail.
+    """
+
+    anti_vacuum: float
+    threshold: float
+    unit_weight: float       # unit_weight * jacobian has unit mass on the chart
+    average_factor: float    # of the per-charge target average
+    slope_pole: bool         # the slope diverges at the anti-vacuum value
+    dbi_only: bool           # takes the DBI kinetic law only
+    jacobian: Callable       # volume element in the field; planar, the scalar 1.0
+    volume: Callable         # primitive of jacobian
+    slope_scale: Callable    # params -> factor from B0 to |jacobian * slope|
+    prefactor: Callable      # params -> factor from kinetic + potential density
+                             # to the chart energy density
+    eom_flux: Callable       # (slope, field, params) -> flux G of the reduced
+                             # second-order equation
+    eom_operator: Callable   # (dG/dcoordinate, field, V', params) -> its residual
+    radial: Callable         # (radius, params) -> coordinate of the reduced problem
+
+    def coordinate_map(self, r, params: ModelParams):
+        """Coordinate of the reduced problem at radius r >= 0."""
+        rr = np.asarray(r, dtype=float)
+        if np.any(rr < 0):
+            raise DbisolError("radius must be non-negative")
+        out = self.radial(rr, params)
+        return out if out.ndim else float(out)
+
+
+def _planar_flux(u, h, p):
+    return u / np.sqrt(np.maximum(
+        1.0 - p.charge ** 2 * u * u / (8.0 * math.pi ** 2 * p.beta ** 2), 1e-300))
+
+
+def _radial_flux(u, xi, p):
+    w = _eta_deriv(xi) * u
+    return w / np.sqrt(np.maximum(1.0 - w * w, 1e-300))
+
+
+CHARTS = {
+    # h in [0, 1] in the chart x = r^2 / 2.  The inverse map int 1 / B0
+    # converges at the vacuum exactly when B0 vanishes with a power below 1.
+    Sector.BABY2D: Chart(
+        anti_vacuum=1.0, threshold=2.0, unit_weight=1.0, average_factor=1.0,
+        slope_pole=False, dbi_only=False,
+        jacobian=lambda h: 1.0,
+        volume=lambda h: h,
+        slope_scale=lambda p: 2.0 * math.pi / abs(p.charge),
+        prefactor=lambda p: 2.0 * math.pi,
+        eom_flux=_planar_flux,
+        eom_operator=lambda dG, h, dV, p: (
+            p.charge ** 2 * dG - 8.0 * math.pi ** 2 * p.mu ** 2 * dV),
+        radial=lambda r, p: 0.5 * r * r,
+    ),
+    # xi in [0, pi] in the cubic radial chart z = 2 sqrt2 beta pi^2 r^3 / |n|.
+    # The inverse map int sin^2 / B0 converges at the vacuum exactly when B0
+    # vanishes with a power below 3, as for both built-in potentials.  The
+    # cubic substitution that linearizes the first-order law compresses the
+    # volume element by 1/3 relative to the planar chart, so per-charge
+    # averages pick it up; the factor is fixed by the average route
+    # reproducing the chart quadrature and both closed-form energies,
+    # whatever beta, mu and sigma.
+    Sector.SKYRME3D: Chart(
+        anti_vacuum=math.pi, threshold=6.0, unit_weight=2.0 / math.pi,
+        average_factor=1.0 / 3.0, slope_pole=True, dbi_only=True,
+        jacobian=_eta_deriv,
+        volume=_eta,
+        slope_scale=lambda p: 1.0 / (math.sqrt(2.0) * p.beta),
+        prefactor=lambda p: math.sqrt(2.0) * abs(p.charge) / (3.0 * math.pi * p.beta),
+        eom_flux=_radial_flux,
+        eom_operator=lambda dG, xi, dV, p: (
+            p.beta ** 2 * _eta_deriv(xi) * dG - p.mu ** 2 * dV),
+        radial=lambda r, p: 2.0 * math.sqrt(2.0) * p.beta * math.pi ** 2 / abs(p.charge) * r ** 3,
+    ),
+}
 
 
 def make_potential(tag: str, alpha: float | None = None, *,
@@ -227,7 +320,6 @@ class TargetMeasure:
 
 def target_measure(sector: Sector) -> TargetMeasure:
     """Unit-mass measure: flat on [0,1] for the planar chart, (2/pi) sin^2 on [0,pi]."""
-    if sector is Sector.BABY2D:
-        return TargetMeasure(lambda h: np.ones_like(np.asarray(h, dtype=float)), (0.0, 1.0))
-    return TargetMeasure(lambda xi: (2.0 / math.pi) * np.sin(np.asarray(xi, dtype=float)) ** 2,
-                         (0.0, math.pi))
+    chart = sector.chart
+    return TargetMeasure(lambda s: np.full(np.shape(s), chart.unit_weight) * chart.jacobian(s),
+                         (0.0, chart.anti_vacuum))

@@ -21,36 +21,23 @@ import numpy as np
 
 from .bps import BpsLaw, bps_law_for, kinetic_density
 from .errors import DbisolError, NoSolitonError, SectorMismatchError
-from .model import (ModelParams, PotentialSpec, Sector, _eta,
-                    make_potential, target_measure, validate_params)
+from .model import ModelParams, PotentialSpec, make_potential, target_measure, validate_params
 from .numerics import tanh_sinh
-from .profiles import (GridSpec, SolitonProfile, _chart_prefactor, _slope_scale,
-                       baby_old_radius, profile_field_at, skyrme_bps_radius,
-                       solve_profile)
+from .profiles import (GridSpec, SolitonProfile, baby_old_radius, profile_field_at,
+                       skyrme_bps_radius, solve_profile)
 
 __all__ = [
     "EnergyReport", "compute_energy_report",
     "energy_quadrature", "charge_quadrature", "bps_energy_integral",
     "baby_energy_closed", "skyrme_standard_energy_closed", "skyrme_bps_energy_closed",
     "energy_per_charge_average", "power_family_energy_per_charge",
-    "small_mu_sweep", "large_beta_sweep", "limiting_baby_slope",
-    "MuSweepResult", "BetaSweepResult", "SKYRME_CHART_FACTOR",
+    "small_mu_sweep", "large_beta_sweep", "MuSweepResult", "BetaSweepResult",
 ]
 
-# Jacobian constant of the 3-D radial chart: the cubic substitution that
-# linearizes the first-order law compresses the volume element by this factor
-# relative to the planar chart, so per-charge averages pick it up.  It is
-# fixed by requiring the average route to reproduce the chart quadrature and
-# both closed-form energies, and is independent of beta, mu and sigma.
-SKYRME_CHART_FACTOR = 1.0 / 3.0
 
-
-def _check_sector(profile: SolitonProfile, model: ModelParams, potential: PotentialSpec):
+def _check_sector(profile: SolitonProfile, model: ModelParams) -> None:
     if profile.sector is not model.sector:
         raise SectorMismatchError("profile and model sectors differ")
-    anti = 1.0 if model.sector is Sector.BABY2D else math.pi
-    if abs(potential.domain[1] - anti) > 1e-12:
-        raise SectorMismatchError("potential domain does not match the model sector")
 
 
 def bps_energy_integral(model: ModelParams, potential: PotentialSpec,
@@ -62,27 +49,27 @@ def bps_energy_integral(model: ModelParams, potential: PotentialSpec,
     of the field; where B0 underflows to zero it is taken as its limit 0.
     """
     validate_params(model)
+    chart = model.sector.chart_for(potential)
     if model.mu == 0.0:
         return 0.0
     law = bps_law_for(model, potential)
-    lo, hi = field_range if field_range is not None else (0.0, potential.domain[1])
-    scale = _slope_scale(model.sector, model)
+    lo, hi = field_range if field_range is not None else (0.0, chart.anti_vacuum)
+    scale = chart.slope_scale(model)
 
     def integrand(f):
         v = np.asarray(potential.evaluate(f), dtype=float)
         b0 = np.asarray(law.of_potential(v), dtype=float)
         dens = kinetic_density(model, b0) + model.mu ** 2 * v
-        jac = 1.0 if model.sector is Sector.BABY2D else np.sin(f) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(b0 > 0.0, dens * jac / (scale * b0), 0.0)
+            return np.where(b0 > 0.0, dens * chart.jacobian(f) / (scale * b0), 0.0)
 
-    return _chart_prefactor(model) * tanh_sinh(integrand, lo, hi) * model.energy_scale
+    return chart.prefactor(model) * tanh_sinh(integrand, lo, hi) * model.energy_scale
 
 
 def energy_quadrature(profile: SolitonProfile, model: ModelParams,
                       potential: PotentialSpec) -> float:
     """Total chart energy of a profile over the field range it traverses."""
-    _check_sector(profile, model, potential)
+    _check_sector(profile, model)
     return bps_energy_integral(model, potential, profile.field_range())
 
 
@@ -90,31 +77,49 @@ def charge_quadrature(profile: SolitonProfile, model: ModelParams | None = None)
     """Integrated topological charge; equals the integer charge for full profiles.
 
     On the first-order law the charge density integrates in closed form over
-    the traversed field range: n (hi - lo) planar, n (2/pi) (eta(hi) - eta(lo))
-    in 3-D, with eta the incomplete volume.
+    the traversed field range: n times the unit weight times the chart volume
+    between the ends, n (hi - lo) planar and n (2/pi) (eta(hi) - eta(lo)) in
+    3-D, with eta the incomplete volume.
     """
     params = model if model is not None else profile.params
-    if model is not None and profile.sector is not model.sector:
-        raise SectorMismatchError("profile and model sectors differ")
-    n = params.charge
+    _check_sector(profile, params)
+    chart = profile.sector.chart
     lo, hi = profile.field_range()
-    if profile.sector is Sector.BABY2D:
-        return n * (hi - lo)
-    return n * (2.0 / math.pi) * float(_eta(hi) - _eta(lo))
+    return params.charge * chart.unit_weight * float(chart.volume(hi) - chart.volume(lo))
 
 
 # ---------------------------------------------------------------------------
 # closed forms
 
+# Taylor coefficients of sqrt(1 + w^2) - asinh(w)/w in w^2, highest first:
+# (-1)^(k+1) binom(2k, k) 4^-k 4k / (4k^2 - 1), i.e. 2/3, -1/5, 3/28, ...
+_BABY_SERIES = tuple((-1) ** (k + 1) * math.comb(2 * k, k) / 4 ** k * 4 * k / (4 * k * k - 1)
+                     for k in range(10, 0, -1))
+
+
 def baby_energy_closed(params: ModelParams) -> float:
-    """Energy of the planar compacton of the linear potential."""
+    """Energy of the planar compacton of the linear potential.
+
+    E = |n| pi beta^2 x [sqrt(1 + w^2) - asinh(w)/w], with x the radius per
+    charge and w = sqrt(v) x.  Below w = 0.2 the bracket cancels down to
+    (2/3) w^2 and its series is used instead (10 terms, within 4e-16),
+    with w^2 = r^2 (r^2 + 2), r = mu/beta; the exact form above is within 1e-14.
+    """
     validate_params(params)
     if params.mu == 0.0:
         raise DbisolError("closed form undefined at mu = 0 (no soliton)")
     v = 8.0 * math.pi ** 2 * params.mu ** 4 / params.beta ** 2
     xt = baby_old_radius(params) / abs(params.charge)
     sv = math.sqrt(v)
-    val = xt * math.sqrt(1.0 + v * xt * xt) - math.asinh(sv * xt) / sv
+    if sv * xt < 0.2:
+        r2 = (params.mu / params.beta) ** 2
+        w2 = r2 * (r2 + 2.0)
+        bracket = 0.0
+        for c in _BABY_SERIES:
+            bracket = bracket * w2 + c
+        val = xt * w2 * bracket
+    else:
+        val = xt * math.sqrt(1.0 + v * xt * xt) - math.asinh(sv * xt) / sv
     return abs(params.charge) * math.pi * params.beta ** 2 * val * params.energy_scale
 
 
@@ -173,9 +178,8 @@ def energy_per_charge_average(model: ModelParams, potential: PotentialSpec) -> f
         v = np.asarray(potential.evaluate(s), dtype=float)
         return np.sqrt(model.mu ** 2 * v * v / model.beta ** 2 + 2.0 * v)
 
-    chart = 1.0 if model.sector is Sector.BABY2D else SKYRME_CHART_FACTOR
-    return model.mu / math.sqrt(2.0) * chart * target_measure(model.sector).average(root) \
-        * model.energy_scale
+    return model.mu / math.sqrt(2.0) * model.sector.chart.average_factor \
+        * target_measure(model.sector).average(root) * model.energy_scale
 
 
 def power_family_energy_per_charge(model: ModelParams, potential: PotentialSpec) -> float:
@@ -198,12 +202,6 @@ def power_family_energy_per_charge(model: ModelParams, potential: PotentialSpec)
 # ---------------------------------------------------------------------------
 # limit laws
 
-def _check_planar(model: ModelParams) -> None:
-    if model.sector is not Sector.BABY2D:
-        raise SectorMismatchError(
-            f"sweeps run in the planar sector only, not {model.sector.value}")
-
-
 @dataclass(frozen=True)
 class MuSweepResult:
     mus: tuple[float, ...]
@@ -213,8 +211,7 @@ class MuSweepResult:
 
 def small_mu_sweep(model: ModelParams, mus: Sequence[float],
                    potential: PotentialSpec | None = None) -> MuSweepResult:
-    """Least-squares slope through the origin of E(mu) for the linear potential."""
-    _check_planar(model)
+    """Least-squares slope through the origin of E(mu), by default for V = h."""
     if len(mus) < 3:
         raise DbisolError("need at least 3 mu values for a slope estimate")
     if 0.0 in mus:
@@ -225,18 +222,6 @@ def small_mu_sweep(model: ModelParams, mus: Sequence[float],
     e_arr = np.asarray(energies)
     slope = float(np.dot(e_arr, mu_arr) / np.dot(mu_arr, mu_arr))
     return MuSweepResult(tuple(map(float, mus)), tuple(map(float, energies)), slope)
-
-
-def limiting_baby_slope(h, potential: PotentialSpec, params: ModelParams):
-    """Slope of the large-beta limiting law in the planar chart.
-
-    dh/dx -> -(2 sqrt2 pi / |n|) mu sqrt(2 V); the relative deviation of the
-    full square-root law from it decays like beta^-2.
-    """
-    v = np.asarray(potential.evaluate(h), dtype=float)
-    out = -(2.0 * math.sqrt(2.0) * math.pi / abs(params.charge)) * params.mu \
-        * np.sqrt(2.0 * v)
-    return out if out.ndim else float(out)
 
 
 def _limit_law(model: ModelParams, potential: PotentialSpec) -> BpsLaw:
@@ -254,8 +239,11 @@ class BetaSweepResult:
 
 def large_beta_sweep(model: ModelParams, betas: Sequence[float],
                      potential: PotentialSpec | None = None) -> BetaSweepResult:
-    """Sup-norm distance of profiles to the large-beta limit, with decay fit."""
-    _check_planar(model)
+    """Sup-norm distance of profiles to the large-beta limit, with decay fit.
+
+    The potential defaults to V = h; a potential of another sector's chart
+    raises SectorMismatchError.
+    """
     if len(set(betas)) < 3:
         raise DbisolError("need at least 3 distinct beta values for an exponent fit")
     pot = potential if potential is not None else make_potential("old-baby-power", 1.0)
@@ -298,12 +286,13 @@ class EnergyReport:
 def _closed_form_for(model: ModelParams, potential: PotentialSpec) -> float | None:
     if not model.kinetic_law.is_dbi:
         return None
-    if potential.tag == "old-baby-power" and abs(potential.vacuum_exponent - 1.0) < 1e-12 \
-            and model.sector is Sector.BABY2D:
+    # the tag pins the sector: the energy quadrature has already checked the
+    # potential's domain against the model's chart
+    if potential.tag == "old-baby-power" and abs(potential.vacuum_exponent - 1.0) < 1e-12:
         return baby_energy_closed(model)
-    if potential.tag == "skyrme-standard" and model.sector is Sector.SKYRME3D:
+    if potential.tag == "skyrme-standard":
         return skyrme_standard_energy_closed(model)
-    if potential.tag == "bps-potential" and model.sector is Sector.SKYRME3D:
+    if potential.tag == "bps-potential":
         return skyrme_bps_energy_closed(model)
     return None
 
@@ -319,7 +308,7 @@ def compute_energy_report(profile: SolitonProfile, model: ModelParams,
     else:
         avg = power_family_energy_per_charge(model, potential)
     n = abs(model.charge)
-    rel_closed = abs(e_quad - closed) / abs(closed) if closed else None
+    rel_closed = abs(e_quad - closed) / abs(closed) if closed is not None else None
     per = e_quad / n
     rel_avg = abs(avg - per) / abs(per) if per else None
     return EnergyReport(e_quad, closed, avg, charge, rel_closed, rel_avg)

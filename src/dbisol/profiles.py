@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from .bps import BpsLaw, bps_law_for, kinetic_density
-from .errors import DbisolError, NoSolitonError, SectorMismatchError
+from .errors import DbisolError, NoSolitonError
 from .model import KineticLaw, ModelParams, PotentialSpec, Sector, _eta, validate_params
 from .numerics import CumulativeIntegral, bisect_monotone
 
@@ -49,18 +49,9 @@ __all__ = [
     "baby_old_exact", "baby_old_radius",
     "skyrme_standard_exact", "skyrme_standard_radius", "skyrme_standard_implicit_lhs",
     "skyrme_bps_exact", "skyrme_bps_radius",
-    "angular_profile", "coordinate_map",
-    "classify_localization", "tail_fit", "endpoint_asymptotics", "write_atomic",
-    "write_profile_csv", "BABY_LOCALIZATION_THRESHOLD", "SKYRME_LOCALIZATION_THRESHOLD",
+    "angular_profile", "classify_localization", "tail_fit", "endpoint_asymptotics",
+    "write_atomic", "write_profile_csv",
 ]
-
-BABY_LOCALIZATION_THRESHOLD = 2.0
-# Threshold in the radial chart of the 3-D sector: the inverse map
-# z(xi) = int sin^2 / sqrt(1 - Q^-2) converges at the vacuum exactly when the
-# near-vacuum power of V is below 6 (integrand ~ xi^(2 - a/2)).  Both built-in
-# 3-D potentials (a = 2 and a = 3) produce compactons, with finite radii given
-# by the closed forms below.
-SKYRME_LOCALIZATION_THRESHOLD = 6.0
 
 
 class LocalizationClass(enum.Enum):
@@ -90,7 +81,6 @@ class GridSpec:
 @dataclass(frozen=True)
 class SolitonProfile:
     sector: Sector
-    coordinate_name: str
     coordinates: np.ndarray
     field: np.ndarray
     derivative: np.ndarray
@@ -108,7 +98,7 @@ class SolitonProfile:
 
     @property
     def anti_vacuum(self) -> float:
-        return 1.0 if self.sector is Sector.BABY2D else math.pi
+        return self.sector.chart.anti_vacuum
 
     def field_range(self) -> tuple[float, float]:
         """Traversed field interval (min, max); 0 once the vacuum or the floor is reached."""
@@ -128,18 +118,6 @@ class SolitonProfile:
             raise DbisolError("charge density changes sign against the topological charge")
         if not np.all(np.isfinite(self.energy_density)):
             raise DbisolError("energy density is not finite everywhere")
-
-
-def coordinate_map(r, sector: Sector, params: ModelParams):
-    """Radial coordinate of the reduced problem: x = r^2/2 or z = 2 sqrt2 beta pi^2 r^3 / |n|."""
-    rr = np.asarray(r, dtype=float)
-    if np.any(rr < 0):
-        raise DbisolError("radius must be non-negative")
-    if sector is Sector.BABY2D:
-        out = 0.5 * rr * rr
-    else:
-        out = 2.0 * math.sqrt(2.0) * params.beta * math.pi ** 2 / abs(params.charge) * rr ** 3
-    return out if out.ndim else float(out)
 
 
 def angular_profile(theta):
@@ -259,12 +237,12 @@ def classify_localization(vacuum_exponent: float, sector: Sector,
     """Localization type from the near-vacuum power A of the potential.
 
     B0 vanishes like the field to the power A/2 (DBI law) or A/(2 alpha_k)
-    (power law); twice that power is compared with the DBI thresholds, 2
-    planar and 6 in the 3-D radial chart (see SKYRME_LOCALIZATION_THRESHOLD).
+    (power law); twice that power is compared with the chart's threshold, 2
+    planar and 6 in the 3-D radial chart.
     """
     if vacuum_exponent <= 0:
         raise DbisolError("vacuum exponent must be positive")
-    th = BABY_LOCALIZATION_THRESHOLD if sector is Sector.BABY2D else SKYRME_LOCALIZATION_THRESHOLD
+    th = sector.chart.threshold
     a = 2.0 * _near_vacuum_density_exponent(kinetic_law, vacuum_exponent)
     if abs(a - th) < 1e-12:
         return LocalizationClass.EXPONENTIAL
@@ -309,39 +287,11 @@ def tail_fit(profile: SolitonProfile) -> LocalizationClass:
 # ---------------------------------------------------------------------------
 # solver
 
-def _slope_scale(sector: Sector, params: ModelParams) -> float:
-    """Chart factor between B0 and the profile slope combination."""
-    if sector is Sector.BABY2D:
-        return 2.0 * math.pi / abs(params.charge)
-    return 1.0 / (math.sqrt(2.0) * params.beta)
-
-
-def _chart_prefactor(params: ModelParams) -> float:
-    """Factor between the chart energy density and kinetic plus potential density."""
-    if params.sector is Sector.BABY2D:
-        return 2.0 * math.pi
-    return math.sqrt(2.0) * abs(params.charge) / (3.0 * math.pi * params.beta)
-
-
 def _near_vacuum_density_exponent(law: KineticLaw, vacuum_exponent: float) -> float:
     """Power of the field with which B0 vanishes at the vacuum."""
     if law.is_dbi:
         return vacuum_exponent / 2.0
     return vacuum_exponent / (2.0 * law.alpha_k)
-
-
-def _is_compacton(sector: Sector, a: float) -> bool:
-    # a is the vanishing power of B0; the inverse integrand behaves like
-    # field^-a (planar) or field^(2-a) (3-D)
-    if sector is Sector.BABY2D:
-        return a < 1.0
-    return a < 3.0
-
-
-def _substitution_power(sector: Sector, a: float) -> float:
-    if sector is Sector.BABY2D:
-        return max(2.0, 1.0 / (1.0 - a)) if a < 1.0 else 2.0
-    return max(2.0, 1.0 / (3.0 - a)) if a < 3.0 else 2.0
 
 
 def _profile_on_law(model: ModelParams, potential: PotentialSpec, law: BpsLaw,
@@ -352,7 +302,7 @@ def _profile_on_law(model: ModelParams, potential: PotentialSpec, law: BpsLaw,
     Derivative, energy density and charge density follow from the field
     through the law; samples at the vacuum (field 0) are zero in every column.
     """
-    n = model.charge
+    chart = model.sector.chart
     inside = field > 0.0
     deriv = np.zeros_like(field)
     edens = np.zeros_like(field)
@@ -360,23 +310,18 @@ def _profile_on_law(model: ModelParams, potential: PotentialSpec, law: BpsLaw,
     f = field[inside]
     v = np.asarray(potential.evaluate(f), dtype=float)
     b0 = np.asarray(law.of_potential(v), dtype=float)
-    edens[inside] = _chart_prefactor(model) * (kinetic_density(model, b0)
-                                               + model.mu ** 2 * v) * model.energy_scale
-    if model.sector is Sector.BABY2D:
-        slope = law.sign * _slope_scale(model.sector, model) * b0
-        deriv[inside] = slope
-        cdens[inside] = n * np.abs(slope)
-    else:
-        y = law.sign * b0 / (math.sqrt(2.0) * model.beta)
-        # the slope itself diverges at the anti-vacuum boundary sample
-        at_pole = f >= math.pi - 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            deriv[inside] = np.where(at_pole, -np.inf,
-                                     y / np.where(at_pole, 1.0, np.sin(f) ** 2))
-        cdens[inside] = n * (2.0 / math.pi) * np.abs(y)
+    edens[inside] = chart.prefactor(model) * (kinetic_density(model, b0)
+                                              + model.mu ** 2 * v) * model.energy_scale
+    # y is the Jacobian times the slope; where the Jacobian vanishes at the
+    # anti-vacuum boundary, the slope itself diverges
+    y = law.sign * chart.slope_scale(model) * b0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        deriv[inside] = y / chart.jacobian(f)
+    if chart.slope_pole:
+        deriv[inside & (field >= chart.anti_vacuum - 1e-12)] = -np.inf
+    cdens[inside] = model.charge * chart.unit_weight * np.abs(y)
     return SolitonProfile(
         sector=model.sector,
-        coordinate_name="x" if model.sector is Sector.BABY2D else "z",
         coordinates=coords,
         field=field,
         derivative=deriv,
@@ -406,31 +351,27 @@ class _InverseMap:
     def __init__(self, model: ModelParams, potential: PotentialSpec,
                  law: BpsLaw | None = None, *, field_floor: float = 1e-9):
         validate_params(model)
-        sector = model.sector
-        anti = 1.0 if sector is Sector.BABY2D else math.pi
-        if abs(potential.domain[1] - anti) > 1e-12 or potential.domain[0] != 0.0:
-            raise SectorMismatchError(
-                f"potential domain {potential.domain} does not match sector {sector.value}")
+        chart = model.sector.chart_for(potential)
         _require_potential_term(model)
-        if sector is Sector.SKYRME3D and not model.kinetic_law.is_dbi:
+        if chart.dbi_only and not model.kinetic_law.is_dbi:
             raise DbisolError("power-family profiles are defined on the planar chart only")
 
         the_law = law if law is not None else bps_law_for(model, potential)
-        scale = _slope_scale(sector, model)
+        scale = chart.slope_scale(model)
 
         def inv_integrand(f):
             # 1/|d(coordinate)/d(field)|
-            b0 = np.asarray(the_law.density(f), dtype=float)
-            if sector is Sector.BABY2D:
-                return 1.0 / (scale * b0)
-            return np.sin(f) ** 2 / (scale * b0)
+            return chart.jacobian(f) / (scale * np.asarray(the_law.density(f), dtype=float))
 
+        # a compacton when B0 vanishes with a power below half the threshold
         a = _near_vacuum_density_exponent(model.kinetic_law, potential.vacuum_exponent)
-        self.compact = _is_compacton(sector, a)
+        half = 0.5 * chart.threshold
+        self.compact = a < half
         self.law = the_law
-        self.anti = anti
+        self.anti = anti = chart.anti_vacuum
         if self.compact:
-            p = _substitution_power(sector, a)
+            # the substitution field = t^p makes the integrand smooth at t = 0
+            p = max(2.0, 1.0 / (half - a))
             t_hi = anti ** (1.0 / p)
 
             def g(t):

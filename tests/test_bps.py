@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from dbisol import (DbisolError, KineticLaw, ModelParams, Sector, baby_bps_slope,
+from dbisol import (DbisolError, KineticLaw, ModelParams, Sector, SectorMismatchError,
                     baby_old_exact, baby_old_radius, bps_energy_integral, bps_law_for,
-                    dbi_bps_density,
-                    eom_residual, make_potential, numeric_bps_density,
-                    power_bps_density, profile_on_grid, skyrme_bps_slope,
-                    skyrme_standard_exact, skyrme_standard_radius)
+                    dbi_bps_density, eom_residual, make_potential, numeric_bps_density,
+                    power_bps_density, profile_on_grid, skyrme_standard_exact,
+                    skyrme_standard_radius)
 
 OLD = make_potential("old-baby-power", 1.0)
 STD = make_potential("skyrme-standard")
@@ -130,39 +129,45 @@ class TestNumericDensity:
             numeric_bps_density(lambda w, s: 1.0 + w, 1.0, dF_dW=lambda w, s: 1.0, w_max=0.5)
 
 
+def chart_slope(field, potential, params):
+    """Jacobian times dfield/dcoordinate on the first-order law, from the chart's scale."""
+    law = bps_law_for(params, potential)
+    return law.sign * params.sector.chart.slope_scale(params) * law.density(field)
+
+
 class TestSlopes:
     def test_baby_vacuum(self):
-        assert baby_bps_slope(0.0, OLD, baby()) == 0.0
+        assert chart_slope(0.0, OLD, baby()) == 0.0
 
     def test_baby_at_anti_vacuum(self):
-        assert baby_bps_slope(1.0, OLD, baby()) == pytest.approx(-math.sqrt(6) * math.pi,
-                                                                 abs=1e-12)
+        assert chart_slope(1.0, OLD, baby()) == pytest.approx(-math.sqrt(6) * math.pi,
+                                                              abs=1e-12)
 
     def test_baby_mu_zero_flat(self):
-        assert baby_bps_slope(0.7, OLD, baby(mu=0.0)) == 0.0
+        assert chart_slope(0.7, OLD, baby(mu=0.0)) == 0.0
 
     def test_baby_domain_error(self):
-        with pytest.raises(DbisolError):
-            baby_bps_slope(1.2, OLD, baby())
+        with pytest.raises(SectorMismatchError):
+            Sector.BABY2D.chart_for(replace(OLD, domain=(0.0, 1.2)))
 
     def test_skyrme_vacuum(self):
-        assert skyrme_bps_slope(0.0, STD, skyrme()) == 0.0
+        assert chart_slope(0.0, STD, skyrme()) == 0.0
 
     def test_skyrme_at_anti_vacuum(self):
-        got = skyrme_bps_slope(math.pi, STD, skyrme())
+        got = chart_slope(math.pi, STD, skyrme())
         assert got == pytest.approx(-2.0 * math.sqrt(2.0) / 3.0, abs=1e-14)
 
     def test_skyrme_range(self):
-        vals = skyrme_bps_slope(np.linspace(0, math.pi, 100), STD, skyrme(beta=0.6))
+        vals = chart_slope(np.linspace(0, math.pi, 100), STD, skyrme(beta=0.6))
         assert np.all(vals <= 0) and np.all(vals >= -1)
 
     def test_bps_potential_vacuum_slope(self):
         pot = make_potential("bps-potential")
-        assert skyrme_bps_slope(0.0, pot, skyrme()) == 0.0
+        assert chart_slope(0.0, pot, skyrme()) == 0.0
 
     def test_sector_mismatch(self):
-        with pytest.raises(DbisolError):
-            skyrme_bps_slope(1.0, STD, baby())
+        with pytest.raises(SectorMismatchError):
+            Sector.BABY2D.chart_for(STD)
 
 
 def exact_baby_profile(model, delta, perturb=0.0, bump_width_steps=20):

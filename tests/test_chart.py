@@ -1,0 +1,107 @@
+"""The chart table: one frozen Chart per sector, read by every solver."""
+
+import ast
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dbisol
+from dbisol import (GridSpec, KineticLaw, LocalizationClass, ModelParams, Sector,
+                    classify_localization, make_potential, solve_profile)
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+SECTORS = st.sampled_from(list(Sector))
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+def power_potential(sector, a):
+    """V = field^a on the sector's chart."""
+    if sector is Sector.BABY2D:
+        return make_potential("old-baby-power", a)
+    return make_potential("custom", evaluate=lambda xi: np.power(np.asarray(xi, dtype=float), a),
+                          derivative=lambda xi: a * np.power(np.asarray(xi, dtype=float), a - 1),
+                          domain=(0.0, math.pi), vacuum_coordinate=0.0, vacuum_exponent=a)
+
+
+class TestChartIdentities:
+    @pytest.mark.parametrize("sector", list(Sector))
+    def test_unit_weight_times_full_volume_is_one(self, sector):
+        chart = sector.chart
+        assert chart.unit_weight * float(chart.volume(chart.anti_vacuum)) \
+            == pytest.approx(1.0, rel=1e-15)
+
+    @PROPERTY
+    @given(SECTORS, st.floats(1e-5, 1.0 - 1e-5))
+    def test_volume_derivative_is_the_jacobian(self, sector, u):
+        chart = sector.chart
+        f, d = u * chart.anti_vacuum, 1e-6
+        slope = (float(chart.volume(f + d)) - float(chart.volume(f - d))) / (2.0 * d)
+        assert slope == pytest.approx(float(chart.jacobian(f)), abs=1e-8)
+
+    def test_planar_jacobian_is_a_scalar(self):
+        jac = Sector.BABY2D.chart.jacobian(np.linspace(0.0, 1.0, 5))
+        assert isinstance(jac, float) and jac == 1.0
+
+    @PROPERTY
+    @given(SECTORS, st.floats(1e-9, 0.9), st.sampled_from([None, 0.75, 1.0, 2.0]))
+    def test_threshold_splits_the_localization_classes(self, sector, u, alpha_k):
+        # twice the power with which B0 vanishes: A under the DBI law, A / alpha_k
+        # under the power law
+        law = KineticLaw.dbi() if alpha_k is None else KineticLaw.power(alpha_k)
+        at = sector.chart.threshold * (alpha_k or 1.0)
+        assert classify_localization(at * (1.0 - u), sector, law) is LocalizationClass.COMPACTON
+        assert classify_localization(at, sector, law) is LocalizationClass.EXPONENTIAL
+        assert classify_localization(at * (1.0 + u), sector, law) is LocalizationClass.POWER_LAW
+
+    @PROPERTY
+    @given(SECTORS, st.floats(0.1, 0.8), st.booleans())
+    def test_solver_reads_the_same_threshold(self, sector, u, below):
+        a = sector.chart.threshold * (1.0 - u if below else 1.0 + u)
+        model = ModelParams(1.0, 1.0, 1, sector)
+        prof = solve_profile(model, power_potential(sector, a), GridSpec(count=200))
+        predicted = classify_localization(a, sector)
+        assert (prof.compacton_radius is not None) == (predicted is LocalizationClass.COMPACTON)
+
+    @PROPERTY
+    @given(st.floats(0.0, 10.0), log_uniform(1e-2, 1e2),
+           st.integers(-5, 5).filter(lambda n: n != 0))
+    def test_coordinate_map_is_the_papers(self, r, beta, n):
+        model = ModelParams(beta, 1.0, n, Sector.BABY2D)
+        assert Sector.BABY2D.chart.coordinate_map(r, model) == pytest.approx(r * r / 2.0,
+                                                                             rel=1e-15)
+        z = 2.0 * math.sqrt(2.0) * beta * math.pi ** 2 * r ** 3 / abs(n)
+        assert Sector.SKYRME3D.chart.coordinate_map(r, model) == pytest.approx(z, rel=1e-14)
+
+
+# where a sector member may be named: the enum and the chart table, the CLI's
+# parser map, and the independent forward-ODE reference
+ALLOWED = {"model.py": {"Sector", "CHARTS"}, "cli.py": {"model"},
+           "profiles.py": {"solve_profile_forward"}}
+
+
+def _allowed_lines(tree, names):
+    nodes = [n for n in ast.walk(tree)
+             if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name in names]
+    nodes += [n for n in tree.body if isinstance(n, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id in names for t in n.targets)]
+    return [range(n.lineno, n.end_lineno + 1) for n in nodes]
+
+
+def test_no_sector_branch_outside_the_chart_table():
+    stray = []
+    for path in sorted(Path(dbisol.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        allowed = _allowed_lines(ast.parse(text), ALLOWED.get(path.name, set()))
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if re.search(r"Sector\.(BABY2D|SKYRME3D)", line) \
+                    and not any(lineno in span for span in allowed):
+                stray.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert stray == []

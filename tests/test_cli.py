@@ -41,6 +41,14 @@ class TestSolveCommand:
                                                           rel=1e-6)
         assert data["rel_discrepancy_closed"] < 1e-6
 
+    def test_small_mu_reports_the_closed_form(self, tmp_path, capsys):
+        # the closed form used to cancel to 0 here and its discrepancy read null
+        assert main(["solve", "--mu", "1e-8", "--out", str(tmp_path / "s")]) == 0
+        data = json.loads((tmp_path / "s.json").read_text())
+        assert data["energy_closed_form"] == pytest.approx(2.0 / 3.0 * 1e-8, rel=1e-7)
+        assert data["rel_discrepancy_closed"] <= 1e-12
+        assert "energy_closed_form = 6.66666666" in capsys.readouterr().out
+
     def test_mu_zero_exits_two(self, tmp_path):
         code = main(["solve", "--mu", "0", "--out", str(tmp_path / "x")])
         assert code == 2

@@ -7,16 +7,17 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from dbisol import (DbisolError, GridSpec, KineticLaw, ModelParams, Sector,
+from dbisol import (DbisolError, GridSpec, KineticLaw, ModelParams, Sector, SectorMismatchError,
                     baby_energy_closed, baby_old_exact, baby_old_radius,
                     bps_energy_integral, charge_quadrature, compute_energy_report,
                     energy_per_charge_average, energy_quadrature,
-                    large_beta_sweep, limiting_baby_slope, make_potential,
+                    large_beta_sweep, make_potential,
                     power_family_energy_per_charge, profile_on_grid,
                     skyrme_bps_energy_closed, skyrme_standard_energy_closed,
                     skyrme_standard_exact, skyrme_standard_radius,
                     small_mu_sweep, solve_profile)
 from dbisol.cli import RunConfig
+from dbisol.observables import _limit_law
 
 OLD = make_potential("old-baby-power", 1.0)
 STD = make_potential("skyrme-standard")
@@ -272,9 +273,17 @@ class TestSweeps:
         with pytest.raises(DbisolError):
             large_beta_sweep(baby(), [10.0, 100.0])
 
+    @pytest.mark.parametrize("sweep,values", [(small_mu_sweep, [1e-2, 1e-3, 1e-4]),
+                                              (large_beta_sweep, [10.0, 100.0, 1000.0])])
+    def test_default_potential_is_planar(self, sweep, values):
+        with pytest.raises(SectorMismatchError, match="does not match sector skyrme"):
+            sweep(skyrme(), values)
+
     def test_limiting_slope_value(self):
-        assert limiting_baby_slope(1.0, OLD, baby()) == pytest.approx(-4.0 * math.pi,
-                                                                      abs=1e-12)
+        # dh/dx -> -(2 sqrt2 pi / |n|) mu sqrt(2 V) on the planar chart
+        law = _limit_law(baby(), OLD)
+        slope = law.sign * Sector.BABY2D.chart.slope_scale(baby()) * law.density(1.0)
+        assert slope == pytest.approx(-4.0 * math.pi, abs=1e-12)
 
 
 class TestEnergyReport:
@@ -327,6 +336,31 @@ class TestEnergyEqualsChargeTimesAverage:
         pot = make_potential("old-baby-power", a)
         assert bps_energy_integral(p, pot) == pytest.approx(
             abs(n) * power_family_energy_per_charge(p, pot), rel=1e-12)
+
+
+class TestBabyClosedFormAgainstMpmath:
+    """The planar closed form over the paper's range, small mu included."""
+
+    @PROPERTY
+    @given(beta=st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e),
+           mu=st.floats(-10.0, 4.0).map(lambda e: 10.0 ** e), n=CHARGES)
+    def test_matches_the_average_route(self, beta, mu, n):
+        # E = |n| (mu / sqrt2) int_0^1 sqrt(mu^2 h^2 / beta^2 + 2 h) dh for V = h
+        with mp.workdps(30):
+            b, m = mp.mpf(beta), mp.mpf(mu)
+            want = abs(n) * m / mp.sqrt(2) * mp.quad(
+                lambda h: mp.sqrt(m ** 2 * h ** 2 / b ** 2 + 2 * h), [0, 1])
+        got = baby_energy_closed(baby(beta=beta, mu=mu, charge=n))
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("beta,mu", [(1.0, 1e-3), (1.0, 1e-5), (100.0, 1e-2), (1.0, 1e-8),
+                                         (1.0, 1e-10), (2.5, 0.7), (1e-2, 1e4)])
+    def test_named_points(self, beta, mu):
+        with mp.workdps(30):
+            b, m = mp.mpf(beta), mp.mpf(mu)
+            want = m / mp.sqrt(2) * mp.quad(
+                lambda h: mp.sqrt(m ** 2 * h ** 2 / b ** 2 + 2 * h), [0, 1])
+        assert abs(baby_energy_closed(baby(beta=beta, mu=mu)) - want) <= 1e-12 * want
 
 
 def mp_energy(sector, potential, beta, mu, n, alpha_k=None):

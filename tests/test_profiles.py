@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from dbisol import (DbisolError, GridSpec, KineticLaw, LocalizationClass, ModelParams,
                     NoSolitonError, Sector, angular_profile, baby_old_exact,
-                    baby_old_radius, classify_localization, coordinate_map,
+                    baby_old_radius, classify_localization,
                     endpoint_asymptotics, make_potential, profile_field_at,
                     skyrme_bps_exact, skyrme_bps_radius, skyrme_standard_exact,
                     skyrme_standard_implicit_lhs, skyrme_standard_radius,
@@ -132,12 +132,12 @@ class TestAngularAndCoordinates:
             angular_profile(math.pi)
 
     def test_coordinate_map(self):
-        assert coordinate_map(1.0, Sector.BABY2D, baby()) == pytest.approx(0.5)
-        got = coordinate_map(1.0, Sector.SKYRME3D, skyrme())
+        assert Sector.BABY2D.chart.coordinate_map(1.0, baby()) == pytest.approx(0.5)
+        got = Sector.SKYRME3D.chart.coordinate_map(1.0, skyrme())
         assert got == pytest.approx(2 * math.sqrt(2) * math.pi ** 2, abs=1e-12)
-        assert coordinate_map(0.0, Sector.SKYRME3D, skyrme()) == 0.0
+        assert Sector.SKYRME3D.chart.coordinate_map(0.0, skyrme()) == 0.0
         with pytest.raises(DbisolError):
-            coordinate_map(-1.0, Sector.BABY2D, baby())
+            Sector.BABY2D.chart.coordinate_map(-1.0, baby())
 
 
 class TestSolveBaby:

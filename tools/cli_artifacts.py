@@ -1,0 +1,92 @@
+"""Fingerprint the artifacts of a fixed set of `dbisol` runs.
+
+Runs 29 CLI configurations (solve, verify, bound, sweep and classify across
+both sectors and every potential family), each in a fresh interpreter inside
+a temporary directory, and prints one line per artifact:
+
+    <run> <artifact> <value>
+
+where the artifact is `exit` (the exit code itself) or `stdout`, `stderr`,
+`json`, `csv` (the sha256 of its bytes; `-` when the run wrote no such
+file).  The program is imported from the `src/` next to this script.  Two
+runs of the same tree must print the same lines, and a change that keeps
+artifacts byte-identical prints the same lines as its parent:
+
+    python3 tools/cli_artifacts.py > a.txt
+    python3 tools/cli_artifacts.py > b.txt
+    diff a.txt b.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+RUNS = (
+    ("solve-old0.5", "solve --potential old:0.5"),
+    ("solve-old1", "solve --potential old:1"),
+    ("solve-old2", "solve --potential old:2"),
+    ("solve-old3", "solve --potential old:3"),
+    ("solve-old1-b2.5-m0.7-n3", "solve --potential old:1 --beta 2.5 --mu 0.7 --n 3"),
+    ("solve-standard", "solve --sector skyrme --potential standard"),
+    ("solve-standard-b2-m0.5-n-2",
+     "solve --sector skyrme --potential standard --beta 2 --mu 0.5 --n -2"),
+    ("solve-bps", "solve --sector skyrme --potential bps"),
+    ("solve-baby-power7", "solve --potential power:7"),
+    ("solve-skyrme-power7", "solve --sector skyrme --potential power:7"),
+    ("solve-baby-power2.5", "solve --potential power:2.5"),
+    ("solve-skyrme-power2.5", "solve --sector skyrme --potential power:2.5"),
+    ("solve-old1-ak2", "solve --potential old:1 --alpha-k 2"),
+    ("verify-baby", "verify"),
+    ("verify-skyrme", "verify --sector skyrme"),
+    ("verify-skyrme-n3", "verify --sector skyrme --n 3"),
+    ("verify-baby-perturbed", "verify --inject-perturbation"),
+    ("bound-3", "bound --order 3"),
+    ("bound-8", "bound --order 8"),
+    ("bound-3-b2", "bound --order 3 --beta 2"),
+    ("sweep-mu", "sweep --axis mu --values 0.1,0.05,0.02"),
+    ("sweep-beta", "sweep --axis beta --values 10,100,1000"),
+    ("sweep-beta-m0.5-n2", "sweep --axis beta --values 10,100,1000 --mu 0.5 --n 2"),
+    ("classify-old1", "classify --potential old:1"),
+    ("classify-old2", "classify --potential old:2"),
+    ("classify-standard", "classify --sector skyrme --potential standard"),
+    ("classify-bps", "classify --sector skyrme --potential bps"),
+    ("classify-old2-ak2", "classify --potential old:2 --alpha-k 2"),
+    ("classify-old3-ak1", "classify --potential old:3 --alpha-k 1"),
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def fingerprint(name: str, args: str, cwd: Path, env: dict) -> list[str]:
+    """The artifact lines of one run; its files are written to cwd as <name>.*."""
+    proc = subprocess.run([sys.executable, "-m", "dbisol.cli", *args.split(), "--out", name],
+                          cwd=cwd, env=env, capture_output=True)
+    lines = [f"{name} exit {proc.returncode}",
+             f"{name} stdout {_sha(proc.stdout)}",
+             f"{name} stderr {_sha(proc.stderr)}"]
+    for ext in ("json", "csv"):
+        path = cwd / f"{name}.{ext}"
+        lines.append(f"{name} {ext} {_sha(path.read_bytes()) if path.exists() else '-'}")
+    return lines
+
+
+def main() -> int:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    with tempfile.TemporaryDirectory(prefix="dbisol-artifacts-") as tmp:
+        for name, args in RUNS:
+            print("\n".join(fingerprint(name, args, Path(tmp), env)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
