@@ -7,7 +7,7 @@ strain-eigenvalue energy bounds of the square-root model.
 
 from .errors import DbisolError, NoSolitonError, OptimizerError, SectorMismatchError
 from .model import (Chart, KineticLaw, ModelParams, PotentialSpec, Sector, TargetMeasure,
-                    fit_vacuum_exponent, make_potential, target_measure, validate_params)
+                    fit_vacuum_exponent, make_potential, target_measure)
 from .bps import (BpsLaw, EomResidualReport, bps_law_for, dbi_bps_density, eom_residual,
                   numeric_bps_density, power_bps_density)
 from .profiles import (GridSpec, LocalizationClass, SolitonProfile, angular_profile,

@@ -73,7 +73,7 @@ def _check_weights(order: int, weights: Sequence[float], tol: float = 1e-10) -> 
     return np.clip(w, 0.0, None)
 
 
-def bound_constant(order: int, weights_or_alpha, beta: float = 1.0) -> float:
+def bound_constant(order: int, weights_or_alpha) -> float:
     """Constant C with truncated density >= (C/beta) * eigenvalue product.
 
     C = 3^(3/2) * prod_k (c_k / w_k)^(w_k); independent of beta (the 1/beta
@@ -311,7 +311,7 @@ def sharpness_location(cert: BoundCertificate) -> tuple[float, float]:
         y = math.exp(u)
         return -sum(ck * y ** (k + 1) for k, ck in enumerate(c)) / y ** 1.5
 
-    u_star, val = golden_max(neg_ratio, math.log(1e-4), math.log(1e4), tol=1e-13)
+    u_star, val = golden_max(neg_ratio, math.log(1e-4), math.log(1e4))
     return cert.beta ** 2 * math.exp(u_star), float(-3.0 ** 1.5 * val / cert.beta)
 
 

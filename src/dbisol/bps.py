@@ -17,11 +17,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DbisolError, SectorMismatchError
-from .model import ModelParams, PotentialSpec, validate_params
+from .errors import DbisolError
+from .model import ModelParams, PotentialSpec
 
 __all__ = [
-    "BpsLaw", "EomResidualReport", "bps_law_for", "kinetic_density",
+    "BpsLaw", "EomResidualReport", "bps_law_for", "static_density",
     "dbi_bps_density", "power_bps_density", "numeric_bps_density", "eom_residual",
 ]
 
@@ -58,13 +58,15 @@ def power_bps_density(v_value, mu: float, alpha_k: float):
     return out if out.ndim else float(out)
 
 
-def kinetic_density(params: ModelParams, b0):
-    """Static kinetic energy density as a function of the charge density B0."""
+def static_density(params: ModelParams, b0, v):
+    """Static energy density K(B0) + mu^2 V at charge density B0 and potential value V."""
     b0 = np.asarray(b0, dtype=float)
     if params.kinetic_law.is_dbi:
         r = b0 * b0 / (2.0 * params.beta ** 2)
-        return params.beta ** 2 * r / (1.0 + np.sqrt(np.maximum(1.0 - r, 0.0)))
-    return np.power(b0 * b0, params.kinetic_law.alpha_k)
+        kinetic = params.beta ** 2 * r / (1.0 + np.sqrt(np.maximum(1.0 - r, 0.0)))
+    else:
+        kinetic = np.power(b0 * b0, params.kinetic_law.alpha_k)
+    return kinetic + params.mu ** 2 * v
 
 
 def numeric_bps_density(F: Callable[[float, float], float], field_value: float, *,
@@ -131,15 +133,12 @@ class BpsLaw:
 
     B0 depends on the field only through the potential value: of_potential
     maps V >= 0 to B0 >= 0, so a caller that needs V anyway evaluates it once.
-    sign selects the branch of the slope (-1 for profiles decreasing from the
-    anti-vacuum boundary to the vacuum, which is the boundary condition used
-    throughout).
+    Profiles decrease from the anti-vacuum boundary to the vacuum, so the
+    slope is -B0 times the chart's slope scale over its Jacobian.
     """
 
     of_potential: Callable[[np.ndarray], np.ndarray]
     potential: PotentialSpec
-    sign: int
-    origin: str
 
     def density(self, field):
         """B0 at target coordinates."""
@@ -148,12 +147,10 @@ class BpsLaw:
 
 def bps_law_for(model: ModelParams, potential: PotentialSpec) -> BpsLaw:
     """Closed-form first-order law for the model's kinetic prescription."""
-    validate_params(model)
     if model.kinetic_law.is_dbi:
-        return BpsLaw(lambda v: dbi_bps_density(v, model), potential, -1, "closed-form DBI")
+        return BpsLaw(lambda v: dbi_bps_density(v, model), potential)
     ak = model.kinetic_law.alpha_k
-    return BpsLaw(lambda v: power_bps_density(v, model.mu, ak), potential, -1,
-                  "closed-form power")
+    return BpsLaw(lambda v: power_bps_density(v, model.mu, ak), potential)
 
 
 # 100 interior samples plus the two at each end that lack a full stencil
@@ -172,8 +169,7 @@ class EomResidualReport:
         self.coordinates.setflags(write=False)
 
 
-def eom_residual(profile, model: ModelParams | None = None, *,
-                 edge_margin: float | None = None) -> EomResidualReport:
+def eom_residual(profile, *, edge_margin: float | None = None) -> EomResidualReport:
     """Central-difference residual of the reduced second-order equation.
 
     Evaluated on interior samples only: full stencils, inside the support of
@@ -183,9 +179,7 @@ def eom_residual(profile, model: ModelParams | None = None, *,
     For a profile on the first-order law the maximum residual decays like the
     square of the spacing.
     """
-    params = model if model is not None else profile.params
-    if model is not None and model.sector is not profile.sector:
-        raise SectorMismatchError("profile and model sectors differ")
+    params = profile.params
     x = profile.coordinates
     f = profile.field
     if len(x) < EOM_MIN_SAMPLES:
@@ -199,9 +193,6 @@ def eom_residual(profile, model: ModelParams | None = None, *,
         edge_margin = 5.0 * delta
 
     pot = profile.potential
-    if pot is None:
-        raise DbisolError("profile carries no potential; cannot form the residual")
-
     chart = profile.sector.chart
     u = np.full_like(f, np.nan)
     u[1:-1] = (f[2:] - f[:-2]) / (2.0 * delta)

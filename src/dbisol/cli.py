@@ -23,7 +23,7 @@ import numpy as np
 from .bounds import certify, compare_reference, optimize_bound, sharpness
 from .bps import EOM_MIN_SAMPLES, eom_residual
 from .errors import DbisolError, NoSolitonError, OptimizerError
-from .model import KineticLaw, ModelParams, Sector, make_potential, validate_params
+from .model import KineticLaw, ModelParams, Sector, make_potential
 from .observables import (bps_energy_integral, compute_energy_report,
                           large_beta_sweep, small_mu_sweep)
 from .profiles import (GridSpec, _csv_rows, _require_potential_term, baby_old_exact,
@@ -100,7 +100,7 @@ class RunConfig:
         if sector is None:
             raise DbisolError(f"unknown sector {self.sector!r}")
         law = KineticLaw.dbi() if self.alpha_k is None else KineticLaw.power(self.alpha_k)
-        return validate_params(ModelParams(self.beta, self.mu, self.n, sector, law))
+        return ModelParams(self.beta, self.mu, self.n, sector, law)
 
     def make_potential(self):
         tag = self.potential

@@ -21,7 +21,7 @@ from .numerics import tanh_sinh
 
 __all__ = [
     "Sector", "Chart", "KineticLaw", "PotentialSpec", "ModelParams", "TargetMeasure",
-    "make_potential", "validate_params", "target_measure", "fit_vacuum_exponent",
+    "make_potential", "target_measure", "fit_vacuum_exponent",
 ]
 
 
@@ -44,22 +44,28 @@ class Sector(enum.Enum):
 
 @dataclass(frozen=True)
 class KineticLaw:
-    """Kinetic prescription: the square-root (DBI) form or a pure power."""
+    """Kinetic prescription: square-root (DBI) when alpha_k is None, else (B0^2)^alpha_k."""
 
-    kind: str                    # "dbi" or "power"
     alpha_k: float | None = None
+
+    def __post_init__(self):
+        if self.alpha_k is not None and not 0.5 < self.alpha_k < math.inf:
+            raise DbisolError(
+                "power-family exponent must be finite and exceed 1/2; at and below 1/2 the "
+                "first-order law cannot meet the vacuum boundary condition "
+                f"(got {self.alpha_k})")
 
     @staticmethod
     def dbi() -> "KineticLaw":
-        return KineticLaw("dbi")
+        return KineticLaw()
 
     @staticmethod
     def power(alpha_k: float) -> "KineticLaw":
-        return KineticLaw("power", float(alpha_k))
+        return KineticLaw(float(alpha_k))
 
     @property
     def is_dbi(self) -> bool:
-        return self.kind == "dbi"
+        return self.alpha_k is None
 
 
 @dataclass(frozen=True)
@@ -81,44 +87,37 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class ModelParams:
+    """Couplings, charge, sector and kinetic law of one model.
+
+    Checked once, at construction (and so by dataclasses.replace too): an
+    invalid combination raises DbisolError and no such instance exists.
+    """
+
     beta: float
     mu: float
     charge: int
     sector: Sector
     kinetic_law: KineticLaw = field(default_factory=KineticLaw.dbi)
-    energy_scale: float = 1.0
+
+    def __post_init__(self):
+        for name in ("beta", "mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise DbisolError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.beta <= 0:
+            raise DbisolError(f"beta must be positive, got {self.beta}")
+        if self.mu < 0:
+            raise DbisolError(f"mu must be non-negative, got {self.mu}")
+        if int(self.charge) != self.charge or self.charge == 0:
+            raise DbisolError(f"topological charge must be a nonzero integer, got {self.charge}")
+        if not isinstance(self.sector, Sector):
+            raise DbisolError(f"unknown sector {self.sector!r}")
+        if self.sector.chart.dbi_only and not self.kinetic_law.is_dbi:
+            raise DbisolError("power-family profiles are defined on the planar chart only")
 
     @property
     def sigma(self) -> float:
         """beta^2 / mu^2, the single shape parameter of the 3-D profiles."""
         return self.beta ** 2 / self.mu ** 2
-
-
-def validate_params(params: ModelParams) -> ModelParams:
-    """Return params unchanged if all invariants hold, else raise."""
-    for name in ("beta", "mu", "energy_scale"):
-        if not math.isfinite(getattr(params, name)):
-            raise DbisolError(f"{name} must be finite, got {getattr(params, name)}")
-    if params.beta <= 0:
-        raise DbisolError(f"beta must be positive, got {params.beta}")
-    if params.mu < 0:
-        raise DbisolError(f"mu must be non-negative, got {params.mu}")
-    if int(params.charge) != params.charge or params.charge == 0:
-        raise DbisolError(f"topological charge must be a nonzero integer, got {params.charge}")
-    if params.energy_scale <= 0:
-        raise DbisolError(f"energy_scale must be positive, got {params.energy_scale}")
-    if not isinstance(params.sector, Sector):
-        raise DbisolError(f"unknown sector {params.sector!r}")
-    law = params.kinetic_law
-    if law.kind not in ("dbi", "power"):
-        raise DbisolError(f"unknown kinetic law {law.kind!r}")
-    if law.kind == "power":
-        if law.alpha_k is None or not 0.5 < law.alpha_k < math.inf:
-            raise DbisolError(
-                "power-family exponent must be finite and exceed 1/2; at and below 1/2 the "
-                "first-order law cannot meet the vacuum boundary condition "
-                f"(got {law.alpha_k})")
-    return params
 
 
 # numerically stable 1 - cos(xi) and (xi - cos xi sin xi)/2

@@ -167,17 +167,18 @@ def bisect_monotone(f: Callable[[np.ndarray], np.ndarray], targets: np.ndarray,
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0
+# bracket width at which golden_max stops
+_GOLDEN_TOL = 1e-13
 
 
-def golden_max(f: Callable[[float], float], a: float, b: float,
-               tol: float = 1e-10) -> tuple[float, float]:
+def golden_max(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
     """Golden-section search for the maximum of a unimodal f on [a, b]."""
     a, b = min(a, b), max(a, b)
     h = b - a
-    if h <= tol:
+    if h <= _GOLDEN_TOL:
         x = 0.5 * (a + b)
         return x, f(x)
-    n = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
+    n = int(math.ceil(math.log(_GOLDEN_TOL / h) / math.log(_INV_PHI)))
     c = a + _INV_PHI2 * h
     d = a + _INV_PHI * h
     yc = f(c)

@@ -14,17 +14,7 @@ Closed-form evaluators for the three exactly solvable cases live here too,
 together with tail classification.
 
 CSV output (profiles here, sweeps in the CLI) writes each value as exactly
-b"%.17g" % v of the stored double, from the numpy kernel of dbisol._csv,
-imported on the first CSV written.  It scales |v| by 10^(16 - E),
-E = floor(log10 |v|), in double-double arithmetic (Dekker's two-product
-with a table of 10^k = hi + lo), which leaves the 17-digit integer and its
-fraction with an absolute error below 1e-14; digits come from a table of
-4-digit groups, and a mask per form (sign, fixed or exponent notation by
-%g's rule, significant digits) lays them out.  A value goes through
-Python's % instead when its fraction lies within 1e-9 of 1/2, when the
-integer misses [10^16, 10^17) (E off by one, or a rounding carry), or when
-|v| lies outside [1e-280, 1e280]; 0, -0, inf, -inf and nan have layouts of
-their own.
+b"%.17g" % v of the stored double; dbisol._csv describes its kernel.
 """
 
 from __future__ import annotations
@@ -38,9 +28,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bps import BpsLaw, bps_law_for, kinetic_density
+from .bps import BpsLaw, bps_law_for, static_density
 from .errors import DbisolError, NoSolitonError
-from .model import KineticLaw, ModelParams, PotentialSpec, Sector, _eta, validate_params
+from .model import Chart, KineticLaw, ModelParams, PotentialSpec, Sector, _eta
 from .numerics import CumulativeIntegral, bisect_monotone
 
 __all__ = [
@@ -61,17 +51,20 @@ class LocalizationClass(enum.Enum):
     AMBIGUOUS = "ambiguous"
 
 
+# field value down to which solve_profile resolves a profile with an infinite tail
+FIELD_FLOOR = 1e-9
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Sampling request for solve_profile.
 
     count uniform samples span the extent.  Non-compact profiles are
-    resolved down to field_floor; compact profiles get 10 exact-zero
+    resolved down to FIELD_FLOOR; compact profiles get 10 exact-zero
     samples past the radius.
     """
 
     count: int = 1000
-    field_floor: float = 1e-9
 
     def __post_init__(self):
         if self.count < 2:
@@ -80,7 +73,6 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SolitonProfile:
-    sector: Sector
     coordinates: np.ndarray
     field: np.ndarray
     derivative: np.ndarray
@@ -88,13 +80,17 @@ class SolitonProfile:
     charge_density: np.ndarray
     compacton_radius: float | None
     params: ModelParams
-    potential: PotentialSpec | None
+    potential: PotentialSpec
     field_floor: float = 0.0
 
     def __post_init__(self):
         for arr in (self.coordinates, self.field, self.derivative,
                     self.energy_density, self.charge_density):
             arr.setflags(write=False)
+
+    @property
+    def sector(self) -> Sector:
+        return self.params.sector
 
     @property
     def anti_vacuum(self) -> float:
@@ -242,11 +238,10 @@ def classify_localization(vacuum_exponent: float, sector: Sector,
     """
     if vacuum_exponent <= 0:
         raise DbisolError("vacuum exponent must be positive")
-    th = sector.chart.threshold
-    a = 2.0 * _near_vacuum_density_exponent(kinetic_law, vacuum_exponent)
-    if abs(a - th) < 1e-12:
+    margin = _threshold_margin(kinetic_law, vacuum_exponent, sector.chart)
+    if abs(margin) < 1e-12:
         return LocalizationClass.EXPONENTIAL
-    if a < th:
+    if margin > 0:
         return LocalizationClass.COMPACTON
     return LocalizationClass.POWER_LAW
 
@@ -287,11 +282,9 @@ def tail_fit(profile: SolitonProfile) -> LocalizationClass:
 # ---------------------------------------------------------------------------
 # solver
 
-def _near_vacuum_density_exponent(law: KineticLaw, vacuum_exponent: float) -> float:
-    """Power of the field with which B0 vanishes at the vacuum."""
-    if law.is_dbi:
-        return vacuum_exponent / 2.0
-    return vacuum_exponent / (2.0 * law.alpha_k)
+def _threshold_margin(law: KineticLaw, vacuum_exponent: float, chart: Chart) -> float:
+    """The chart's threshold less twice the power with which B0 vanishes at the vacuum."""
+    return chart.threshold - (vacuum_exponent if law.is_dbi else vacuum_exponent / law.alpha_k)
 
 
 def _profile_on_law(model: ModelParams, potential: PotentialSpec, law: BpsLaw,
@@ -310,18 +303,16 @@ def _profile_on_law(model: ModelParams, potential: PotentialSpec, law: BpsLaw,
     f = field[inside]
     v = np.asarray(potential.evaluate(f), dtype=float)
     b0 = np.asarray(law.of_potential(v), dtype=float)
-    edens[inside] = chart.prefactor(model) * (kinetic_density(model, b0)
-                                              + model.mu ** 2 * v) * model.energy_scale
+    edens[inside] = chart.prefactor(model) * static_density(model, b0, v)
     # y is the Jacobian times the slope; where the Jacobian vanishes at the
     # anti-vacuum boundary, the slope itself diverges
-    y = law.sign * chart.slope_scale(model) * b0
+    y = -chart.slope_scale(model) * b0
     with np.errstate(divide="ignore", invalid="ignore"):
         deriv[inside] = y / chart.jacobian(f)
     if chart.slope_pole:
         deriv[inside & (field >= chart.anti_vacuum - 1e-12)] = -np.inf
     cdens[inside] = model.charge * chart.unit_weight * np.abs(y)
     return SolitonProfile(
-        sector=model.sector,
         coordinates=coords,
         field=field,
         derivative=deriv,
@@ -349,12 +340,9 @@ class _InverseMap:
     """
 
     def __init__(self, model: ModelParams, potential: PotentialSpec,
-                 law: BpsLaw | None = None, *, field_floor: float = 1e-9):
-        validate_params(model)
+                 law: BpsLaw | None = None):
         chart = model.sector.chart_for(potential)
         _require_potential_term(model)
-        if chart.dbi_only and not model.kinetic_law.is_dbi:
-            raise DbisolError("power-family profiles are defined on the planar chart only")
 
         the_law = law if law is not None else bps_law_for(model, potential)
         scale = chart.slope_scale(model)
@@ -363,15 +351,14 @@ class _InverseMap:
             # 1/|d(coordinate)/d(field)|
             return chart.jacobian(f) / (scale * np.asarray(the_law.density(f), dtype=float))
 
-        # a compacton when B0 vanishes with a power below half the threshold
-        a = _near_vacuum_density_exponent(model.kinetic_law, potential.vacuum_exponent)
-        half = 0.5 * chart.threshold
-        self.compact = a < half
+        self.compact = classify_localization(potential.vacuum_exponent, model.sector,
+                                             model.kinetic_law) is LocalizationClass.COMPACTON
         self.law = the_law
         self.anti = anti = chart.anti_vacuum
         if self.compact:
             # the substitution field = t^p makes the integrand smooth at t = 0
-            p = max(2.0, 1.0 / (half - a))
+            p = max(2.0, 2.0 / _threshold_margin(model.kinetic_law, potential.vacuum_exponent,
+                                                 chart))
             t_hi = anti ** (1.0 / p)
 
             def g(t):
@@ -385,7 +372,7 @@ class _InverseMap:
                 f = np.exp(np.asarray(s, dtype=float))
                 return f * inv_integrand(f)
 
-            span = (math.log(field_floor), math.log(anti))
+            span = (math.log(FIELD_FLOOR), math.log(anti))
             self._to_field = np.exp
         # an integrand that overflows, divides by zero or turns NaN leaves a
         # non-finite total, reported below in one line
@@ -425,17 +412,17 @@ def solve_profile(model: ModelParams, potential: PotentialSpec,
     Gauss-Legendre rule in a regularized parameter and then inverted on a
     uniform coordinate grid.  Compact profiles report their radius and are
     padded with 10 exact-zero samples; others are resolved down to
-    grid_spec.field_floor.
+    FIELD_FLOOR.
     """
     grid = grid_spec or GridSpec()
-    inv = _InverseMap(model, potential, field_floor=grid.field_floor)
+    inv = _InverseMap(model, potential)
     coords = np.linspace(0.0, inv.extent, grid.count)
     field = inv.field_at(coords)
     if inv.compact:
         coords = np.concatenate([coords, coords[-1] + (coords[1] - coords[0]) * np.arange(1, 11)])
         field = np.concatenate([field, np.zeros(10)])
         return _profile_on_law(model, potential, inv.law, coords, field, inv.extent)
-    return _profile_on_law(model, potential, inv.law, coords, field, None, grid.field_floor)
+    return _profile_on_law(model, potential, inv.law, coords, field, None, FIELD_FLOOR)
 
 
 def profile_on_grid(field_fn: Callable[[np.ndarray], np.ndarray], model: ModelParams,
@@ -443,7 +430,6 @@ def profile_on_grid(field_fn: Callable[[np.ndarray], np.ndarray], model: ModelPa
                     count: int | None = None, extent: float,
                     compacton_radius: float | None = None) -> SolitonProfile:
     """Sample an exact evaluator on a uniform grid and attach law-based columns."""
-    validate_params(model)
     if spacing is not None:
         coords = np.arange(0.0, extent + 0.5 * spacing, spacing)
     else:
@@ -465,7 +451,6 @@ def solve_profile_forward(model: ModelParams, potential: PotentialSpec, *,
     from scipy.integrate import solve_ivp
     from scipy.optimize import brentq
 
-    validate_params(model)
     if model.mu == 0.0:
         raise NoSolitonError("mu = 0 admits no profile")
     law = bps_law_for(model, potential)

@@ -107,9 +107,6 @@ class TestBoundConstant:
         with pytest.raises(DbisolError):
             weights_for_alpha(0.8)
 
-    def test_beta_independent(self):
-        assert bound_constant(2, (0.5, 0.5), beta=10.0) == bound_constant(2, (0.5, 0.5))
-
 
 class TestOptimize:
     def test_order_two(self):

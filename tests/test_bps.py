@@ -132,7 +132,7 @@ class TestNumericDensity:
 def chart_slope(field, potential, params):
     """Jacobian times dfield/dcoordinate on the first-order law, from the chart's scale."""
     law = bps_law_for(params, potential)
-    return law.sign * params.sector.chart.slope_scale(params) * law.density(field)
+    return -params.sector.chart.slope_scale(params) * law.density(field)
 
 
 class TestSlopes:
@@ -251,11 +251,11 @@ class TestBpsLaw:
             grid = np.linspace(0.0, pot.domain[1], 300)
             assert np.all(law.density(grid) >= 0)
             assert np.all(law.density(grid) < math.sqrt(2) * model.beta)
-            assert law.sign == -1
 
     def test_power_law_origin(self):
         law = bps_law_for(baby(kinetic_law=KineticLaw.power(1.0)), OLD)
-        assert "power" in law.origin
+        v = np.linspace(0.0, 1.0, 11)
+        np.testing.assert_array_equal(law.of_potential(v), power_bps_density(v, 1.0, 1.0))
         assert float(law.density(0.25)) == pytest.approx(0.5, abs=1e-14)
 
     def test_density_is_of_potential_at_the_potential_value(self):

@@ -5,6 +5,7 @@ import math
 import re
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,50 @@ class TestChartIdentities:
                                                                              rel=1e-15)
         z = 2.0 * math.sqrt(2.0) * beta * math.pi ** 2 * r ** 3 / abs(n)
         assert Sector.SKYRME3D.chart.coordinate_map(r, model) == pytest.approx(z, rel=1e-14)
+
+
+def mp_kinetic(sector, u, f, beta, n):
+    """K = beta^2 (1 - sqrt(1 - q)) at slope u, written apart from dbisol: q is
+    n^2 u^2 / (8 pi^2 beta^2) on the planar chart, sin^4(xi) u^2 in the 3-D one."""
+    if sector is Sector.BABY2D:
+        q = n ** 2 * u ** 2 / (8 * mp.pi ** 2 * beta ** 2)
+    else:
+        q = mp.sin(f) ** 4 * u ** 2
+    return beta ** 2 * (1 - mp.sqrt(1 - q))
+
+
+class TestEomFlux:
+    """The flux G of each chart against derivatives of the energy density K + mu^2 V.
+
+    The chart's residual is c(f) dG/dx - mu^2 V'(f), up to one factor, with
+    c(f) read off its coefficients.  It is the Euler-Lagrange equation
+    d/dx dK/du - dK/df - mu^2 V' = 0 exactly when c G = dK/du and
+    dK/df = c'(f) u G.
+    """
+
+    @PROPERTY
+    @given(SECTORS, st.floats(0.01, 0.99), st.floats(0.01, 0.95), log_uniform(0.1, 10.0),
+           log_uniform(0.1, 10.0), st.integers(-5, 5).filter(lambda n: n != 0))
+    def test_flux_is_the_slope_derivative_of_the_density(self, sector, frac, q, beta, mu, n):
+        chart = sector.chart
+        p = ModelParams(beta, mu, n, sector)
+        f = frac * chart.anti_vacuum
+        u_max = (2.0 * math.sqrt(2.0) * math.pi * beta / abs(n) if sector is Sector.BABY2D
+                 else 1.0 / math.sin(f) ** 2)
+        u = -q * u_max
+
+        def c(x):
+            return mu ** 2 * float(chart.eom_operator(1.0, x, 0.0, p)) \
+                / -float(chart.eom_operator(0.0, x, 1.0, p))
+
+        G = float(chart.eom_flux(u, f, p))
+        with mp.workdps(30):
+            dK_du = mp.diff(lambda v: mp_kinetic(sector, v, mp.mpf(f), beta, n), mp.mpf(u))
+            dK_df = mp.diff(lambda x: mp_kinetic(sector, mp.mpf(u), x, beta, n), mp.mpf(f))
+        assert c(f) * G == pytest.approx(float(dK_du), rel=1e-12)
+        h = 1e-6
+        dc = (c(f + h) - c(f - h)) / (2.0 * h)
+        assert dc * u * G == pytest.approx(float(dK_df), rel=1e-7, abs=1e-9 * abs(u * G))
 
 
 # where a sector member may be named: the enum and the chart table, the CLI's

@@ -297,6 +297,26 @@ class TestClassifyCommand:
         assert data["agree"] is True
 
 
+PLANAR_ONLY = "error: power-family profiles are defined on the planar chart only\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--sector", "skyrme", "--potential", "standard", "--alpha-k", "2"],
+    ["classify", "--sector", "skyrme", "--potential", "standard", "--alpha-k", "2"],
+    ["verify", "--sector", "skyrme", "--potential", "standard", "--alpha-k", "2"],
+    ["solve", "--sector", "skyrme", "--potential", "bps", "--alpha-k", "0.75"],
+    # the model is checked before the sweep's sector and before verify's mu
+    ["sweep", "--sector", "skyrme", "--alpha-k", "2", "--values", "1e-2,1e-3,1e-4"],
+    ["verify", "--sector", "skyrme", "--alpha-k", "2", "--mu", "0"],
+], ids=["solve", "classify", "verify", "solve-bps", "sweep", "verify-mu-zero"])
+def test_3d_power_law_exits_one_with_one_line(tmp_path, capfd, args):
+    assert main([*args, "--out", str(tmp_path / "x")]) == 1
+    out, err = capfd.readouterr()
+    assert err == PLANAR_ONLY
+    assert out == ""
+    assert not (tmp_path / "x.json").exists()
+
+
 class TestDeterminism:
     def test_solve_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

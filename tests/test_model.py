@@ -1,11 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dbisol import (DbisolError, KineticLaw, ModelParams, Sector,
-                    fit_vacuum_exponent, make_potential, target_measure,
-                    validate_params)
+                    fit_vacuum_exponent, make_potential, target_measure)
 
 
 def params(**kw):
@@ -107,37 +107,64 @@ class TestMeasures:
 
 
 class TestValidateParams:
+    """A model is checked once, at construction, and dataclasses.replace runs the same check."""
+
     def test_accepts_defaults(self):
         p = params()
-        assert validate_params(p) is p
+        assert p.kinetic_law.is_dbi and p.kinetic_law == KineticLaw.dbi()
 
     def test_rejects_half_power_exponent(self):
         with pytest.raises(DbisolError, match="1/2"):
-            validate_params(params(kinetic_law=KineticLaw.power(0.5)))
+            KineticLaw.power(0.5)
+        with pytest.raises(DbisolError, match="1/2"):
+            KineticLaw(0.25)
 
     def test_rejects_zero_charge(self):
-        with pytest.raises(DbisolError):
-            validate_params(params(charge=0))
+        with pytest.raises(DbisolError, match="nonzero integer"):
+            params(charge=0)
+        with pytest.raises(DbisolError, match="nonzero integer"):
+            params(charge=1.5)
+        with pytest.raises(DbisolError, match="nonzero integer"):
+            replace(params(), charge=0)
 
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(DbisolError):
-            validate_params(params(beta=0.0))
+            params(beta=0.0)
         with pytest.raises(DbisolError):
-            validate_params(params(beta=-2.0))
+            params(beta=-2.0)
+        with pytest.raises(DbisolError, match="beta must be positive"):
+            replace(params(), beta=0.0)
 
-    @pytest.mark.parametrize("field", ["beta", "mu", "energy_scale"])
+    @pytest.mark.parametrize("field", ["beta", "mu"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_couplings(self, field, value):
         with pytest.raises(DbisolError, match=f"{field} must be finite"):
-            validate_params(params(**{field: value}))
+            params(**{field: value})
+        with pytest.raises(DbisolError, match=f"{field} must be finite"):
+            replace(params(), **{field: value})
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf])
     def test_rejects_non_finite_power_exponent(self, alpha):
         with pytest.raises(DbisolError, match="must be finite"):
-            validate_params(params(kinetic_law=KineticLaw.power(alpha)))
+            KineticLaw.power(alpha)
 
     def test_accepts_power_family(self):
-        validate_params(params(kinetic_law=KineticLaw.power(0.75)))
+        p = params(kinetic_law=KineticLaw.power(0.75))
+        assert not p.kinetic_law.is_dbi and p.kinetic_law.alpha_k == 0.75
+
+    def test_rejects_3d_power_law(self):
+        """The 3-D chart takes the DBI law only; no solver can meet such a model."""
+        power = KineticLaw.power(2.0)
+        with pytest.raises(DbisolError, match="planar chart only"):
+            params(sector=Sector.SKYRME3D, kinetic_law=power)
+        with pytest.raises(DbisolError, match="planar chart only"):
+            replace(params(sector=Sector.SKYRME3D), kinetic_law=power)
+        with pytest.raises(DbisolError, match="planar chart only"):
+            replace(params(kinetic_law=power), sector=Sector.SKYRME3D)
+
+    def test_rejects_unknown_sector(self):
+        with pytest.raises(DbisolError, match="unknown sector"):
+            params(sector="skyrme")
 
     def test_sigma(self):
         assert params(beta=2.0, mu=1.0).sigma == pytest.approx(4.0)

@@ -90,10 +90,6 @@ class TestBabyEnergy:
         with pytest.raises(DbisolError):
             baby_energy_closed(baby(mu=0.0))
 
-    def test_energy_scale_multiplies(self):
-        assert baby_energy_closed(baby(energy_scale=2.0)) == pytest.approx(2 * BABY_E_UNIT,
-                                                                           rel=1e-12)
-
 
 class TestSkyrmeEnergies:
     @pytest.mark.parametrize("sigma", [0.25, 1.0, 4.0])
@@ -282,7 +278,7 @@ class TestSweeps:
     def test_limiting_slope_value(self):
         # dh/dx -> -(2 sqrt2 pi / |n|) mu sqrt(2 V) on the planar chart
         law = _limit_law(baby(), OLD)
-        slope = law.sign * Sector.BABY2D.chart.slope_scale(baby()) * law.density(1.0)
+        slope = -Sector.BABY2D.chart.slope_scale(baby()) * law.density(1.0)
         assert slope == pytest.approx(-4.0 * math.pi, abs=1e-12)
 
 
@@ -361,6 +357,40 @@ class TestBabyClosedFormAgainstMpmath:
             want = m / mp.sqrt(2) * mp.quad(
                 lambda h: mp.sqrt(m ** 2 * h ** 2 / b ** 2 + 2 * h), [0, 1])
         assert abs(baby_energy_closed(baby(beta=beta, mu=mu)) - want) <= 1e-12 * want
+
+
+class TestStandardClosedFormAgainstMpmath:
+    """The standard 3-D closed form for sigma log-uniform in [1e-6, 1e8]."""
+
+    @staticmethod
+    def mp_closed(beta, mu, n):
+        with mp.workdps(40):
+            b, m = mp.mpf(beta), mp.mpf(mu)
+            s = b ** 2 / m ** 2
+            rs = mp.sqrt(s)
+            bracket = (1 - s) ** 2 * rs + (1 - s) * (1 + s) ** 2 * mp.atan(1 / rs) \
+                + mp.mpf(8) / 3 * s * rs
+            return mp.sqrt(2) * abs(n) * b / (3 * mp.pi * s) * bracket
+
+    @PROPERTY
+    @given(sigma=st.floats(-6.0, 8.0).map(lambda e: 10.0 ** e),
+           mu=st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e), n=CHARGES)
+    def test_matches_mpmath(self, sigma, mu, n):
+        p = skyrme(beta=mu * math.sqrt(sigma), mu=mu, charge=n)
+        want = self.mp_closed(p.beta, p.mu, n)
+        assert abs(skyrme_standard_energy_closed(p) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("beta,mu", [(1e-3, 1.0), (1.0, 1.0), (4.0, 1.0),
+                                         (4.000000000000001, 1.0), (6.31, 0.1), (100.0, 1.0),
+                                         (1e4, 1.0)])
+    def test_named_points(self, beta, mu):
+        # the switch to the series sits just above sigma = 16; the average
+        # route is an integral apart from the closed formula
+        p = skyrme(beta=beta, mu=mu)
+        want = self.mp_closed(beta, mu, 1)
+        assert abs(skyrme_standard_energy_closed(p) - want) <= 1e-12 * want
+        assert skyrme_standard_energy_closed(p) == pytest.approx(
+            mp_energy("skyrme", "standard", beta, mu, 1), rel=1e-12)
 
 
 def mp_energy(sector, potential, beta, mu, n, alpha_k=None):

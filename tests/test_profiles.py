@@ -7,10 +7,11 @@ from scipy.optimize import brentq
 from dbisol import (DbisolError, GridSpec, KineticLaw, LocalizationClass, ModelParams,
                     NoSolitonError, Sector, angular_profile, baby_old_exact,
                     baby_old_radius, classify_localization,
-                    endpoint_asymptotics, make_potential, profile_field_at,
+                    endpoint_asymptotics, make_potential, profile_field_at, profile_on_grid,
                     skyrme_bps_exact, skyrme_bps_radius, skyrme_standard_exact,
                     skyrme_standard_implicit_lhs, skyrme_standard_radius,
                     solve_profile, solve_profile_forward, tail_fit, write_profile_csv)
+from dbisol.profiles import FIELD_FLOOR
 
 OLD = make_potential("old-baby-power", 1.0)
 STD = make_potential("skyrme-standard")
@@ -310,9 +311,12 @@ class TestClassification:
         assert tail_fit(prof) is LocalizationClass.POWER_LAW
 
     def test_tail_fit_requires_resolved_tail(self):
-        pot = make_potential("old-baby-power", 2.0)
-        prof = solve_profile(baby(), pot, GridSpec(field_floor=1e-2))
-        with pytest.raises(DbisolError):
+        # the exact compacton up to h = 1e-2, with no radius to end the fit
+        p = baby()
+        x_stop = brentq(lambda x: baby_old_exact(x, p) - 1e-2, 0.0, baby_old_radius(p))
+        prof = profile_on_grid(lambda x: baby_old_exact(x, p), p, OLD, count=300,
+                               extent=x_stop)
+        with pytest.raises(DbisolError, match="tail not resolved"):
             tail_fit(prof)
 
 
@@ -373,12 +377,11 @@ class TestSolvedProfileShape:
             assert np.all(prof.field[past] == 0.0)
             assert np.all(prof.field[~past] > 0.0)
         else:
-            assert prof.field[-1] == pytest.approx(GridSpec().field_floor, rel=1e-15)
+            assert prof.field[-1] == pytest.approx(FIELD_FLOOR, rel=1e-15)
 
 
 class TestTruncatedCharge:
     def test_field_range_of_truncated_profile(self):
-        from dbisol import profile_on_grid
         p = baby()
         x_half = brentq(lambda x: baby_old_exact(x, p) - 0.5, 0.0, baby_old_radius(p))
         prof = profile_on_grid(lambda x: baby_old_exact(x, p), p, OLD,
