@@ -15,8 +15,8 @@ from .profiles import (GridSpec, LocalizationClass, SolitonProfile, angular_prof
                        endpoint_asymptotics, profile_field_at,
                        profile_on_grid, skyrme_bps_exact, skyrme_bps_radius,
                        skyrme_standard_exact, skyrme_standard_implicit_lhs,
-                       skyrme_standard_radius, solve_profile, solve_profile_forward,
-                       tail_fit, write_profile_csv)
+                       skyrme_standard_radius, solve_profile, tail_fit,
+                       write_profile_csv)
 from .observables import (BetaSweepResult, EnergyReport, MuSweepResult,
                           baby_energy_closed, bps_energy_integral,
                           charge_quadrature, compute_energy_report, energy_quadrature,

@@ -160,6 +160,8 @@ def optimize_bound(order: int, beta: float = 1.0, *,
     """
     if not 2 <= order <= MAX_ORDER:
         raise DbisolError(f"supported truncation orders are 2..{MAX_ORDER}")
+    if not 0.0 < beta < math.inf:
+        raise DbisolError(f"beta must be positive and finite, got {beta}")
     x = _lagrange_root(order)
     k = np.arange(1, order + 1)
     terms = _coeff_floats(order) * x ** k

@@ -107,8 +107,10 @@ class ModelParams:
             raise DbisolError(f"beta must be positive, got {self.beta}")
         if self.mu < 0:
             raise DbisolError(f"mu must be non-negative, got {self.mu}")
-        if int(self.charge) != self.charge or self.charge == 0:
-            raise DbisolError(f"topological charge must be a nonzero integer, got {self.charge}")
+        n = self.charge
+        # int() raises on a NaN or an infinity, so those are caught first
+        if not (isinstance(n, int) or math.isfinite(n)) or int(n) != n or n == 0:
+            raise DbisolError(f"topological charge must be a nonzero integer, got {n}")
         if not isinstance(self.sector, Sector):
             raise DbisolError(f"unknown sector {self.sector!r}")
         if self.sector.chart.dbi_only and not self.kinetic_law.is_dbi:

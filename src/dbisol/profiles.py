@@ -6,9 +6,8 @@ coordinate is the integral of 1/slope from the anti-vacuum boundary.  The
 vanishing of the slope at the vacuum is removed by the substitution
 field = t^p with p chosen from the near-vacuum exponent of the potential,
 after which the integrand is smooth and a composite Gauss-Legendre rule is
-exact to machine precision.  A forward adaptive stepper with vacuum-event
-detection is provided as an independent cross-check; it is the one place
-that uses scipy, imported when it is called.
+exact to machine precision.  This quadrature is the only profile solver;
+the tests check it against an mpmath oracle written apart from the package.
 
 Closed-form evaluators for the three exactly solvable cases live here too,
 together with tail classification.
@@ -35,7 +34,7 @@ from .numerics import CumulativeIntegral, bisect_monotone
 
 __all__ = [
     "LocalizationClass", "GridSpec", "SolitonProfile",
-    "solve_profile", "solve_profile_forward", "profile_on_grid", "profile_field_at",
+    "solve_profile", "profile_on_grid", "profile_field_at",
     "baby_old_exact", "baby_old_radius",
     "skyrme_standard_exact", "skyrme_standard_radius", "skyrme_standard_implicit_lhs",
     "skyrme_bps_exact", "skyrme_bps_radius",
@@ -437,66 +436,6 @@ def profile_on_grid(field_fn: Callable[[np.ndarray], np.ndarray], model: ModelPa
     field = np.asarray(field_fn(coords), dtype=float)
     return _profile_on_law(model, potential, bps_law_for(model, potential), coords, field,
                            compacton_radius)
-
-
-def solve_profile_forward(model: ModelParams, potential: PotentialSpec, *,
-                          floor: float = 1e-10, rtol: float = 1e-10,
-                          count: int = 1000) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-check oracle: forward ODE integration with vacuum-event detection.
-
-    Returns (coordinates, field).  The planar sector steps the field itself;
-    the 3-D sector steps the incomplete volume variable, which stays regular
-    at the anti-vacuum boundary, and maps back to the field by bisection.
-    """
-    from scipy.integrate import solve_ivp
-    from scipy.optimize import brentq
-
-    if model.mu == 0.0:
-        raise NoSolitonError("mu = 0 admits no profile")
-    law = bps_law_for(model, potential)
-    if model.sector is Sector.BABY2D:
-        def rhs(x, y):
-            h = min(max(y[0], 0.0), 1.0)
-            return [-2.0 * math.pi / abs(model.charge) * float(law.density(h))]
-
-        def hit_floor(x, y):
-            return y[0] - floor
-        hit_floor.terminal = True
-        hit_floor.direction = -1
-        span = 50.0 * baby_old_radius(model) + 10.0
-        sol = solve_ivp(rhs, (0.0, span), [1.0], events=hit_floor, rtol=rtol,
-                        atol=1e-14, dense_output=True, method="RK45", max_step=span / 200)
-        x_end = sol.t_events[0][0] if sol.t_events[0].size else sol.t[-1]
-        xs = np.linspace(0.0, x_end, count)
-        hs = sol.sol(xs)[0]
-        return xs, np.clip(hs, 0.0, 1.0)
-
-    # 3-D: integrate deta/dz = -B0/(sqrt2 beta) with eta the incomplete volume
-    eta_max = _eta(math.pi)
-
-    def xi_of_eta(e):
-        if e <= 0:
-            return 0.0
-        if e >= eta_max:
-            return math.pi
-        return brentq(lambda x: float(_eta(x)) - e, 0.0, math.pi, xtol=1e-14)
-
-    def rhs(z, y):
-        xi = xi_of_eta(y[0])
-        return [-float(law.density(xi)) / (math.sqrt(2.0) * model.beta)]
-
-    def hit_floor(z, y):
-        return y[0] - floor
-    hit_floor.terminal = True
-    hit_floor.direction = -1
-    span = 1000.0
-    sol = solve_ivp(rhs, (0.0, span), [float(eta_max)], events=hit_floor, rtol=rtol,
-                    atol=1e-14, dense_output=True, method="RK45")
-    z_end = sol.t_events[0][0] if sol.t_events[0].size else sol.t[-1]
-    zs = np.linspace(0.0, z_end, count)
-    etas = np.clip(sol.sol(zs)[0], 0.0, float(eta_max))
-    xis = np.array([xi_of_eta(e) for e in etas])
-    return zs, xis
 
 
 def write_atomic(path, data: str | bytes) -> None:

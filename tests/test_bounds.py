@@ -174,6 +174,11 @@ class TestOptimize:
         with pytest.raises(DbisolError):
             optimize_bound(65)
 
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_beta(self, beta):
+        with pytest.raises(DbisolError, match="beta must be positive and finite"):
+            optimize_bound(3, beta)
+
 
 class TestDuality:
     @pytest.mark.parametrize("order", [2, 3, 4])

@@ -1,9 +1,9 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from dbisol import (DbisolError, KineticLaw, ModelParams, Sector, SectorMismatchError,
                     baby_old_exact, baby_old_radius, bps_energy_integral, bps_law_for,
@@ -33,11 +33,11 @@ class TestDbiDensity:
 
     def test_unit_couplings_against_defining_relation(self):
         # independent oracle: root of 1/sqrt(1 - B^2/(2 b^2)) = mu^2 V / b^2 + 1
-        def relation(b0):
-            return 1.0 / math.sqrt(1.0 - b0 ** 2 / 2.0) - 2.0
-        expected = brentq(relation, 0.0, math.sqrt(2.0) - 1e-12, xtol=1e-15)
-        assert dbi_bps_density(1.0, baby()) == pytest.approx(expected, abs=1e-14)
-        assert expected == pytest.approx(math.sqrt(1.5), abs=1e-14)
+        with mp.workdps(30):
+            expected = mp.findroot(lambda b0: 1 / mp.sqrt(1 - b0 ** 2 / 2) - 2, (0.5, 1.4),
+                                   solver="anderson")
+            assert abs(expected - mp.sqrt(1.5)) < 1e-25
+        assert dbi_bps_density(1.0, baby()) == pytest.approx(float(expected), abs=1e-14)
 
     def test_bounded_and_monotone(self):
         p = baby(beta=1.3, mu=0.8)
@@ -71,10 +71,13 @@ class TestPowerDensity:
 
     def test_three_quarters_against_defining_relation(self):
         # oracle: (2a - 1) W^(2a) = mu^2 V solved numerically
-        a = 0.75
-        expected = brentq(lambda w: (2 * a - 1) * w ** (2 * a) - 1.0, 1e-6, 10.0, xtol=1e-15)
-        got = power_bps_density(1.0, 1.0, a)
-        assert got == pytest.approx(expected, abs=1e-12)
+        a = mp.mpf(0.75)
+        with mp.workdps(30):
+            expected = mp.findroot(lambda w: (2 * a - 1) * w ** (2 * a) - 1, (1e-6, 10.0),
+                                   solver="anderson")
+            assert abs(expected - 2 ** (mp.mpf(2) / 3)) < 1e-25
+        got = power_bps_density(1.0, 1.0, 0.75)
+        assert got == pytest.approx(float(expected), abs=1e-12)
         assert got == pytest.approx(2.0 ** (2.0 / 3.0), abs=1e-12)
 
     def test_rejects_half(self):

@@ -217,6 +217,15 @@ class TestBoundCommand:
             main(["bound", "--compare-pavlovskii", "--out", str(tmp_path / "b")])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("beta", ["-1", "0", "nan", "inf", "-inf"])
+    def test_bad_beta_exits_one(self, tmp_path, capsys, beta):
+        code = main(["bound", f"--beta={beta}", "--out", str(tmp_path / "b")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: beta must be positive and finite, got ")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_negative_samples_exit_one(self, tmp_path, capsys):
         code = main(["bound", "--samples", "-5", "--out", str(tmp_path / "b")])
         assert code == 1

@@ -127,6 +127,11 @@ class TestValidateParams:
         with pytest.raises(DbisolError, match="nonzero integer"):
             replace(params(), charge=0)
 
+    @pytest.mark.parametrize("charge", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_charge(self, charge):
+        with pytest.raises(DbisolError, match="nonzero integer"):
+            params(charge=charge)
+
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(DbisolError):
             params(beta=0.0)

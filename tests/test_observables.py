@@ -4,11 +4,10 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
-from scipy.optimize import brentq
+from mp_oracle import Soliton
 
 from dbisol import (DbisolError, GridSpec, KineticLaw, ModelParams, Sector, SectorMismatchError,
-                    baby_energy_closed, baby_old_exact, baby_old_radius,
+                    baby_energy_closed, baby_old_exact,
                     bps_energy_integral, charge_quadrature, compute_energy_report,
                     energy_per_charge_average, energy_quadrature,
                     large_beta_sweep, make_potential,
@@ -39,34 +38,9 @@ def skyrme(**kw):
     return ModelParams(**base)
 
 
-def reference_baby_energy(model, pot):
-    """Independent route: integrate the energy density over the coordinate."""
-    def integrand(x):
-        h = float(baby_old_exact(x, model))
-        eps = model.mu ** 2 * h / model.beta ** 2
-        root = math.sqrt(eps * (2 + eps)) / (1 + eps)
-        kin = model.beta ** 2 * (1 - math.sqrt(1 - root * root))
-        return 2 * math.pi * (kin + model.mu ** 2 * h)
-    x0 = baby_old_radius(model)
-    val, _ = quad(integrand, 0.0, x0, epsabs=1e-13, epsrel=1e-12, limit=300)
-    return val
-
-
-def reference_skyrme_energy(model, pot):
-    """Independent route: field-space integral written from scratch."""
-    s = model.sigma
-
-    def integrand(xi):
-        v = float(pot.evaluate(xi))
-        eps = v / s
-        q = 1.0 + eps
-        ymag = math.sqrt(eps * (2 + eps)) / q
-        if ymag == 0.0:
-            return 0.0
-        dens = model.beta ** 2 * (1 - 1 / q) + model.mu ** 2 * v
-        return dens * math.sin(xi) ** 2 / ymag
-    val, _ = quad(integrand, 0.0, math.pi, epsabs=1e-14, epsrel=1e-13, limit=300)
-    return math.sqrt(2.0) * abs(model.charge) / (3.0 * math.pi * model.beta) * val
+def oracle_energy(model, tag):
+    """Total energy from the oracle's field-space integral."""
+    return float(Soliton(model.sector.value, tag, model.beta, model.mu, model.charge).energy())
 
 
 class TestBabyEnergy:
@@ -77,7 +51,7 @@ class TestBabyEnergy:
         e_closed = baby_energy_closed(p)
         assert abs(e_quad - e_closed) / e_closed < 1e-6
         assert e_closed == pytest.approx(BABY_E_UNIT, abs=1e-12)
-        assert e_quad == pytest.approx(reference_baby_energy(p, OLD), rel=1e-9)
+        assert e_quad == pytest.approx(oracle_energy(p, "old:1"), rel=1e-14, abs=0)
 
     def test_linear_in_charge(self):
         assert baby_energy_closed(baby(charge=5)) == pytest.approx(5 * BABY_E_UNIT, rel=1e-12)
@@ -99,7 +73,7 @@ class TestSkyrmeEnergies:
         e_quad = energy_quadrature(prof, p, STD)
         e_closed = skyrme_standard_energy_closed(p)
         assert abs(e_quad - e_closed) / e_closed < 1e-6
-        assert e_closed == pytest.approx(reference_skyrme_energy(p, STD), rel=1e-10)
+        assert e_closed == pytest.approx(oracle_energy(p, "standard"), rel=1e-14, abs=0)
 
     def test_standard_sigma_one_value(self):
         # at sigma = 1 the closed bracket collapses to 8/3, giving 8 sqrt2 / (9 pi)
@@ -113,7 +87,7 @@ class TestSkyrmeEnergies:
         e_quad = energy_quadrature(prof, p, BPSPOT)
         e_closed = skyrme_bps_energy_closed(p)
         assert abs(e_quad - e_closed) / e_closed < 1e-6
-        assert e_closed == pytest.approx(reference_skyrme_energy(p, BPSPOT), rel=1e-10)
+        assert e_closed == pytest.approx(oracle_energy(p, "bps"), rel=1e-14, abs=0)
 
     def test_bps_sigma_one_value(self):
         # z0 sqrt(1+z0^2) collapses to z0 (1 + pi/2) at sigma = 1
@@ -150,7 +124,7 @@ class TestCharge:
 
     def test_truncated_profile_partial_charge(self):
         p = baby()
-        x_half = brentq(lambda x: float(baby_old_exact(x, p)) - 0.5, 0.0, baby_old_radius(p))
+        x_half = float(Soliton("baby", "old:1", 1.0, 1.0, 1).coordinates([0.5])[0])
         prof = profile_on_grid(lambda x: baby_old_exact(x, p), p, OLD,
                                count=300, extent=x_half)
         assert charge_quadrature(prof, p) == pytest.approx(0.5, abs=1e-8)
@@ -189,11 +163,9 @@ class TestAverages:
 
     def test_baby_average_against_independent_integral(self):
         # <sqrt(h^2 + 2h)> with flat unit measure, times mu/sqrt(2)
-        val, _ = quad(lambda h: math.sqrt(h * h + 2 * h), 0.0, 1.0,
-                      epsabs=1e-14, epsrel=1e-13)
-        assert energy_per_charge_average(baby(), OLD) == pytest.approx(val / math.sqrt(2.0),
-                                                                       rel=1e-10)
-        assert val / math.sqrt(2.0) == pytest.approx(BABY_E_UNIT, abs=1e-12)
+        val = float(Soliton("baby", "old:1", 1.0, 1.0, 1).average_energy())
+        assert energy_per_charge_average(baby(), OLD) == pytest.approx(val, rel=1e-14, abs=0)
+        assert val == pytest.approx(BABY_E_UNIT, abs=1e-15)
 
     @pytest.mark.parametrize("pot,sigma", [(STD, 1.0), (STD, 4.0), (BPSPOT, 1.0),
                                            (BPSPOT, 0.25)])

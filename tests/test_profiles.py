@@ -1,8 +1,9 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from mp_oracle import Soliton
 
 from dbisol import (DbisolError, GridSpec, KineticLaw, LocalizationClass, ModelParams,
                     NoSolitonError, Sector, angular_profile, baby_old_exact,
@@ -10,7 +11,7 @@ from dbisol import (DbisolError, GridSpec, KineticLaw, LocalizationClass, ModelP
                     endpoint_asymptotics, make_potential, profile_field_at, profile_on_grid,
                     skyrme_bps_exact, skyrme_bps_radius, skyrme_standard_exact,
                     skyrme_standard_implicit_lhs, skyrme_standard_radius,
-                    solve_profile, solve_profile_forward, tail_fit, write_profile_csv)
+                    solve_profile, tail_fit, write_profile_csv)
 from dbisol.profiles import FIELD_FLOOR
 
 OLD = make_potential("old-baby-power", 1.0)
@@ -28,6 +29,18 @@ def skyrme(**kw):
     base = dict(beta=1.0, mu=1.0, charge=1, sector=Sector.SKYRME3D)
     base.update(kw)
     return ModelParams(**base)
+
+
+def assert_interior_fields_match(prof, oracle, stride=25, rel=1e-12):
+    """Every stride-th sample off both ends (0 < x <= 0.99 extent) against the oracle's
+    field at the same coordinate, relative to the oracle."""
+    x, f = prof.coordinates, prof.field
+    extent = prof.compacton_radius or x[-1]
+    idx = np.flatnonzero((x > 0.0) & (x <= 0.99 * extent))[::stride]
+    want = oracle.fields(x[idx].tolist(), f[idx].tolist())
+    with mp.workdps(30):
+        worst = max(abs(mp.mpf(g) - w) / w for g, w in zip(f[idx].tolist(), want))
+    assert worst <= rel
 
 
 def xi_power_potential(a):
@@ -176,12 +189,9 @@ class TestSolveBaby:
         steps = np.diff(prof.coordinates)
         assert np.allclose(steps, steps[0], rtol=1e-9)
 
-    def test_forward_stepper_cross_check(self):
-        p = baby(beta=1.3, mu=0.8)
-        xs, hs = solve_profile_forward(p, OLD)
-        exact = baby_old_exact(xs, p)
-        sel = exact > 1e-3
-        assert np.max(np.abs(hs[sel] - exact[sel])) < 1e-6
+    def test_fields_match_mpmath_oracle(self):
+        prof = solve_profile(baby(beta=1.3, mu=0.8), OLD)
+        assert_interior_fields_match(prof, Soliton("baby", "old:1", 1.3, 0.8, 1))
 
 
 class TestSolveSkyrme:
@@ -220,13 +230,9 @@ class TestSolveSkyrme:
         with pytest.raises(DbisolError):
             solve_profile(skyrme(kinetic_law=KineticLaw.power(1.0)), STD)
 
-    def test_forward_stepper_cross_check(self):
-        p = skyrme()
-        zs, xis = solve_profile_forward(p, STD)
-        z0 = skyrme_standard_radius(1.0)
-        sel = (zs > 0.1 * z0) & (zs < 0.9 * z0)
-        exact = skyrme_standard_exact(zs[sel], 1.0)
-        assert np.max(np.abs(xis[sel] - exact)) < 1e-6
+    def test_fields_match_mpmath_oracle(self):
+        prof = solve_profile(skyrme(), STD)
+        assert_interior_fields_match(prof, Soliton("skyrme", "standard", 1.0, 1.0, 1))
 
     def test_sector_potential_mismatch(self):
         with pytest.raises(DbisolError):
@@ -313,7 +319,7 @@ class TestClassification:
     def test_tail_fit_requires_resolved_tail(self):
         # the exact compacton up to h = 1e-2, with no radius to end the fit
         p = baby()
-        x_stop = brentq(lambda x: baby_old_exact(x, p) - 1e-2, 0.0, baby_old_radius(p))
+        x_stop = float(Soliton("baby", "old:1", 1.0, 1.0, 1).coordinates([1e-2])[0])
         prof = profile_on_grid(lambda x: baby_old_exact(x, p), p, OLD, count=300,
                                extent=x_stop)
         with pytest.raises(DbisolError, match="tail not resolved"):
@@ -380,10 +386,28 @@ class TestSolvedProfileShape:
             assert prof.field[-1] == pytest.approx(FIELD_FLOOR, rel=1e-15)
 
 
+class TestOracleFields:
+    # tails carry the rounding of the inverse map's running sum over 1500
+    # segments, which reaches about 1e-12 of the field near the core
+    @pytest.mark.parametrize("model,pot,tag,rel", [
+        (baby(beta=0.4, mu=2.5, charge=3), make_potential("old-baby-power", 0.5), "old:0.5", 1e-12),
+        (baby(beta=2.5, mu=0.4, charge=-1), make_potential("old-baby-power", 3.0), "old:3", 5e-12),
+        (baby(kinetic_law=KineticLaw.power(0.75)), make_potential("old-baby-power", 2.0), "old:2",
+         5e-12),
+        (skyrme(beta=1.6, mu=0.4, charge=2), STD, "standard", 1e-12),
+        (skyrme(beta=2.0), BPSPOT, "bps", 1e-12),
+        (skyrme(beta=0.16, mu=0.25), xi_power_potential(7.0), "power:7", 5e-12),
+    ], ids=["old:0.5", "old:3", "old:2-power-law", "standard", "bps", "power:7"])
+    def test_interior_fields(self, model, pot, tag, rel):
+        oracle = Soliton(model.sector.value, tag, model.beta, model.mu, model.charge,
+                         model.kinetic_law.alpha_k)
+        assert_interior_fields_match(solve_profile(model, pot), oracle, stride=50, rel=rel)
+
+
 class TestTruncatedCharge:
     def test_field_range_of_truncated_profile(self):
         p = baby()
-        x_half = brentq(lambda x: baby_old_exact(x, p) - 0.5, 0.0, baby_old_radius(p))
+        x_half = float(Soliton("baby", "old:1", 1.0, 1.0, 1).coordinates([0.5])[0])
         prof = profile_on_grid(lambda x: baby_old_exact(x, p), p, OLD,
                                count=300, extent=x_half)
         lo, hi = prof.field_range()
