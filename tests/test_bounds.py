@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from dbisol import (DbisolError, PAVLOVSKII_REFERENCE, bound_constant, bound_energy,
                     certify, compare_reference, optimize_bound, pointwise_slack,
                     sharpness, taylor_coefficients, verify_pointwise, weights_for_alpha)
+from dbisol import bounds
 from dbisol.bounds import BLOCK_ROWS, _coeff_floats, _slack_arrays, _tight_ray_points
 
 C2_EXACT = 0.5 * 3.0 ** 1.5
@@ -20,6 +22,8 @@ C2_EXACT = 0.5 * 3.0 ** 1.5
 ORDERS = st.integers(min_value=2, max_value=64)
 BETAS = st.floats(min_value=-2.0, max_value=2.0).map(lambda e: 10.0 ** e)
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# one far triple, put in place of the tight ray so that the minimum falls on the draws
+FAR_POINT = np.full((1, 3), 1e3)
 
 
 def reference_slack(cert, lam: np.ndarray) -> np.ndarray:
@@ -33,6 +37,35 @@ def reference_slack(cert, lam: np.ndarray) -> np.ndarray:
             lhs = lhs * s + ak
         lhs = lhs * s
     return lhs - x * y * z * (cert.constant / cert.beta)
+
+
+def one_array_draws(seed: int, count: int) -> np.ndarray:
+    """The count triples of verify_pointwise, drawn in one array."""
+    lam = np.random.default_rng(seed).uniform(-3.0, 3.0, (count, 3))
+    lam *= math.log(10.0)
+    return np.exp(lam, out=lam)
+
+
+def split_minimum(cert, count: int, seed: int, workers: int) -> float:
+    """verify_pointwise on `workers` usable CPUs, with FAR_POINT in place of the tight ray."""
+    with mock.patch("dbisol.bounds._usable_cpus", return_value=workers), \
+            mock.patch("dbisol.bounds._tight_ray_points", return_value=FAR_POINT):
+        return verify_pointwise(cert, count, seed=seed)
+
+
+def kernel_failing_off(caller: int):
+    """A _slack_kernel whose kernels raise MemoryError on any thread but caller."""
+    make = bounds._slack_kernel
+
+    def kernel_of(cert):
+        slack = make(cert)
+
+        def kernel(lam, s, lhs):
+            if threading.get_ident() != caller:
+                raise MemoryError("worker out of memory")
+            return slack(lam, s, lhs)
+        return kernel
+    return kernel_of
 
 
 def mp_bound_constant(order: int) -> mp.mpf:
@@ -271,21 +304,82 @@ class TestPointwise:
     @example(order=64, beta=10.0, seed=0, count=BLOCK_ROWS + 1)
     def test_blocked_kernel_matches_one_array_reference(self, order, beta, seed, count):
         # the same draws in one array, with s summed explicitly in einsum's order
-        lam = np.random.default_rng(seed).uniform(-3.0, 3.0, (count, 3))
-        lam *= math.log(10.0)
-        np.exp(lam, out=lam)
+        lam = one_array_draws(seed, count)
         cert = optimize_bound(order, beta)
         want = reference_slack(cert, lam)
         assert np.array_equal(_slack_arrays(cert, lam).view(np.int64), want.view(np.int64))
         # the ray holds the minimum of a valid certificate; with one far point
         # in its place the minimum falls on the draws
-        for points in (_tight_ray_points(cert), np.full((1, 3), 1e3)):
+        for points in (_tight_ray_points(cert), FAR_POINT):
             expect = float(reference_slack(cert, points).min())
             if count:
                 expect = min(expect, float(want.min()))
             with mock.patch("dbisol.bounds._tight_ray_points", return_value=points):
                 got = verify_pointwise(cert, count, seed=seed)
             assert got.hex() == expect.hex()
+
+    @PROPERTY
+    @given(order=st.sampled_from([2, 3, 64]), beta=st.sampled_from([1e-2, 1.0, 1e2]),
+           workers=st.sampled_from([1, 2, 3, 5]),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           count=st.one_of(st.sampled_from([0, 1, BLOCK_ROWS - 1, BLOCK_ROWS + 1,
+                                            3 * BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 5]),
+                           st.integers(min_value=0, max_value=4 * BLOCK_ROWS)))
+    @example(order=64, beta=1e2, workers=5, seed=0, count=3 * BLOCK_ROWS + 1)
+    def test_split_matches_one_array_reference(self, order, beta, workers, seed, count):
+        cert = optimize_bound(order, beta)
+        expect = float(reference_slack(cert, FAR_POINT).min())
+        if count:
+            expect = min(expect, float(reference_slack(cert, one_array_draws(seed, count)).min()))
+        got = split_minimum(cert, count, seed, workers)
+        assert got.hex() == expect.hex()
+        assert got.hex() == split_minimum(cert, count, seed, 1).hex()
+
+    def test_worker_error_reaches_caller(self):
+        with mock.patch("dbisol.bounds._usable_cpus", return_value=3), \
+                mock.patch("dbisol.bounds._slack_kernel",
+                           kernel_failing_off(threading.get_ident())):
+            with pytest.raises(MemoryError, match="worker out of memory"):
+                verify_pointwise(optimize_bound(3), 3 * BLOCK_ROWS, seed=1)
+
+    def test_held_up_worker_leaves_its_chunks_to_the_caller(self):
+        # 2 workers, 8 chunks of BLOCK_ROWS // 2 rows; the second worker's
+        # kernel waits until the caller has scanned the 7 chunks that are not
+        # the worker's first, which a fixed split per worker never lets happen
+        caller, make = threading.get_ident(), bounds._slack_kernel
+        chunk, scanned, released = BLOCK_ROWS // 2, [], threading.Event()
+
+        def kernel_of(cert):
+            slack = make(cert)
+
+            def kernel(lam, s, lhs):
+                if threading.get_ident() != caller:
+                    assert released.wait(10), "the caller left chunks to the held-up worker"
+                elif len(lam) == chunk:
+                    scanned.append(chunk)
+                    if len(scanned) == 7:
+                        released.set()
+                return slack(lam, s, lhs)
+            return kernel
+
+        cert = optimize_bound(3)
+        with mock.patch("dbisol.bounds._slack_kernel", kernel_of):
+            got = split_minimum(cert, 4 * BLOCK_ROWS, 5, 2)
+        assert len(scanned) == 7
+        assert got.hex() == split_minimum(cert, 4 * BLOCK_ROWS, 5, 1).hex()
+
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_no_thread_outlives_certify(self, fail):
+        kernel = kernel_failing_off(threading.get_ident()) if fail else bounds._slack_kernel
+        before = threading.active_count()
+        with mock.patch("dbisol.bounds._usable_cpus", return_value=4), \
+                mock.patch("dbisol.bounds._slack_kernel", kernel):
+            if fail:
+                with pytest.raises(MemoryError):
+                    certify(optimize_bound(3), 4 * BLOCK_ROWS, seed=2)
+            else:
+                certify(optimize_bound(3), 4 * BLOCK_ROWS, seed=2)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("triple", [(math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
                                         (1.0, -math.inf, 1.0)])
@@ -295,12 +389,25 @@ class TestPointwise:
             with pytest.raises(DbisolError, match="finite"):
                 pointwise_slack(optimize_bound(3), triple)
 
-    @pytest.mark.parametrize("count", [2.5, math.nan, math.inf, "5"])
+    @pytest.mark.parametrize("count", [2.5, math.nan, math.inf, "5", True])
     def test_rejects_non_integral_sample_count(self, count):
         with pytest.raises(DbisolError, match="integer"):
             certify(optimize_bound(2), count)
         with pytest.raises(DbisolError, match="integer"):
             verify_pointwise(optimize_bound(2), count)
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be non-negative, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (math.nan, "seed must be an integer, got nan"),
+        ("3", "seed must be an integer, got '3'"),
+        (True, "seed must be an integer, got True"),
+    ], ids=["negative", "fraction", "nan", "string", "bool"])
+    def test_rejects_bad_seed(self, seed, message):
+        for call in (certify, verify_pointwise):
+            with pytest.raises(DbisolError) as exc:
+                call(optimize_bound(2), 10, seed=seed)
+            assert str(exc.value) == message
 
     def test_integral_float_sample_count_is_accepted(self):
         assert certify(optimize_bound(2), 3.0, seed=1).samples == 3

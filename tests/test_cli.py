@@ -232,6 +232,12 @@ class TestBoundCommand:
         assert capsys.readouterr().err == "error: sample count must be non-negative, got -5\n"
         assert not (tmp_path / "b.json").exists()
 
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        code = main(["bound", "--seed", "-1", "--out", str(tmp_path / "b")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweepCommand:
     def test_mu_axis(self, tmp_path):
