@@ -8,8 +8,7 @@ strain-eigenvalue energy bounds of the square-root model.
 from .errors import DbisolError, NoSolitonError, OptimizerError, SectorMismatchError
 from .model import (Chart, KineticLaw, ModelParams, PotentialSpec, Sector, TargetMeasure,
                     fit_vacuum_exponent, make_potential, target_measure)
-from .bps import (BpsLaw, EomResidualReport, bps_law_for, dbi_bps_density, eom_residual,
-                  numeric_bps_density, power_bps_density)
+from .bps import BpsLaw, EomResidualReport, bps_law_for, eom_residual
 from .profiles import (GridSpec, LocalizationClass, SolitonProfile, angular_profile,
                        baby_old_exact, baby_old_radius, classify_localization,
                        endpoint_asymptotics, profile_field_at,

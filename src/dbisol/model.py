@@ -1,10 +1,13 @@
-"""Potentials, couplings and target-space geometry shared by every solver.
+"""Potentials, couplings, kinetic laws and target-space geometry shared by every solver.
 
 Two sectors are supported.  The planar one works on the chart h in [0, 1]
 with the vacuum at h = 0, the three-dimensional one on xi in [0, pi] with the
 vacuum at xi = 0.  Each sector's `Chart` (`Sector.chart`) holds every fact
 that tells the two apart, and the solvers read it in place of branching on
-the sector.  All quantities are dimensionless.
+the sector.  Likewise the `KineticLaw` holds every fact that tells the DBI
+square root from the pure power: K(B0), K'(B0), the first-order law and the
+power with which B0 vanishes at the vacuum.  All quantities are
+dimensionless.
 """
 
 from __future__ import annotations
@@ -44,7 +47,13 @@ class Sector(enum.Enum):
 
 @dataclass(frozen=True)
 class KineticLaw:
-    """Kinetic prescription: square-root (DBI) when alpha_k is None, else (B0^2)^alpha_k."""
+    """Kinetic term K(B0) of the static energy density K(B0) + mu^2 V.
+
+    Square-root (DBI) when alpha_k is None, K = beta^2 (1 - sqrt(1 - B0^2 / (2 beta^2))),
+    else the pure power K = (B0^2)^alpha_k.  Each fact that tells the two apart
+    lives here: K, its derivative K', the first-order law B0 K' - K = mu^2 V
+    solved for B0, and the power with which B0 vanishes at the vacuum.
+    """
 
     alpha_k: float | None = None
 
@@ -66,6 +75,40 @@ class KineticLaw:
     @property
     def is_dbi(self) -> bool:
         return self.alpha_k is None
+
+    def kinetic(self, b0, beta: float) -> np.ndarray:
+        """K(B0)."""
+        b0 = np.asarray(b0, dtype=float)
+        if self.is_dbi:
+            r = b0 * b0 / (2.0 * beta ** 2)
+            return beta ** 2 * r / (1.0 + np.sqrt(np.maximum(1.0 - r, 0.0)))
+        return np.power(b0 * b0, self.alpha_k)
+
+    def kinetic_slope(self, b0, beta: float) -> np.ndarray:
+        """K'(B0); under the DBI law 1 - B0^2 / (2 beta^2) is clamped at 1e-300."""
+        b0 = np.asarray(b0, dtype=float)
+        if self.is_dbi:
+            return b0 / (2.0 * np.sqrt(np.maximum(1.0 - b0 * b0 / (2.0 * beta ** 2), 1e-300)))
+        return 2.0 * self.alpha_k * np.sign(b0) * np.power(np.abs(b0), 2.0 * self.alpha_k - 1.0)
+
+    def density(self, mu2v, beta: float) -> np.ndarray:
+        """B0 >= 0 on the first-order law B0 K'(B0) - K(B0) = mu^2 V, at mu^2 V >= 0.
+
+        DBI: sqrt(2) beta sqrt(1 - (1 + e)^-2) with e = mu^2 V / beta^2, written
+        sqrt(e (2 + e)) / (1 + e) so it stays exact for tiny e; monotone in V and
+        bounded by sqrt(2) beta.  Power: (mu^2 V / (2 alpha_k - 1))^(1 / (2 alpha_k)).
+        """
+        x = np.asarray(mu2v, dtype=float)
+        if np.any(x < 0):
+            raise DbisolError("potential value must be non-negative")
+        if self.is_dbi:
+            e = x / beta ** 2
+            return math.sqrt(2.0) * beta * (np.sqrt(e * (2.0 + e)) / (1.0 + e))
+        return np.power(x / (2.0 * self.alpha_k - 1.0), 1.0 / (2.0 * self.alpha_k))
+
+    def vacuum_power(self, vacuum_exponent: float) -> float:
+        """Power with which B0 vanishes where V vanishes like the field to vacuum_exponent."""
+        return vacuum_exponent / (2.0 if self.is_dbi else 2.0 * self.alpha_k)
 
 
 @dataclass(frozen=True)
@@ -163,9 +206,6 @@ class Chart:
     slope_scale: Callable    # params -> factor from B0 to |jacobian * slope|
     prefactor: Callable      # params -> factor from kinetic + potential density
                              # to the chart energy density
-    eom_flux: Callable       # (slope, field, params) -> flux G of the reduced
-                             # second-order equation
-    eom_operator: Callable   # (dG/dcoordinate, field, V', params) -> its residual
     radial: Callable         # (radius, params) -> coordinate of the reduced problem
 
     def coordinate_map(self, r, params: ModelParams):
@@ -175,16 +215,6 @@ class Chart:
             raise DbisolError("radius must be non-negative")
         out = self.radial(rr, params)
         return out if out.ndim else float(out)
-
-
-def _planar_flux(u, h, p):
-    return u / np.sqrt(np.maximum(
-        1.0 - p.charge ** 2 * u * u / (8.0 * math.pi ** 2 * p.beta ** 2), 1e-300))
-
-
-def _radial_flux(u, xi, p):
-    w = _eta_deriv(xi) * u
-    return w / np.sqrt(np.maximum(1.0 - w * w, 1e-300))
 
 
 CHARTS = {
@@ -197,9 +227,6 @@ CHARTS = {
         volume=lambda h: h,
         slope_scale=lambda p: 2.0 * math.pi / abs(p.charge),
         prefactor=lambda p: 2.0 * math.pi,
-        eom_flux=_planar_flux,
-        eom_operator=lambda dG, h, dV, p: (
-            p.charge ** 2 * dG - 8.0 * math.pi ** 2 * p.mu ** 2 * dV),
         radial=lambda r, p: 0.5 * r * r,
     ),
     # xi in [0, pi] in the cubic radial chart z = 2 sqrt2 beta pi^2 r^3 / |n|.
@@ -217,9 +244,6 @@ CHARTS = {
         volume=_eta,
         slope_scale=lambda p: 1.0 / (math.sqrt(2.0) * p.beta),
         prefactor=lambda p: math.sqrt(2.0) * abs(p.charge) / (3.0 * math.pi * p.beta),
-        eom_flux=_radial_flux,
-        eom_operator=lambda dG, xi, dV, p: (
-            p.beta ** 2 * _eta_deriv(xi) * dG - p.mu ** 2 * dV),
         radial=lambda r, p: 2.0 * math.sqrt(2.0) * p.beta * math.pi ** 2 / abs(p.charge) * r ** 3,
     ),
 }

@@ -283,7 +283,7 @@ def tail_fit(profile: SolitonProfile) -> LocalizationClass:
 
 def _threshold_margin(law: KineticLaw, vacuum_exponent: float, chart: Chart) -> float:
     """The chart's threshold less twice the power with which B0 vanishes at the vacuum."""
-    return chart.threshold - (vacuum_exponent if law.is_dbi else vacuum_exponent / law.alpha_k)
+    return chart.threshold - 2.0 * law.vacuum_power(vacuum_exponent)
 
 
 def _profile_on_law(model: ModelParams, potential: PotentialSpec, law: BpsLaw,

@@ -82,6 +82,14 @@ def potential(tag: str):
     raise ValueError(f"unknown potential {tag!r}")
 
 
+def kinetic(b0, beta, alpha_k=None):
+    """K(B0): the DBI square root when alpha_k is None, else (B0^2)^alpha_k."""
+    if alpha_k is None:
+        # 1 - sqrt(1 - r) = -expm1(log1p(-r) / 2), free of cancellation
+        return -beta ** 2 * mp.expm1(mp.log1p(-b0 ** 2 / (2 * beta ** 2)) / 2)
+    return (b0 ** 2) ** alpha_k
+
+
 class Soliton:
     """Reference quantities of one first-order soliton.
 
@@ -114,10 +122,7 @@ class Soliton:
         return (self.mu ** 2 * v / (2 * self.alpha_k - 1)) ** (1 / (2 * self.alpha_k))
 
     def kinetic(self, b0):
-        if self.alpha_k is None:
-            # 1 - sqrt(1 - r) = -expm1(log1p(-r) / 2), free of cancellation
-            return -self.beta ** 2 * mp.expm1(mp.log1p(-b0 ** 2 / (2 * self.beta ** 2)) / 2)
-        return (b0 ** 2) ** self.alpha_k
+        return kinetic(b0, self.beta, self.alpha_k)
 
     def jacobian(self, s):
         if self.planar:

@@ -4,15 +4,22 @@ from dataclasses import replace
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mp_oracle import kinetic
 
-from dbisol import (DbisolError, KineticLaw, ModelParams, Sector, SectorMismatchError,
+from dbisol import (DbisolError, GridSpec, KineticLaw, ModelParams, Sector, SectorMismatchError,
                     baby_old_exact, baby_old_radius, bps_energy_integral, bps_law_for,
-                    dbi_bps_density, eom_residual, make_potential, numeric_bps_density,
-                    power_bps_density, profile_on_grid, skyrme_standard_exact,
-                    skyrme_standard_radius)
+                    eom_residual, make_potential, profile_on_grid, skyrme_standard_exact,
+                    skyrme_standard_radius, solve_profile)
 
 OLD = make_potential("old-baby-power", 1.0)
 STD = make_potential("skyrme-standard")
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
 
 
 def baby(**kw):
@@ -27,9 +34,19 @@ def skyrme(**kw):
     return ModelParams(**base)
 
 
+def dbi_density(v, params):
+    """B0 of the DBI first-order law at potential value v."""
+    return KineticLaw.dbi().density(params.mu ** 2 * np.asarray(v, dtype=float), params.beta)
+
+
+def power_density(v, mu, alpha_k):
+    """B0 of the pure-power first-order law at potential value v."""
+    return KineticLaw.power(alpha_k).density(mu ** 2 * np.asarray(v, dtype=float), 1.0)
+
+
 class TestDbiDensity:
     def test_vacuum(self):
-        assert dbi_bps_density(0.0, baby(beta=2.0, mu=0.7)) == 0.0
+        assert dbi_density(0.0, baby(beta=2.0, mu=0.7)) == 0.0
 
     def test_unit_couplings_against_defining_relation(self):
         # independent oracle: root of 1/sqrt(1 - B^2/(2 b^2)) = mu^2 V / b^2 + 1
@@ -37,11 +54,11 @@ class TestDbiDensity:
             expected = mp.findroot(lambda b0: 1 / mp.sqrt(1 - b0 ** 2 / 2) - 2, (0.5, 1.4),
                                    solver="anderson")
             assert abs(expected - mp.sqrt(1.5)) < 1e-25
-        assert dbi_bps_density(1.0, baby()) == pytest.approx(float(expected), abs=1e-14)
+        assert dbi_density(1.0, baby()) == pytest.approx(float(expected), abs=1e-14)
 
     def test_bounded_and_monotone(self):
         p = baby(beta=1.3, mu=0.8)
-        vals = dbi_bps_density(np.linspace(0, 50, 200), p)
+        vals = dbi_density(np.linspace(0, 50, 200), p)
         assert np.all(np.diff(vals) > 0)
         assert np.all(vals < math.sqrt(2) * p.beta)
 
@@ -50,24 +67,20 @@ class TestDbiDensity:
         betas = np.array([10.0, 100.0, 1000.0])
         devs = []
         for b in betas:
-            d = dbi_bps_density(1.0, baby(beta=b))
+            d = dbi_density(1.0, baby(beta=b))
             devs.append(abs(d - 2.0) / 2.0)
         slope = np.polyfit(np.log(betas), np.log(devs), 1)[0]
         assert slope == pytest.approx(-2.0, abs=0.1)
 
     def test_rejects_negative_potential(self):
         with pytest.raises(DbisolError):
-            dbi_bps_density(-0.1, baby())
-
-    def test_rejects_power_law_params(self):
-        with pytest.raises(DbisolError):
-            dbi_bps_density(1.0, baby(kinetic_law=KineticLaw.power(1.0)))
+            dbi_density(-0.1, baby())
 
 
 class TestPowerDensity:
     def test_alpha_one_is_mu_sqrt_v(self):
-        assert power_bps_density(4.0, 1.0, 1.0) == pytest.approx(2.0, abs=1e-15)
-        assert power_bps_density(1.0, 2.0, 1.0) == pytest.approx(2.0, abs=1e-15)
+        assert power_density(4.0, 1.0, 1.0) == pytest.approx(2.0, abs=1e-15)
+        assert power_density(1.0, 2.0, 1.0) == pytest.approx(2.0, abs=1e-15)
 
     def test_three_quarters_against_defining_relation(self):
         # oracle: (2a - 1) W^(2a) = mu^2 V solved numerically
@@ -76,60 +89,47 @@ class TestPowerDensity:
             expected = mp.findroot(lambda w: (2 * a - 1) * w ** (2 * a) - 1, (1e-6, 10.0),
                                    solver="anderson")
             assert abs(expected - 2 ** (mp.mpf(2) / 3)) < 1e-25
-        got = power_bps_density(1.0, 1.0, 0.75)
+        got = power_density(1.0, 1.0, 0.75)
         assert got == pytest.approx(float(expected), abs=1e-12)
         assert got == pytest.approx(2.0 ** (2.0 / 3.0), abs=1e-12)
 
     def test_rejects_half(self):
         with pytest.raises(DbisolError):
-            power_bps_density(1.0, 1.0, 0.5)
+            KineticLaw.power(0.5)
+
+
+def assert_first_order_relation(alpha_k, beta, mu2v):
+    """B0 = KineticLaw.density solves B0 K'(B0) - K(B0) = mu^2 V to 1e-12
+    relative, with K from the mpmath oracle and K' = mp.diff(K)."""
+    law = KineticLaw.dbi() if alpha_k is None else KineticLaw.power(alpha_k)
+    b0 = float(law.density(mu2v, beta))
+    with mp.workdps(40):
+        a = None if alpha_k is None else mp.mpf(alpha_k)
+        w = mp.mpf(b0)
+        lhs = w * mp.diff(lambda t: kinetic(t, mp.mpf(beta), a), w) - kinetic(w, mp.mpf(beta), a)
+    assert float(lhs) == pytest.approx(mu2v, rel=1e-12, abs=0.0)
 
 
 class TestNumericDensity:
-    @staticmethod
-    def dbi_F(beta, mu, pot):
-        def F(w, s):
-            return beta ** 2 * (1.0 - math.sqrt(max(1.0 - w * w / (2 * beta ** 2), 0.0))) \
-                + mu ** 2 * float(pot.evaluate(s))
+    """The closed-form B0 of each law against its defining relation
+    B0 K'(B0) - K(B0) = mu^2 V, evaluated numerically in mpmath."""
 
-        def dF(w, s):
-            return w / (2.0 * math.sqrt(max(1.0 - w * w / (2 * beta ** 2), 1e-300)))
-        return F, dF
+    # mu^2 V / beta^2 up to 10: near the DBI ceiling the relation amplifies
+    # the rounding of B0 by (1 + mu^2 V / beta^2)^2
+    @PROPERTY
+    @given(log_uniform(0.1, 10.0), log_uniform(1e-8, 10.0))
+    def test_matches_dbi_closed_form_on_sample(self, beta, e):
+        assert_first_order_relation(None, beta, e * beta ** 2)
 
-    def test_matches_dbi_closed_form_on_sample(self):
-        p = baby(beta=1.2, mu=0.9)
-        F, dF = self.dbi_F(p.beta, p.mu, OLD)
-        rng = np.random.default_rng(3)
-        for h in rng.uniform(0.01, 1.0, 100):
-            got = numeric_bps_density(F, h, dF_dW=dF, w_max=math.sqrt(2) * p.beta * (1 - 1e-14))
-            assert got == pytest.approx(dbi_bps_density(float(OLD.evaluate(h)), p), abs=1e-10)
-
-    def test_matches_power_closed_form_on_sample(self):
-        a = 1.0
-
-        def F(w, s):
-            return (w * w) ** a + 1.0 * s
-
-        def dF(w, s):
-            return 2 * a * w * (w * w) ** (a - 1) if w > 0 else 0.0
-        rng = np.random.default_rng(4)
-        for v in rng.uniform(0.01, 4.0, 100):
-            got = numeric_bps_density(F, v, dF_dW=dF)
-            assert got == pytest.approx(power_bps_density(v, 1.0, a), abs=1e-10)
+    @PROPERTY
+    @given(st.floats(0.51, 10.0), log_uniform(1e-8, 1e4))
+    def test_matches_power_closed_form_on_sample(self, alpha_k, mu2v):
+        assert_first_order_relation(alpha_k, 1.0, mu2v)
 
     def test_vacuum_root(self):
-        F, dF = self.dbi_F(1.0, 1.0, OLD)
-        assert numeric_bps_density(F, 0.0, dF_dW=dF) == 0.0
-
-    def test_finite_difference_fallback_warns(self):
-        F, _ = self.dbi_F(1.0, 1.0, OLD)
-        with pytest.warns(UserWarning, match="finite differences"):
-            got = numeric_bps_density(F, 1.0, w_max=math.sqrt(2) * (1 - 1e-12))
-        assert got == pytest.approx(math.sqrt(1.5), abs=1e-7)
-
-    def test_no_sign_change_reported(self):
-        with pytest.raises(DbisolError, match="sign change"):
-            numeric_bps_density(lambda w, s: 1.0 + w, 1.0, dF_dW=lambda w, s: 1.0, w_max=0.5)
+        for law in (KineticLaw.dbi(), KineticLaw.power(0.75)):
+            assert float(law.density(0.0, 1.3)) == 0.0
+            assert float(law.kinetic(0.0, 1.3)) == 0.0
 
 
 def chart_slope(field, potential, params):
@@ -243,7 +243,20 @@ class TestEomResidual:
         r1 = eom_residual(exact_baby_profile(model, 1e-3), edge_margin=1e-2).max_abs_residual
         r2 = eom_residual(exact_baby_profile(model, 5e-4), edge_margin=1e-2).max_abs_residual
         assert r1 / r2 == pytest.approx(4.0, abs=0.6)
-        assert r1 < 1.0
+        assert r1 < 1.0 / (8.0 * math.pi ** 2)
+
+    @pytest.mark.parametrize("alpha_k,exponent,edge_margin",
+                             [(2.0, 2.0, None), (0.75, 1.0, 1e-2)], ids=["ak2-old2", "ak0.75-old1"])
+    def test_power_law_residual_converges(self, alpha_k, exponent, edge_margin):
+        # the residual is the power law's own Euler-Lagrange equation, so it
+        # falls like the square of the spacing on the solved profile
+        model = baby(kinetic_law=KineticLaw.power(alpha_k))
+        pot = make_potential("old-baby-power", exponent)
+        res = [eom_residual(solve_profile(model, pot, GridSpec(count=g)),
+                            edge_margin=edge_margin).max_abs_residual
+               for g in (1000, 2000, 4000)]
+        assert 3.5 <= res[0] / res[1] <= 4.5
+        assert 3.5 <= res[1] / res[2] <= 4.5
 
 
 class TestBpsLaw:
@@ -258,7 +271,7 @@ class TestBpsLaw:
     def test_power_law_origin(self):
         law = bps_law_for(baby(kinetic_law=KineticLaw.power(1.0)), OLD)
         v = np.linspace(0.0, 1.0, 11)
-        np.testing.assert_array_equal(law.of_potential(v), power_bps_density(v, 1.0, 1.0))
+        np.testing.assert_array_equal(law.of_potential(v), power_density(v, 1.0, 1.0))
         assert float(law.density(0.25)) == pytest.approx(0.5, abs=1e-14)
 
     def test_density_is_of_potential_at_the_potential_value(self):

@@ -1,6 +1,6 @@
 """Fingerprint the artifacts of a fixed set of `dbisol` runs.
 
-Runs 29 CLI configurations (solve, verify, bound, sweep and classify across
+Runs 32 CLI configurations (solve, verify, bound, sweep and classify across
 both sectors and every potential family), each in a fresh interpreter inside
 a temporary directory, and prints one line per artifact:
 
@@ -43,10 +43,13 @@ RUNS = (
     ("solve-baby-power2.5", "solve --potential power:2.5"),
     ("solve-skyrme-power2.5", "solve --sector skyrme --potential power:2.5"),
     ("solve-old1-ak2", "solve --potential old:1 --alpha-k 2"),
+    ("solve-old2-ak2", "solve --potential old:2 --alpha-k 2"),
+    ("solve-old1-ak0.75", "solve --potential old:1 --alpha-k 0.75"),
     ("verify-baby", "verify"),
     ("verify-skyrme", "verify --sector skyrme"),
     ("verify-skyrme-n3", "verify --sector skyrme --n 3"),
     ("verify-baby-perturbed", "verify --inject-perturbation"),
+    ("verify-baby-ak2", "verify --alpha-k 2"),
     ("bound-3", "bound --order 3"),
     ("bound-8", "bound --order 8"),
     ("bound-3-b2", "bound --order 3 --beta 2"),
