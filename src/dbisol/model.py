@@ -5,9 +5,9 @@ with the vacuum at h = 0, the three-dimensional one on xi in [0, pi] with the
 vacuum at xi = 0.  Each sector's `Chart` (`Sector.chart`) holds every fact
 that tells the two apart, and the solvers read it in place of branching on
 the sector.  Likewise the `KineticLaw` holds every fact that tells the DBI
-square root from the pure power: K(B0), K'(B0), the first-order law and the
-power with which B0 vanishes at the vacuum.  All quantities are
-dimensionless.
+square root from the pure power: K(B0), K'(B0), the first-order law, the
+dual variable P = K'(B0) on that law and the power with which B0 vanishes at
+the vacuum.  Every chart takes both laws.  All quantities are dimensionless.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ class KineticLaw:
     Square-root (DBI) when alpha_k is None, K = beta^2 (1 - sqrt(1 - B0^2 / (2 beta^2))),
     else the pure power K = (B0^2)^alpha_k.  Each fact that tells the two apart
     lives here: K, its derivative K', the first-order law B0 K' - K = mu^2 V
-    solved for B0, and the power with which B0 vanishes at the vacuum.
+    solved for B0, P = K'(B0) on that law, and the power with which B0
+    vanishes at the vacuum.
     """
 
     alpha_k: float | None = None
@@ -106,6 +107,21 @@ class KineticLaw:
             return math.sqrt(2.0) * beta * (np.sqrt(e * (2.0 + e)) / (1.0 + e))
         return np.power(x / (2.0 * self.alpha_k - 1.0), 1.0 / (2.0 * self.alpha_k))
 
+    def dual(self, mu2v, beta: float) -> np.ndarray:
+        """P = K'(B0) on the first-order law, at mu^2 V >= 0.
+
+        On the law K + mu^2 V = B0 P, which makes the energy per charge a
+        target average of P.  Neither form subtracts: DBI (beta / sqrt2)
+        sqrt(e (2 + e)) with e = mu^2 V / beta^2, power
+        2 alpha_k (mu^2 V / (2 alpha_k - 1))^(1 - 1 / (2 alpha_k)).
+        """
+        x = np.asarray(mu2v, dtype=float)
+        if self.is_dbi:
+            e = x / beta ** 2
+            return beta / math.sqrt(2.0) * np.sqrt(e * (2.0 + e))
+        a2 = 2.0 * self.alpha_k
+        return a2 * np.power(x / (a2 - 1.0), 1.0 - 1.0 / a2)
+
     def vacuum_power(self, vacuum_exponent: float) -> float:
         """Power with which B0 vanishes where V vanishes like the field to vacuum_exponent."""
         return vacuum_exponent / (2.0 if self.is_dbi else 2.0 * self.alpha_k)
@@ -156,8 +172,6 @@ class ModelParams:
             raise DbisolError(f"topological charge must be a nonzero integer, got {n}")
         if not isinstance(self.sector, Sector):
             raise DbisolError(f"unknown sector {self.sector!r}")
-        if self.sector.chart.dbi_only and not self.kinetic_law.is_dbi:
-            raise DbisolError("power-family profiles are defined on the planar chart only")
 
     @property
     def sigma(self) -> float:
@@ -200,7 +214,6 @@ class Chart:
     unit_weight: float       # unit_weight * jacobian has unit mass on the chart
     average_factor: float    # of the per-charge target average
     slope_pole: bool         # the slope diverges at the anti-vacuum value
-    dbi_only: bool           # takes the DBI kinetic law only
     jacobian: Callable       # volume element in the field; planar, the scalar 1.0
     volume: Callable         # primitive of jacobian
     slope_scale: Callable    # params -> factor from B0 to |jacobian * slope|
@@ -221,8 +234,7 @@ CHARTS = {
     # h in [0, 1] in the chart x = r^2 / 2.  The inverse map int 1 / B0
     # converges at the vacuum exactly when B0 vanishes with a power below 1.
     Sector.BABY2D: Chart(
-        anti_vacuum=1.0, threshold=2.0, unit_weight=1.0, average_factor=1.0,
-        slope_pole=False, dbi_only=False,
+        anti_vacuum=1.0, threshold=2.0, unit_weight=1.0, average_factor=1.0, slope_pole=False,
         jacobian=lambda h: 1.0,
         volume=lambda h: h,
         slope_scale=lambda p: 2.0 * math.pi / abs(p.charge),
@@ -239,7 +251,7 @@ CHARTS = {
     # whatever beta, mu and sigma.
     Sector.SKYRME3D: Chart(
         anti_vacuum=math.pi, threshold=6.0, unit_weight=2.0 / math.pi,
-        average_factor=1.0 / 3.0, slope_pole=True, dbi_only=True,
+        average_factor=1.0 / 3.0, slope_pole=True,
         jacobian=_eta_deriv,
         volume=_eta,
         slope_scale=lambda p: 1.0 / (math.sqrt(2.0) * p.beta),

@@ -6,7 +6,8 @@ transforms exactly into an integral over the traversed field range with the
 inverse-map Jacobian.  This keeps the quadrature away from the slope
 singularities at compact edges; what remains is algebraic behaviour at the
 vacuum end, which the tanh-sinh rule of `numerics` resolves to machine
-precision.  Target-space averages use the same rule, and the charge of a
+precision.  The target-space average, one route for both kinetic laws,
+uses the same rule on P = K'(B0) from the law, and the charge of a
 first-order profile is in closed form.
 """
 
@@ -168,39 +169,27 @@ def skyrme_bps_energy_closed(params: ModelParams) -> float:
 # target-space averages
 
 def energy_per_charge_average(model: ModelParams, potential: PotentialSpec) -> float:
-    """Energy per unit charge from the unit-mass target average.
+    """Energy per unit charge from the unit-mass target average, for either law.
 
-    (mu / sqrt(2)) <sqrt(mu^2 V^2 / beta^2 + 2 V)> times the chart Jacobian
-    factor of the sector; equals energy_quadrature / |n| on solutions of the
-    first-order law.
+    On the first-order law K + mu^2 V = B0 P with P = K'(B0), so the energy
+    per charge is the chart's average factor times <P>, with P from
+    `KineticLaw.dual`; equals energy_quadrature / |n| on solutions of the law.
     """
-    if not model.kinetic_law.is_dbi:
-        raise DbisolError("the square-root average applies to the DBI law; use "
-                          "power_family_energy_per_charge instead")
     if model.mu == 0.0:
         warnings.warn("mu = 0 admits no soliton; returning zero energy", stacklevel=2)
         return 0.0
+    law = model.kinetic_law
 
-    def root(s):
-        v = np.asarray(potential.evaluate(s), dtype=float)
-        return np.sqrt(model.mu ** 2 * v * v / model.beta ** 2 + 2.0 * v)
+    def dual(s):
+        return law.dual(model.mu ** 2 * np.asarray(potential.evaluate(s), dtype=float),
+                        model.beta)
 
-    return model.mu / math.sqrt(2.0) * model.sector.chart.average_factor \
-        * target_measure(model.sector).average(root)
+    return model.sector.chart.average_factor * target_measure(model.sector).average(dual)
 
 
 def power_family_energy_per_charge(model: ModelParams, potential: PotentialSpec) -> float:
-    """Per-charge energy of the pure-power law from the target average."""
-    law = model.kinetic_law
-    if law.is_dbi:
-        raise DbisolError("power_family_energy_per_charge requires a power law")
-    a = law.alpha_k
-    if model.mu == 0.0:
-        return 0.0
-    expo = 1.0 - 1.0 / (2.0 * a)
-    avg = target_measure(model.sector).average(
-        lambda s: np.asarray(potential.evaluate(s), dtype=float) ** expo)
-    return 2.0 * a * ((2.0 * a - 1.0) / model.mu ** 2) ** (1.0 / (2.0 * a) - 1.0) * avg
+    """The average route of energy_per_charge_average, under the power law's name."""
+    return energy_per_charge_average(model, potential)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +259,7 @@ def large_beta_sweep(model: ModelParams, betas: Sequence[float],
 class EnergyReport:
     energy_quadrature: float
     energy_closed_form: float | None
-    energy_per_charge_avg: float | None
+    energy_per_charge_avg: float
     charge: float
     rel_discrepancy_closed: float | None
     rel_discrepancy_avg: float | None
@@ -306,10 +295,7 @@ def compute_energy_report(profile: SolitonProfile, model: ModelParams,
     e_quad = energy_quadrature(profile, model, potential)
     charge = charge_quadrature(profile, model)
     closed = _closed_form_for(model, potential)
-    if model.kinetic_law.is_dbi:
-        avg = energy_per_charge_average(model, potential)
-    else:
-        avg = power_family_energy_per_charge(model, potential)
+    avg = energy_per_charge_average(model, potential)
     n = abs(model.charge)
     rel_closed = abs(e_quad - closed) / abs(closed) if closed is not None else None
     per = e_quad / n

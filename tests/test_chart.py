@@ -133,12 +133,9 @@ def test_no_sector_branch_outside_the_chart_table():
     assert stray == []
 
 
-# where the kinetic law may be named: the law itself, the model's DBI-only
-# check, the average-route cross-checks and the closed forms that stay
-# law-specific, and the CLI's parser map
-LAW_ALLOWED = {"model.py": {"KineticLaw", "ModelParams"},
-               "observables.py": {"energy_per_charge_average", "power_family_energy_per_charge",
-                                  "_closed_form_for", "compute_energy_report"},
+# where the kinetic law may be named: the law itself, the closed forms that
+# exist for the DBI law only, and the CLI's parser map
+LAW_ALLOWED = {"model.py": {"KineticLaw"}, "observables.py": {"_closed_form_for"},
                "cli.py": {"model"}}
 
 

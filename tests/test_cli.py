@@ -312,24 +312,54 @@ class TestClassifyCommand:
         assert data["agree"] is True
 
 
-PLANAR_ONLY = "error: power-family profiles are defined on the planar chart only\n"
+class TestPowerLaw3D:
+    """The 3-D chart takes the power law: solve, classify and verify run it."""
 
+    @pytest.mark.parametrize("pot,alpha_k", [("standard", "2"), ("bps", "0.75")])
+    def test_solve(self, tmp_path, pot, alpha_k):
+        code = main(["solve", "--sector", "skyrme", "--potential", pot, "--alpha-k", alpha_k,
+                     "--out", str(tmp_path / "s")])
+        assert code == 0
+        data = json.loads((tmp_path / "s.json").read_text())
+        assert data["charge"] == 1.0
+        assert data["energy_closed_form"] is None
+        assert data["rel_discrepancy_avg"] <= 1e-12
 
-@pytest.mark.parametrize("args", [
-    ["solve", "--sector", "skyrme", "--potential", "standard", "--alpha-k", "2"],
-    ["classify", "--sector", "skyrme", "--potential", "standard", "--alpha-k", "2"],
-    ["verify", "--sector", "skyrme", "--potential", "standard", "--alpha-k", "2"],
-    ["solve", "--sector", "skyrme", "--potential", "bps", "--alpha-k", "0.75"],
-    # the model is checked before the sweep's sector and before verify's mu
-    ["sweep", "--sector", "skyrme", "--alpha-k", "2", "--values", "1e-2,1e-3,1e-4"],
-    ["verify", "--sector", "skyrme", "--alpha-k", "2", "--mu", "0"],
-], ids=["solve", "classify", "verify", "solve-bps", "sweep", "verify-mu-zero"])
-def test_3d_power_law_exits_one_with_one_line(tmp_path, capfd, args):
-    assert main([*args, "--out", str(tmp_path / "x")]) == 1
-    out, err = capfd.readouterr()
-    assert err == PLANAR_ONLY
-    assert out == ""
-    assert not (tmp_path / "x.json").exists()
+    def test_classify_agrees_with_tail_fit(self, tmp_path):
+        code = main(["classify", "--sector", "skyrme", "--potential", "power:7",
+                     "--alpha-k", "2", "--out", str(tmp_path / "c")])
+        assert code == 0
+        data = json.loads((tmp_path / "c.json").read_text())
+        assert data["predicted"] == data["empirical"] == "compacton"
+        assert data["agree"] is True
+
+    @pytest.mark.parametrize("alpha_k", ["0.75", "1", "2"])
+    def test_verify_passes_without_closed_forms(self, tmp_path, capfd, alpha_k):
+        code = main(["verify", "--sector", "skyrme", "--alpha-k", alpha_k,
+                     "--out", str(tmp_path / "v")])
+        out, err = capfd.readouterr()
+        assert code == 0 and err == ""
+        report = json.loads((tmp_path / "v.json").read_text())
+        assert report["all_passed"] is True
+        names = [c["name"] for c in report["checks"]]
+        assert len(names) == 8 and not any(n.startswith("closed_vs_quadrature") for n in names)
+
+    def test_verify_mu_zero_exits_two(self, tmp_path, capfd):
+        code = main(["verify", "--sector", "skyrme", "--alpha-k", "2", "--mu", "0",
+                     "--out", str(tmp_path / "v")])
+        out, err = capfd.readouterr()
+        assert code == 2
+        assert err.startswith("no soliton: mu = 0 ") and err.count("\n") == 1
+        assert out == ""
+        assert not (tmp_path / "v.json").exists()
+
+    def test_sweep_keeps_its_sector_message(self, tmp_path, capfd):
+        code = main(["sweep", "--sector", "skyrme", "--alpha-k", "2",
+                     "--values", "1e-2,1e-3,1e-4", "--out", str(tmp_path / "s")])
+        out, err = capfd.readouterr()
+        assert code == 1
+        assert err == "error: sweeps run in the planar sector only, not skyrme\n"
+        assert out == ""
 
 
 class TestDeterminism:

@@ -1,17 +1,28 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dbisol import (DbisolError, KineticLaw, ModelParams, Sector,
                     fit_vacuum_exponent, make_potential, target_measure)
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+LAWS = st.sampled_from([None, 0.75, 1.0, 2.0])
 
 
 def params(**kw):
     base = dict(beta=1.0, mu=1.0, charge=1, sector=Sector.BABY2D)
     base.update(kw)
     return ModelParams(**base)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
 
 
 class TestPotentials:
@@ -157,15 +168,13 @@ class TestValidateParams:
         p = params(kinetic_law=KineticLaw.power(0.75))
         assert not p.kinetic_law.is_dbi and p.kinetic_law.alpha_k == 0.75
 
-    def test_rejects_3d_power_law(self):
-        """The 3-D chart takes the DBI law only; no solver can meet such a model."""
+    def test_builds_3d_power_law(self):
+        """Every chart takes both kinetic laws."""
         power = KineticLaw.power(2.0)
-        with pytest.raises(DbisolError, match="planar chart only"):
-            params(sector=Sector.SKYRME3D, kinetic_law=power)
-        with pytest.raises(DbisolError, match="planar chart only"):
-            replace(params(sector=Sector.SKYRME3D), kinetic_law=power)
-        with pytest.raises(DbisolError, match="planar chart only"):
-            replace(params(kinetic_law=power), sector=Sector.SKYRME3D)
+        assert params(sector=Sector.SKYRME3D, kinetic_law=power).kinetic_law == power
+        assert replace(params(sector=Sector.SKYRME3D), kinetic_law=power).kinetic_law == power
+        assert replace(params(kinetic_law=power), sector=Sector.SKYRME3D).sector \
+            is Sector.SKYRME3D
 
     def test_rejects_unknown_sector(self):
         with pytest.raises(DbisolError, match="unknown sector"):
@@ -173,3 +182,40 @@ class TestValidateParams:
 
     def test_sigma(self):
         assert params(beta=2.0, mu=1.0).sigma == pytest.approx(4.0)
+
+
+class TestDual:
+    """P = K'(B0) on the first-order law, as a function of mu^2 V."""
+
+    @staticmethod
+    def mp_dual(mu2v, beta, alpha_k):
+        """K' at the law's B0, both in mpmath at 50 digits."""
+        with mp.workdps(50):
+            x, b = mp.mpf(mu2v), mp.mpf(beta)
+            if alpha_k is None:
+                e = x / b ** 2
+                b0 = mp.sqrt(2) * b * mp.sqrt(e * (2 + e)) / (1 + e)
+                return b0 / (2 * mp.sqrt(1 - b0 ** 2 / (2 * b ** 2)))
+            a = mp.mpf(alpha_k)
+            b0 = (x / (2 * a - 1)) ** (1 / (2 * a))
+            return 2 * a * b0 ** (2 * a - 1)
+
+    @staticmethod
+    def law(alpha_k):
+        return KineticLaw.dbi() if alpha_k is None else KineticLaw.power(alpha_k)
+
+    @PROPERTY
+    @given(LAWS, log_uniform(1e-8, 1e8), log_uniform(1e-4, 1e4))
+    def test_matches_mpmath(self, alpha_k, e, beta):
+        mu2v = e * beta ** 2
+        want = self.mp_dual(mu2v, beta, alpha_k)
+        got = float(self.law(alpha_k).dual(mu2v, beta))
+        assert abs(got - want) <= 1e-13 * want
+
+    @PROPERTY
+    @given(LAWS, log_uniform(1e-8, 10.0), log_uniform(1e-4, 1e4))
+    def test_is_the_slope_at_the_laws_density(self, alpha_k, e, beta):
+        # composed from K' and B0, the DBI form cancels like e^2 for large e
+        law, mu2v = self.law(alpha_k), e * beta ** 2
+        want = float(law.kinetic_slope(law.density(mu2v, beta), beta))
+        assert float(law.dual(mu2v, beta)) == pytest.approx(want, rel=1e-12)

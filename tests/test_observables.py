@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import pytest
@@ -178,6 +179,10 @@ class TestAverages:
     def test_mu_zero_warns_and_returns_zero(self):
         with pytest.warns(UserWarning, match="no soliton"):
             assert energy_per_charge_average(baby(mu=0.0), OLD) == 0.0
+        power = baby(mu=0.0, kinetic_law=KineticLaw.power(2.0))
+        for route in (energy_per_charge_average, power_family_energy_per_charge):
+            with pytest.warns(UserWarning, match="no soliton"):
+                assert route(power, OLD) == 0.0
 
     def test_power_family_oracle(self):
         p = baby(kinetic_law=KineticLaw.power(1.0))
@@ -192,9 +197,13 @@ class TestAverages:
         p = baby(mu=2.0, kinetic_law=KineticLaw.power(1.0))
         assert power_family_energy_per_charge(p, OLD) == pytest.approx(8.0 / 3.0, rel=1e-12)
 
-    def test_power_family_rejects_dbi(self):
-        with pytest.raises(DbisolError):
-            power_family_energy_per_charge(baby(), OLD)
+    @pytest.mark.parametrize("law", [KineticLaw.dbi(), KineticLaw.power(0.75),
+                                     KineticLaw.power(2.0)], ids=["dbi", "ak0.75", "ak2"])
+    @pytest.mark.parametrize("model,pot", [(baby(mu=0.7), OLD), (skyrme(mu=0.7), BPSPOT)],
+                             ids=["baby", "skyrme"])
+    def test_public_names_agree(self, model, pot, law):
+        model = replace(model, kinetic_law=law)
+        assert power_family_energy_per_charge(model, pot) == energy_per_charge_average(model, pot)
 
 
 class TestLinearity:
@@ -279,6 +288,7 @@ class TestEnergyReport:
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 COUPLINGS = st.floats(min_value=-2.0, max_value=2.0).map(lambda e: 10.0 ** e)
+WIDE = st.floats(min_value=-4.0, max_value=4.0).map(lambda e: 10.0 ** e)
 CHARGES = st.integers(min_value=-5, max_value=5).filter(lambda n: n != 0)
 BUILT_IN = [(Sector.BABY2D, make_potential("old-baby-power", a))
             for a in (0.5, 1.0, 1.5, 2.0, 3.0)]
@@ -304,6 +314,16 @@ class TestEnergyEqualsChargeTimesAverage:
         pot = make_potential("old-baby-power", a)
         assert bps_energy_integral(p, pot) == pytest.approx(
             abs(n) * power_family_energy_per_charge(p, pot), rel=1e-12)
+
+    @pytest.mark.parametrize("sector,pot", BUILT_IN,
+                             ids=[f"{s.value}-{p.tag}-{p.vacuum_exponent}" for s, p in BUILT_IN])
+    @PROPERTY
+    @given(beta=WIDE, mu=WIDE, n=CHARGES, alpha_k=st.sampled_from([None, 0.75, 1.0, 2.0]))
+    def test_both_laws_over_the_wide_range(self, sector, pot, beta, mu, n, alpha_k):
+        law = KineticLaw.dbi() if alpha_k is None else KineticLaw.power(alpha_k)
+        p = ModelParams(beta, mu, n, sector, law)
+        assert energy_per_charge_average(p, pot) == pytest.approx(
+            bps_energy_integral(p, pot) / abs(n), rel=1e-12)
 
 
 class TestBabyClosedFormAgainstMpmath:

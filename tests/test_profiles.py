@@ -7,8 +7,9 @@ from mp_oracle import Soliton
 
 from dbisol import (DbisolError, GridSpec, KineticLaw, LocalizationClass, ModelParams,
                     NoSolitonError, Sector, angular_profile, baby_old_exact,
-                    baby_old_radius, classify_localization,
-                    endpoint_asymptotics, make_potential, profile_field_at, profile_on_grid,
+                    baby_old_radius, charge_quadrature, classify_localization,
+                    endpoint_asymptotics, energy_quadrature, make_potential, profile_field_at,
+                    profile_on_grid,
                     skyrme_bps_exact, skyrme_bps_radius, skyrme_standard_exact,
                     skyrme_standard_implicit_lhs, skyrme_standard_radius,
                     solve_profile, tail_fit, write_profile_csv)
@@ -226,9 +227,19 @@ class TestSolveSkyrme:
             jumps.append(np.max(np.abs(np.diff(prof.energy_density))))
         assert jumps[1] < 0.5 * jumps[0]
 
-    def test_power_family_rejected(self):
-        with pytest.raises(DbisolError):
-            solve_profile(skyrme(kinetic_law=KineticLaw.power(1.0)), STD)
+    @pytest.mark.parametrize("alpha_k", [0.75, 1.0, 2.0])
+    @pytest.mark.parametrize("pot,tag", [(STD, "standard"), (BPSPOT, "bps")],
+                             ids=["standard", "bps"])
+    def test_power_law_compacton(self, pot, tag, alpha_k):
+        # the charge, the radius and the energy against the mpmath oracle
+        p = skyrme(charge=2, kinetic_law=KineticLaw.power(alpha_k))
+        prof = solve_profile(p, pot)
+        assert charge_quadrature(prof, p) == 2.0
+        assert tail_fit(prof) is classify_localization(pot.vacuum_exponent, Sector.SKYRME3D,
+                                                       p.kinetic_law)
+        oracle = Soliton("skyrme", tag, 1.0, 1.0, 2, alpha_k)
+        assert prof.compacton_radius == pytest.approx(float(oracle.radius()), rel=1e-12)
+        assert energy_quadrature(prof, p, pot) == pytest.approx(float(oracle.energy()), rel=1e-12)
 
     def test_fields_match_mpmath_oracle(self):
         prof = solve_profile(skyrme(), STD)

@@ -1,6 +1,6 @@
 """Fingerprint the artifacts of a fixed set of `dbisol` runs.
 
-Runs 32 CLI configurations (solve, verify, bound, sweep and classify across
+Runs 36 CLI configurations (solve, verify, bound, sweep and classify across
 both sectors and every potential family), each in a fresh interpreter inside
 a temporary directory, and prints one line per artifact:
 
@@ -45,11 +45,14 @@ RUNS = (
     ("solve-old1-ak2", "solve --potential old:1 --alpha-k 2"),
     ("solve-old2-ak2", "solve --potential old:2 --alpha-k 2"),
     ("solve-old1-ak0.75", "solve --potential old:1 --alpha-k 0.75"),
+    ("solve-standard-ak2", "solve --sector skyrme --potential standard --alpha-k 2"),
+    ("solve-bps-ak0.75", "solve --sector skyrme --potential bps --alpha-k 0.75"),
     ("verify-baby", "verify"),
     ("verify-skyrme", "verify --sector skyrme"),
     ("verify-skyrme-n3", "verify --sector skyrme --n 3"),
     ("verify-baby-perturbed", "verify --inject-perturbation"),
     ("verify-baby-ak2", "verify --alpha-k 2"),
+    ("verify-skyrme-ak2", "verify --sector skyrme --alpha-k 2"),
     ("bound-3", "bound --order 3"),
     ("bound-8", "bound --order 8"),
     ("bound-3-b2", "bound --order 3 --beta 2"),
@@ -62,6 +65,7 @@ RUNS = (
     ("classify-bps", "classify --sector skyrme --potential bps"),
     ("classify-old2-ak2", "classify --potential old:2 --alpha-k 2"),
     ("classify-old3-ak1", "classify --potential old:3 --alpha-k 1"),
+    ("classify-skyrme-power7-ak2", "classify --sector skyrme --potential power:7 --alpha-k 2"),
 )
 
 
