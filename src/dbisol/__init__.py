@@ -22,9 +22,9 @@ from .observables import (BetaSweepResult, EnergyReport, MuSweepResult,
                           energy_per_charge_average, large_beta_sweep,
                           power_family_energy_per_charge, skyrme_bps_energy_closed,
                           skyrme_standard_energy_closed, small_mu_sweep)
-from .bounds import (PAVLOVSKII_REFERENCE, BoundCertificate, bound_constant,
+from .bounds import (PAVLOVSKII_REFERENCE, BoundCertificate, RayProof, bound_constant,
                      bound_energy, certify, compare_reference, optimize_bound, pointwise_slack,
-                     sharpness, taylor_coefficients, verify_pointwise,
+                     prove_ray, sharpness, taylor_coefficients, verify_pointwise,
                      weights_for_alpha)
 
 __version__ = "0.1.0"

@@ -4,9 +4,29 @@ The energy density, truncated to N terms of its series in the sum of squared
 strain eigenvalues, is bounded below by a multiple of the eigenvalue product
 via two rounds of arithmetic-geometric mean inequalities.  The multiple is
 maximized over the admissible weight simplex in closed form (the Lagrange
-condition reduces to one monotone root find), certified pointwise by Monte
-Carlo sampling, and checked against the one-dimensional minimization on the
-equal-eigenvalue ray where every inequality in the chain is tight.
+condition reduces to one monotone root find), proved exactly on the
+equal-eigenvalue ray, certified pointwise by Monte Carlo sampling, and
+checked against the one-dimensional minimization on that ray.
+
+The proof.  By AM-GM, lam1 lam2 lam3 <= (s/3)^(3/2) with s the sum of the
+squares, so for each s the smallest slack lies on the ray, where it equals
+(s/3) r(u) with u = sqrt(s/3)/beta and r(u) = sum_k c_k 3^k u^(2k-2) - C u.
+r is convex, so the two tangents at rationals a < u* < b with
+r'(a) <= 0 <= r'(b) meet at a lower bound L of r, evaluated exactly in
+fractions from the exact c_k and the double C.  L >= 0 proves the bound for
+every triple and every beta; `optimize_bound` returns the largest double at
+or below its closed form that passes.
+
+The screen.  The slack of any triple splits as
+(s/3) r(u) + (C/beta)((s/3)^(3/2) - lam1 lam2 lam3).  When the proof passed,
+the first part is >= 0, and for a row whose raw uniforms spread by d the
+second is at least (C/beta)(s/3)^(3/2)(sqrt(R) - 1)^2/(1 + R) with
+R = 10^(12 d), the worst case putting the middle square at the mean of the
+other two.  A row whose bound, less an allowance for the rounding of its
+computed slack, exceeds the minimum slack already found on the ray points
+cannot set the minimum; it is skipped before its `exp`.  The other rows go
+through the same affine step, `exp` and slack kernel as without the screen,
+so the certified minimum is the same double.
 
 The Monte-Carlo draws are cut into contiguous row chunks, scanned by at most
 one worker per usable CPU, each chunk drawn by the worker's own copy of the
@@ -16,6 +36,7 @@ the certified slack is the same bit for bit whatever the number of CPUs.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -29,9 +50,9 @@ from .errors import DbisolError, OptimizerError
 from .numerics import bisect_monotone, golden_max
 
 __all__ = [
-    "BoundCertificate", "taylor_coefficients", "weights_for_alpha", "bound_constant",
-    "optimize_bound", "pointwise_slack", "verify_pointwise", "sharpness", "bound_energy",
-    "compare_reference", "certify", "PAVLOVSKII_REFERENCE",
+    "BoundCertificate", "RayProof", "taylor_coefficients", "weights_for_alpha", "bound_constant",
+    "optimize_bound", "prove_ray", "pointwise_slack", "verify_pointwise", "sharpness",
+    "bound_energy", "compare_reference", "certify", "PAVLOVSKII_REFERENCE",
 ]
 
 # hedgehog energy of the unit-charge soliton at beta = 1 in units of the
@@ -100,6 +121,22 @@ def bound_constant(order: int, weights_or_alpha) -> float:
 
 
 @dataclass(frozen=True)
+class RayProof:
+    """Exact lower bound of the ray function r from the tangents at two rationals.
+
+    lower_bound is L rounded toward -inf; passed is L >= 0, which proves the
+    bound for every eigenvalue triple and every beta.
+    """
+    tangent_points: tuple[str, str]
+    lower_bound: float
+    passed: bool
+
+    def to_json_dict(self) -> dict:
+        return {"tangent_points": list(self.tangent_points), "lower_bound": self.lower_bound,
+                "passed": self.passed}
+
+
+@dataclass(frozen=True)
 class BoundCertificate:
     order: int
     weights: tuple[float, ...]
@@ -109,6 +146,7 @@ class BoundCertificate:
     energy_scale: float = 1.0
     samples: int = 0
     min_slack: float | None = None
+    proof: RayProof | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -120,6 +158,7 @@ class BoundCertificate:
             "energy_scale": self.energy_scale,
             "samples": self.samples,
             "min_slack": self.min_slack,
+            "proof": None if self.proof is None else self.proof.to_json_dict(),
         }
 
     def validate(self, tol: float = 1e-12) -> None:
@@ -156,6 +195,76 @@ def _lagrange_root(order: int) -> float:
     return float(bisect_monotone(poly, np.zeros(1), *_ROOT_BRACKET, increasing=True)[0])
 
 
+def _ray_function(order: int, constant: Fraction):
+    """Exact r and r' at a rational u: r(u) = sum_k c_k 3^k u^(2k-2) - C u.
+
+    The c_k 3^k share the denominator 2^(2N-1), so both polynomials in w = u^2
+    are summed over integers by Horner, homogeneous in w's numerator and
+    denominator, and divided once.
+    """
+    scale = 2 ** (2 * order - 1)
+    a = [int(c * 3 ** (k + 1) * scale) for k, c in enumerate(taylor_coefficients(order))]
+    da = [k * ak for k, ak in enumerate(a)][1:]
+
+    def horner(coeffs: list[int], p: int, q: int) -> Fraction:
+        acc, q_power = coeffs[-1], 1
+        for ck in coeffs[-2::-1]:
+            q_power *= q
+            acc = acc * p + ck * q_power
+        return Fraction(acc, scale * q_power)
+
+    def values(u: Fraction) -> tuple[Fraction, Fraction]:
+        p, q = u.numerator ** 2, u.denominator ** 2
+        r = horner(a, p, q) - constant * u
+        slope = 2 * u * horner(da, p, q) - constant
+        return r, slope
+
+    return values
+
+
+# float steps of optimize_bound's constant below its closed form before the
+# exact proof is given up
+_PROOF_STEPS = 8
+
+
+@functools.lru_cache(maxsize=256)
+def prove_ray(order: int, constant: float) -> RayProof:
+    """Exact proof that the bound with this constant holds on the whole ray.
+
+    r is convex, so each tangent lies below it, and the two tangents at
+    a < u* < b with r'(a) <= 0 <= r'(b) meet at a lower bound L of r on all
+    of R.  The candidate points are the double sqrt(x/3) (x the Lagrange
+    root, where the ratio is stationary) and its best rational with a
+    denominator below 2^32, which finds u* = 2/3 exactly at order 3; where
+    they all lie on one side of u*, doubling steps walk past it.
+    """
+    values = _ray_function(order, Fraction(constant))
+    root = math.sqrt(_lagrange_root(order) / 3.0)
+    u0, ulp = Fraction(root), Fraction(math.ulp(root))
+    points = {u: values(u) for u in (u0, u0.limit_denominator(1 << 32))}
+
+    def walk(start: Fraction, step: Fraction, stop) -> None:
+        # r' increases without bound both ways, so the walk ends
+        while not stop(points.setdefault(start + step, values(start + step))[1]):
+            step *= 2
+
+    if all(slope > 0 for _, slope in points.values()):
+        walk(min(points), -ulp, lambda slope: slope <= 0)
+    if all(slope <= 0 for _, slope in points.values()):
+        walk(max(points), ulp, lambda slope: slope > 0)
+    # r' is strictly increasing, so a < b
+    a = max(u for u, (_, slope) in points.items() if slope <= 0)
+    b = min(u for u, (_, slope) in points.items() if slope > 0)
+    (ra, sa), (rb, sb) = points[a], points[b]
+    # the tangents T_a and T_b meet at u = (rb - ra + sa a - sb b) / (sa - sb)
+    bound = ra + sa * ((rb - ra + sa * a - sb * b) / (sa - sb) - a)
+    lower = float(bound)
+    if Fraction(lower) > bound:
+        lower = math.nextafter(lower, -math.inf)
+    return RayProof((f"{a.numerator}/{a.denominator}", f"{b.numerator}/{b.denominator}"),
+                    lower, bound >= 0)
+
+
 def optimize_bound(order: int, beta: float = 1.0, *,
                    energy_scale: float = 1.0) -> BoundCertificate:
     """Maximize the bound constant over the admissible weights, in closed form.
@@ -163,7 +272,10 @@ def optimize_bound(order: int, beta: float = 1.0, *,
     Stationarity of sum_k w_k log(c_k / w_k) under both weight constraints
     gives w_k = c_k x^k / sum_j c_j x^j with x the root of the moment
     condition sum_k k w_k = 3/2, and then C = 3^(3/2) sum_k c_k x^k / x^(3/2).
-    Order 3 also reports alpha = w_1 (9/14).
+    The returned C is the largest double at or below that closed form which
+    `prove_ray` proves; rounding can put the closed form a few ulps above
+    the true C_N, never the returned C.  Order 3 also reports alpha = w_1
+    (9/14) and keeps C_3 = 7/2 exactly.
     """
     if not 2 <= order <= MAX_ORDER:
         raise DbisolError(f"supported truncation orders are 2..{MAX_ORDER}")
@@ -178,17 +290,31 @@ def optimize_bound(order: int, beta: float = 1.0, *,
     if miss > 1e-12:
         raise OptimizerError(f"weights miss sum k w_k = 3/2 by {miss:.2e} at order {order}")
     alpha = float(w[0]) if order == 3 else None
-    return BoundCertificate(order, tuple(w.tolist()), alpha,
-                            float(3.0 ** 1.5 * total / x ** 1.5), beta, energy_scale)
+    constant = float(3.0 ** 1.5 * total / x ** 1.5)
+    for _ in range(_PROOF_STEPS):
+        if prove_ray(order, constant).passed:
+            return BoundCertificate(order, tuple(w.tolist()), alpha, constant, beta, energy_scale)
+        constant = math.nextafter(constant, 0.0)
+    raise OptimizerError(f"the exact ray proof fails {_PROOF_STEPS} steps below the closed-form "
+                         f"constant at order {order}")
 
 
 # Monte-Carlo rows per block.  One call allocates one block of buffers, and
 # each of its workers takes a slice of BLOCK_ROWS // workers rows, the size
-# of one chunk.  The draws, s and the Horner sum of a slice (at most about
-# 1.3 MB) stay in a 2 MB L2 cache of the core that runs the worker;
-# 2^14-2^15 rows measured fastest on one core, 2^12 pays per-block overhead
-# and 2^16 and up leave the cache
+# of one chunk.  The size was measured with every row through the full slack
+# kernel, which the screen spares almost every row: the draws, s and the
+# Horner sum of a slice (at most about 1.3 MB) stay in a 2 MB L2 cache of the
+# core that runs the worker; 2^14-2^15 rows measured fastest on one core,
+# 2^12 pays per-block overhead and 2^16 and up leave the cache
 BLOCK_ROWS = 1 << 15
+
+# rows whose three raw uniforms spread by less than this are always
+# evaluated: about 3e-6 of the draws
+SCREEN_SPREAD = 1e-3
+# allowance, as a share of (C/beta)(s/3)^(3/2), for the rounding of a row's
+# computed slack and of its eigenvalues; both stay below 1e-12 of it, and
+# the screen's bound at SCREEN_SPREAD is 9.5e-5 of it
+_SCREEN_ALLOWANCE = 1e-9
 
 
 def _slack_kernel(cert: BoundCertificate):
@@ -283,6 +409,36 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _screen_floor(cert: BoundCertificate, proof: RayProof) -> float:
+    """f >= 0 with computed slack >= f 10^(18 m - 9) for every row spread by at
+    least SCREEN_SPREAD, m its largest raw uniform; 0 when the proof failed.
+
+    The slack is at least (C/beta)(s/3)^(3/2)(sqrt(R) - 1)^2/(1 + R) with
+    R = 10^(12 SCREEN_SPREAD) once the proof passed, and
+    (s/3)^(3/2) >= lam_max^3 / 3^(3/2) with lam_max = 10^(6 m - 3).
+    """
+    if not proof.passed:
+        return 0.0
+    ratio = 10.0 ** (12.0 * SCREEN_SPREAD)
+    gap = (math.sqrt(ratio) - 1.0) ** 2 / (1.0 + ratio) - _SCREEN_ALLOWANCE
+    return cert.constant / cert.beta * gap / 3.0 ** 1.5
+
+
+def _screen_top(floor: float, min_slack: float) -> float:
+    """Largest raw uniform below which a spread row is still evaluated.
+
+    A row spread by at least SCREEN_SPREAD whose largest uniform reaches it
+    has computed slack >= floor 10^(18 m - 9) > min_slack, so it cannot set
+    the minimum; -inf skips every spread row, inf none.
+    """
+    if floor > 0.0 and min_slack <= 0.0:
+        return -math.inf
+    if floor > 0.0 and 0.0 < min_slack < math.inf:
+        # 1e-9 in m lifts the bound 4e-8 above min_slack, past any rounding of the logs
+        return (math.log10(min_slack) - math.log10(floor) + 9.0) / 18.0 + 1e-9
+    return math.inf
+
+
 def verify_pointwise(cert: BoundCertificate, sample_count: int, *, seed: int = 0) -> float:
     """Minimum slack of the pointwise bound over random eigenvalue triples.
 
@@ -299,12 +455,20 @@ def verify_pointwise(cert: BoundCertificate, sample_count: int, *, seed: int = 0
     raises.  A generator's stream does not depend on how its draws are
     split, and the minimum is exact, so the result does not depend on the
     block size, the number of workers or which worker scans which chunk.
+
+    Each worker screens its chunk's raw uniforms before the affine step and
+    `exp` (see the module docstring): a row is evaluated when its uniforms
+    spread by less than SCREEN_SPREAD or its largest uniform lies below the
+    level where `_screen_floor`'s bound exceeds the minimum slack on the ray
+    points.  Every skipped row's computed slack lies above that minimum, so
+    the result is the unscreened minimum bit for bit.
     """
     count = _non_negative_int(sample_count, "sample count")
     seed = _non_negative_int(seed, "seed")
     cert.validate()
     slack = _slack_kernel(cert)
     min_slack = float(_slack_arrays(cert, _tight_ray_points(cert)).min())
+    top = _screen_top(_screen_floor(cert, prove_ray(cert.order, cert.constant)), min_slack)
     blocks = -(-count // BLOCK_ROWS)
     workers = min(_usable_cpus(), blocks)
     if workers == 0:
@@ -312,6 +476,8 @@ def verify_pointwise(cert: BoundCertificate, sample_count: int, *, seed: int = 0
     rows = min(count, BLOCK_ROWS) // workers
     block = np.empty((rows * workers, 3))
     s, lhs = np.empty(rows * workers), np.empty(rows * workers)
+    # the screen's two row masks, allocated once like the other buffers
+    keep, below = np.empty((2, rows * workers), dtype=bool)
     chunks = -(-count // rows)
     # worker w scans chunk w, then each chunk no worker has claimed yet, so a
     # worker whose CPU is busy leaves its share to the others
@@ -325,6 +491,7 @@ def verify_pointwise(cert: BoundCertificate, sample_count: int, *, seed: int = 0
         low = math.inf
         part = slice(w * rows, (w + 1) * rows)
         draws, s_w, lhs_w = block[part], s[part], lhs[part]
+        keep_w, below_w = keep[part], below[part]
         drawn = 0    # rows rngs[w] has moved past; claimed chunks only increase
         chunk = w
         while chunk < chunks:
@@ -333,13 +500,27 @@ def verify_pointwise(cert: BoundCertificate, sample_count: int, *, seed: int = 0
             rngs[w].bit_generator.advance(3 * (start - drawn))
             drawn = start + m
             lam = draws[:m]
-            # 10^u with u = -3 + 6 r, bit for bit numpy's uniform(-3, 3)
             rngs[w].random(out=lam)
+            # the screen, with s and lhs as scratch: hi is each row's largest
+            # uniform, lo its spread
+            hi, lo = s_w[:m], lhs_w[:m]
+            np.maximum(lam[:, 0], lam[:, 1], out=hi)
+            np.maximum(hi, lam[:, 2], out=hi)
+            np.minimum(lam[:, 0], lam[:, 1], out=lo)
+            np.minimum(lo, lam[:, 2], out=lo)
+            np.subtract(hi, lo, out=lo)
+            np.less(lo, SCREEN_SPREAD, out=keep_w[:m])
+            np.less(hi, top, out=below_w[:m])
+            np.logical_or(keep_w[:m], below_w[:m], out=keep_w[:m])
+            lam = lam[keep_w[:m]]
+            # 10^u with u = -3 + 6 r, bit for bit numpy's uniform(-3, 3)
             lam *= 6.0
             lam += -3.0
             lam *= math.log(10.0)
             np.exp(lam, out=lam)
-            low = min(low, float(slack(lam, s_w[:m], lhs_w[:m]).min()))
+            values = slack(lam, s_w[:len(lam)], lhs_w[:len(lam)])
+            if len(lam):
+                low = min(low, float(values.min()))
             with lock:
                 chunk = next(unclaimed, chunks)
         return low
@@ -369,9 +550,10 @@ def verify_pointwise(cert: BoundCertificate, sample_count: int, *, seed: int = 0
 
 
 def certify(cert: BoundCertificate, sample_count: int, *, seed: int = 0) -> BoundCertificate:
-    """Return a copy carrying the Monte-Carlo evidence."""
+    """Return a copy carrying the exact ray proof and the Monte-Carlo evidence."""
     slack = verify_pointwise(cert, sample_count, seed=seed)
-    return replace(cert, samples=int(sample_count), min_slack=slack)
+    return replace(cert, samples=int(sample_count), min_slack=slack,
+                   proof=prove_ray(cert.order, cert.constant))
 
 
 def sharpness_location(cert: BoundCertificate) -> tuple[float, float]:
@@ -397,7 +579,7 @@ def sharpness(cert: BoundCertificate) -> float:
     Every inequality in the chain is tight on this ray at the minimizer, so
     this is the optimized constant again.  It minimizes the same ray function
     whose stationarity condition gives the closed-form weights, so it checks
-    the arithmetic, not the bound; the Monte-Carlo certificate does that.
+    the arithmetic, not the bound; the exact ray proof (`prove_ray`) does that.
     """
     return sharpness_location(cert)[1]
 

@@ -7,7 +7,7 @@ survives a failure.
 
 Exit codes: 0 success, 1 invalid configuration, 2 no soliton exists at the
 requested couplings, 3 verification failures, 4 the closed-form bound weights
-failed their root bracket or moment check.
+failed their root bracket or moment check, or the exact ray proof failed.
 """
 
 from __future__ import annotations
@@ -231,9 +231,10 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
         add(f"charge_quantization{label}", abs(rep.charge - model.charge) <= 1e-6,
             charge=rep.charge, **charge_details)
 
+    # built in either sector, so that an unknown potential exits 1 as in solve
+    pot = cfg.make_potential()
     if cfg.sector == "baby":
         model = cfg.model()
-        pot = cfg.make_potential()
         add_energy_checks(model, pot, n=model.charge)
         checks.append(_linearity_check(model, pot))
         checks.append(_eom_check(model, make_potential("old-baby-power", 1.0),
@@ -314,9 +315,16 @@ def cmd_bound(cfg: RunConfig) -> int:
     if abs(cfg.beta - 1.0) < 1e-12:
         payload["pavlovskii"] = compare_reference(cert)
     write_json_atomic(cfg.out + ".json", payload)
+    proof = cert.proof
+    points = " and ".join(proof.tangent_points)
+    if not proof.passed:
+        print(f"ray proof failed: lower bound {_fmt(proof.lower_bound)} < 0 from the tangents"
+              f" at {points}", file=sys.stderr)
+        return 4
     print(f"order {cert.order}: constant = {_fmt(cert.constant)}")
     if cert.alpha is not None:
         print(f"alpha* = {_fmt(cert.alpha)}")
+    print(f"ray proof: lower bound {_fmt(proof.lower_bound)} >= 0 from the tangents at {points}")
     print(f"min_slack = {_fmt(cert.min_slack)} over {cert.samples} samples")
     if "pavlovskii" in payload:
         p = payload["pavlovskii"]

@@ -12,12 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dbisol import (DbisolError, PAVLOVSKII_REFERENCE, bound_constant, bound_energy,
-                    certify, compare_reference, optimize_bound, pointwise_slack,
+                    certify, compare_reference, optimize_bound, pointwise_slack, prove_ray,
                     sharpness, taylor_coefficients, verify_pointwise, weights_for_alpha)
 from dbisol import bounds
-from dbisol.bounds import BLOCK_ROWS, _coeff_floats, _slack_arrays, _tight_ray_points
+from dbisol.bounds import (BLOCK_ROWS, SCREEN_SPREAD, _coeff_floats, _screen_floor,
+                           _screen_top, _slack_arrays, _tight_ray_points)
 
 C2_EXACT = 0.5 * 3.0 ** 1.5
+# the largest double not above 3^(3/2)/2; C2_EXACT, the nearest, lies 2.8e-17 above it
+C2_PROVED = math.nextafter(C2_EXACT, 0.0)
 
 ORDERS = st.integers(min_value=2, max_value=64)
 BETAS = st.floats(min_value=-2.0, max_value=2.0).map(lambda e: 10.0 ** e)
@@ -79,6 +82,34 @@ def mp_bound_constant(order: int) -> mp.mpf:
         x = mp.findroot(lambda x: series(x, 1) / series(x) - mp.mpf(1.5),
                         (mp.mpf("0.75"), mp.mpf(4)), solver="anderson")
         return 3 ** mp.mpf(1.5) * series(x) / x ** 1.5
+
+
+def mp_ray_constant(order: int) -> mp.mpf:
+    """C_N = min over u > 0 of sum_k c_k 3^k u^(2k-3), at 50 digits.
+
+    The ratio is stationary at its minimizer, so bisecting its increasing
+    derivative to 1e-36 in u leaves an error in C_N far below 1e-50.
+    """
+    with mp.workdps(60):
+        a = [mp.mpf(c.numerator) / c.denominator * 3 ** (k + 1)
+             for k, c in enumerate(taylor_coefficients(order))]
+
+        def slope(u):
+            return sum((2 * k - 1) * ak * u ** (2 * k - 2) for k, ak in enumerate(a))
+
+        lo, hi = mp.mpf("0.4"), mp.mpf("1.2")
+        for _ in range(120):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if slope(mid) < 0 else (lo, mid)
+        return sum(ak * lo ** (2 * k - 1) for k, ak in enumerate(a))
+
+
+def rows_from_uniforms(r: np.ndarray) -> np.ndarray:
+    """Eigenvalue triples from raw uniforms, with verify_pointwise's arithmetic."""
+    lam = r * 6.0
+    lam += -3.0
+    lam *= math.log(10.0)
+    return np.exp(lam, out=lam)
 
 
 class TestCoefficients:
@@ -144,7 +175,9 @@ class TestBoundConstant:
 class TestOptimize:
     def test_order_two(self):
         cert = optimize_bound(2)
-        assert cert.constant == C2_EXACT
+        with mp.workdps(50):
+            assert mp.mpf(C2_PROVED) < mp.sqrt(27) / 2 < mp.mpf(C2_EXACT)
+        assert cert.constant == C2_PROVED
         assert cert.weights == (0.5, 0.5)
         assert cert.alpha is None
 
@@ -413,6 +446,152 @@ class TestPointwise:
         assert certify(optimize_bound(2), 3.0, seed=1).samples == 3
 
 
+class TestRayProof:
+    def test_every_order_is_proved_below_the_true_constant(self):
+        for order in range(2, 65):
+            cert = optimize_bound(order)
+            assert prove_ray(order, cert.constant).passed
+            exact = mp_ray_constant(order)
+            assert mp.mpf(cert.constant) <= exact
+            assert exact - mp.mpf(cert.constant) <= 4 * math.ulp(cert.constant)
+            # the proof fails at C_N rounded up and at an inflated constant
+            up = float(exact)
+            if mp.mpf(up) <= exact:
+                up = math.nextafter(up, math.inf)
+            assert not prove_ray(order, up).passed
+            assert not prove_ray(order, 1.1 * cert.constant).passed
+
+    def test_order_three_is_seven_halves_exactly(self):
+        proof = prove_ray(3, optimize_bound(3).constant)
+        assert optimize_bound(3).constant == 3.5
+        # r(2/3) = r'(2/3) = 0 at C = 7/2
+        assert proof.tangent_points[0] == "2/3"
+        assert proof.lower_bound == 0.0 and proof.passed
+
+    @pytest.mark.parametrize("beta", [1e-2, 1.0, 1e2])
+    def test_certificates_carry_a_passing_proof(self, beta):
+        for order in range(2, 65):
+            proof = certify(optimize_bound(order, beta), 0).proof
+            assert proof.passed and proof.lower_bound >= 0.0
+            a, b = (Fraction(p) for p in proof.tangent_points)
+            assert a < b
+
+    @pytest.mark.parametrize("order, inflate", [(2, 1.0), (8, 1.0), (64, 1.0), (5, 1.1)])
+    def test_lower_bound_is_the_tangent_meet_rounded_down(self, order, inflate):
+        # the two tangents met again in mpmath, at the recorded points
+        constant = inflate * optimize_bound(order).constant
+        proof = prove_ray(order, constant)
+        with mp.workdps(80):
+            a, b = (mp.mpf(Fraction(p).numerator) / Fraction(p).denominator
+                    for p in proof.tangent_points)
+            c = [mp.mpf(f.numerator) / f.denominator for f in taylor_coefficients(order)]
+
+            def r(u):
+                return sum(ck * 3 ** (k + 1) * u ** (2 * k)
+                           for k, ck in enumerate(c)) - constant * u
+
+            def slope(u):
+                return sum(2 * k * ck * 3 ** (k + 1) * u ** (2 * k - 1)
+                           for k, ck in enumerate(c) if k) - constant
+
+            ra, sa, rb, sb = r(a), slope(a), r(b), slope(b)
+            assert sa <= 0 < sb
+            meet = ra + sa * ((rb - ra + sa * a - sb * b) / (sa - sb) - a)
+            assert mp.mpf(proof.lower_bound) <= meet < mp.mpf(
+                math.nextafter(proof.lower_bound, math.inf))
+            assert proof.passed == (meet >= 0)
+
+    def test_optimizer_gives_up_when_no_step_proves(self):
+        failed = bounds.RayProof(("1/2", "1/1"), -1.0, False)
+        with mock.patch("dbisol.bounds.prove_ray", return_value=failed):
+            with pytest.raises(bounds.OptimizerError, match="exact ray proof fails"):
+                optimize_bound(4)
+
+
+class TestScreen:
+    @PROPERTY
+    @given(order=ORDERS, beta=BETAS,
+           triple=st.tuples(*[st.floats(min_value=-3.0, max_value=3.0)] * 3))
+    @example(order=3, beta=1.0, triple=(math.log10(2 / 3), math.log10(2 / 3), -3.0))
+    def test_slack_is_at_least_the_ray_slack_at_the_same_s(self, order, beta, triple):
+        # the AM-GM reduction, exactly: slack(lam) >= (s/3) r(u) >= (s/3) L >= 0
+        cert = optimize_bound(order, beta)
+        proof = prove_ray(order, cert.constant)
+        lam = [10.0 ** e for e in triple]
+        with mp.workdps(40):
+            c = [mp.mpf(f.numerator) / f.denominator for f in taylor_coefficients(order)]
+            lam = [mp.mpf(x) for x in lam]
+            s = sum(x * x for x in lam)
+            density = sum(ck * s ** (k + 1) / mp.mpf(beta) ** (2 * k) for k, ck in enumerate(c))
+            scale = mp.mpf(cert.constant) / mp.mpf(beta)
+            slack = density - scale * lam[0] * lam[1] * lam[2]
+            ray = density - scale * (s / 3) ** mp.mpf(1.5)
+            u = mp.sqrt(s / 3) / mp.mpf(beta)
+            r = sum(ck * 3 ** (k + 1) * u ** (2 * k) for k, ck in enumerate(c)) - \
+                mp.mpf(cert.constant) * u
+            assert slack >= ray
+            assert mp.almosteq(ray, s / 3 * r, rel_eps=mp.mpf("1e-30"), abs_eps=mp.mpf("1e-60"))
+            assert r >= mp.mpf(proof.lower_bound) >= 0
+
+    @pytest.mark.parametrize("beta", [1e-2, 1.0, 1e2])
+    def test_bound_never_exceeds_the_computed_slack(self, beta):
+        # random rows, and the worst case: spread exactly SCREEN_SPREAD, the
+        # middle square at the mean of the other two, up to the largest uniform
+        top = np.linspace(SCREEN_SPREAD, 1.0, 400)
+        bottom = top - SCREEN_SPREAD
+        middle = np.log10(np.sqrt((10.0 ** (12 * bottom - 6) + 10.0 ** (12 * top - 6)) / 2))
+        worst = np.column_stack([bottom, (middle + 3.0) / 6.0, top])
+        for order in range(2, 65):
+            cert = optimize_bound(order, beta)
+            floor = _screen_floor(cert, prove_ray(order, cert.constant))
+            assert floor > 0.0
+            r = np.vstack([np.random.default_rng(order).random((2000, 3)), worst])
+            hi = r.max(axis=1)
+            spread = hi - r.min(axis=1) >= SCREEN_SPREAD
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                slack = _slack_arrays(cert, rows_from_uniforms(r))
+            bound = floor * 10.0 ** (18.0 * hi - 9.0)
+            assert np.all(slack[spread] >= bound[spread]), order
+
+    def test_top_uniform(self):
+        cert = optimize_bound(4)
+        floor = _screen_floor(cert, prove_ray(4, cert.constant))
+        assert _screen_floor(cert, bounds.RayProof(("1/2", "1/1"), -1.0, False)) == 0.0
+        assert _screen_top(0.0, -1.0) == math.inf
+        for min_slack in (-1.0, -0.0, 0.0):
+            assert _screen_top(floor, min_slack) == -math.inf
+        for min_slack in (math.inf, math.nan):
+            assert _screen_top(floor, min_slack) == math.inf
+        for min_slack in (5e-324, 1e-16, 1e-3, 1.0, 1e12):
+            top = _screen_top(floor, min_slack)
+            assert mp.mpf(floor) * mp.mpf(10) ** (18 * mp.mpf(top) - 9) > min_slack
+
+    def test_only_unspread_rows_reach_the_kernel(self):
+        # order 3 proves C = 7/2 with a zero minimum on the ray, so every row
+        # whose uniforms spread by SCREEN_SPREAD or more is skipped
+        count, seed, seen, make = 3 * BLOCK_ROWS + 7, 9, [], bounds._slack_kernel
+        cert = optimize_bound(3)
+
+        def kernel_of(cert):
+            slack = make(cert)
+
+            def kernel(lam, s, lhs):
+                seen.append(len(lam))
+                return slack(lam, s, lhs)
+            return kernel
+
+        with mock.patch("dbisol.bounds._slack_kernel", kernel_of):
+            got = verify_pointwise(cert, count, seed=seed)
+        r = np.random.default_rng(seed).random((count, 3))
+        unspread = int((r.max(axis=1) - r.min(axis=1) < SCREEN_SPREAD).sum())
+        assert sum(seen) - len(_tight_ray_points(cert)) == unspread
+        assert unspread < 100
+        want = min(float(_slack_arrays(cert, _tight_ray_points(cert)).min()),
+                   float(reference_slack(cert, one_array_draws(seed, count)).min()))
+        assert got.hex() == want.hex()
+
+
 class TestEnergyBound:
     def test_three_term_bound_value(self):
         cert = optimize_bound(3)
@@ -459,7 +638,9 @@ class TestCertificate:
         cert = certify(optimize_bound(3), 1000, seed=0)
         d = cert.to_json_dict()
         assert set(d) == {"order", "weights", "alpha", "constant", "beta",
-                          "energy_scale", "samples", "min_slack"}
+                          "energy_scale", "samples", "min_slack", "proof"}
+        assert d["proof"] == {"tangent_points": ["2/3", "3002399751580331/4503599627370496"],
+                              "lower_bound": 0.0, "passed": True}
 
     def test_weight_invariants(self):
         for n in (2, 3, 5):

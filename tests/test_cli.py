@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -170,6 +173,19 @@ class TestVerifyCommand:
         assert out == ""
         assert not (tmp_path / "v.json").exists()
 
+    def test_unknown_potential_exits_one_in_the_skyrme_suite(self, tmp_path, capfd):
+        solve = main(["solve", "--sector", "skyrme", "--potential", "old:abc",
+                      "--out", str(tmp_path / "s")])
+        expected = capfd.readouterr().err
+        assert solve == 1 and expected.startswith("error: unknown potential 'old:abc'")
+        code = main(["verify", "--sector", "skyrme", "--potential", "old:abc",
+                     "--out", str(tmp_path / "v")])
+        out, err = capfd.readouterr()
+        assert code == 1
+        assert err == expected and err.count("\n") == 1
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_perturbation_fails_with_exit_three(self, tmp_path, capsys):
         code = main(["verify", "--sector", "baby", "--inject-perturbation",
                      "--out", str(tmp_path / "v")])
@@ -203,6 +219,30 @@ class TestBoundCommand:
 
     def test_bad_order(self, tmp_path):
         assert main(["bound", "--order", "65", "--out", str(tmp_path / "b")]) == 1
+
+    def test_json_records_the_proof(self, tmp_path, capsys):
+        code = main(["bound", "--order", "8", "--samples", "1000", "--out", str(tmp_path / "b8")])
+        assert code == 0
+        proof = json.loads((tmp_path / "b8.json").read_text())["proof"]
+        assert proof["passed"] is True and proof["lower_bound"] >= 0.0
+        assert all(re.fullmatch(r"\d+/\d+", p) for p in proof["tangent_points"])
+        assert "ray proof: lower bound " in capsys.readouterr().out
+
+    def test_failed_proof_exits_four(self, tmp_path, capsys):
+        from dbisol import bounds
+
+        def inflated(order, beta):
+            cert = bounds.optimize_bound(order, beta)
+            return replace(cert, constant=1.1 * cert.constant)
+
+        with mock.patch("dbisol.cli.optimize_bound", inflated):
+            code = main(["bound", "--order", "3", "--samples", "1000",
+                         "--out", str(tmp_path / "b")])
+        out, err = capsys.readouterr()
+        assert code == 4
+        assert err.startswith("ray proof failed: lower bound -") and err.count("\n") == 1
+        assert out == ""
+        assert json.loads((tmp_path / "b.json").read_text())["proof"]["passed"] is False
 
     def test_order_sixty_four(self, tmp_path):
         code = main(["bound", "--order", "64", "--samples", "20000",
