@@ -6,9 +6,9 @@ strain-eigenvalue energy bounds of the square-root model.
 """
 
 from .errors import DbisolError, NoSolitonError, OptimizerError, SectorMismatchError
-from .model import (Chart, KineticLaw, ModelParams, PotentialSpec, Sector, TargetMeasure,
-                    fit_vacuum_exponent, make_potential, target_measure)
-from .bps import BpsLaw, EomResidualReport, bps_law_for, eom_residual
+from .model import (Chart, KineticLaw, ModelParams, PotentialSpec, Sector,
+                    fit_vacuum_exponent, make_potential)
+from .bps import EomResidualReport, eom_residual
 from .profiles import (GridSpec, LocalizationClass, SolitonProfile, angular_profile,
                        baby_old_exact, baby_old_radius, classify_localization,
                        endpoint_asymptotics, profile_field_at,

@@ -25,7 +25,7 @@ R = 10^(12 d), the worst case putting the middle square at the mean of the
 other two.  A row whose bound, less an allowance for the rounding of its
 computed slack, exceeds the minimum slack already found on the ray points
 cannot set the minimum; it is skipped before its `exp`.  The other rows go
-through the same affine step, `exp` and slack kernel as without the screen,
+through the same affine step, `exp` and `_slack` as without the screen,
 so the certified minimum is the same double.
 
 The Monte-Carlo draws are cut into contiguous row chunks, scanned by at most
@@ -301,9 +301,9 @@ def optimize_bound(order: int, beta: float = 1.0, *,
 
 # Monte-Carlo rows per block.  One call allocates one block of buffers, and
 # each of its workers takes a slice of BLOCK_ROWS // workers rows, the size
-# of one chunk.  The size was measured with every row through the full slack
-# kernel, which the screen spares almost every row: the draws, s and the
-# Horner sum of a slice (at most about 1.3 MB) stay in a 2 MB L2 cache of the
+# of one chunk.  The size was measured with every row through the slack,
+# which the screen spares almost every row: the draws, s and the Horner sum
+# of a slice (at most about 1.3 MB) stay in a 2 MB L2 cache of the
 # core that runs the worker; 2^14-2^15 rows measured fastest on one core,
 # 2^12 pays per-block overhead and 2^16 and up leave the cache
 BLOCK_ROWS = 1 << 15
@@ -317,44 +317,29 @@ SCREEN_SPREAD = 1e-3
 _SCREEN_ALLOWANCE = 1e-9
 
 
-def _slack_kernel(cert: BoundCertificate):
-    """The slack kernel of cert: slack(lam, s, lhs) -> lhs.
+def _series(c: np.ndarray, y):
+    """sum_k c_k y^k, k = 1..len(c), by Horner; y a float or an array."""
+    acc = c[-1]
+    for ck in c[-2::-1]:
+        acc = acc * y + ck
+    return acc * y
 
-    Writes the slack of each row of lam into lhs, with s as scratch of the
-    same length, and allocates nothing.  sum_k c_k s^k / beta^(2k-2) is
-    summed by Horner; s^N may pass the float range, where the slack is +inf
-    and never the minimum.  s is summed as (x^2 + z^2) + y^2, the order of
-    einsum("ij,ij->i") over three columns, which keeps recorded min_slack
+
+def _slack(cert: BoundCertificate, lam: np.ndarray) -> np.ndarray:
+    """Slack of each row of lam: beta^2 sum_k c_k y^k - (C/beta) lam1 lam2 lam3.
+
+    The truncated density sum_k c_k s^k / beta^(2k-2) is summed in
+    y = s / beta^2, where its coefficients are the c_k themselves and no power
+    of beta can leave the float range.  y^N may pass it, where the slack is
+    +inf and never the minimum.  s is summed as (x^2 + z^2) + y^2, the order
+    of einsum("ij,ij->i") over three columns, which keeps recorded min_slack
     values reproducible bit for bit.
     """
-    a = _coeff_floats(cert.order) / (cert.beta * cert.beta) ** np.arange(cert.order)
-    scale = cert.constant / cert.beta
-
-    def slack(lam: np.ndarray, s: np.ndarray, lhs: np.ndarray) -> np.ndarray:
-        x, y, z = lam[:, 0], lam[:, 1], lam[:, 2]
-        with np.errstate(over="ignore"):
-            np.multiply(x, x, out=s)
-            np.multiply(z, z, out=lhs)
-            s += lhs
-            np.multiply(y, y, out=lhs)
-            s += lhs
-            lhs.fill(a[-1])
-            for ak in a[-2::-1]:
-                lhs *= s
-                lhs += ak
-            lhs *= s
-        np.multiply(x, y, out=s)
-        s *= z
-        s *= scale
-        lhs -= s
-        return lhs
-
-    return slack
-
-
-def _slack_arrays(cert: BoundCertificate, lam: np.ndarray) -> np.ndarray:
-    """Slack of each row of lam, in fresh arrays."""
-    return _slack_kernel(cert)(lam, np.empty(len(lam)), np.empty(len(lam)))
+    x, y, z = lam[:, 0], lam[:, 1], lam[:, 2]
+    b2 = cert.beta * cert.beta
+    with np.errstate(over="ignore"):
+        lhs = b2 * _series(_coeff_floats(cert.order), ((x * x + z * z) + y * y) / b2)
+    return lhs - x * y * z * (cert.constant / cert.beta)
 
 
 def _tight_ray_points(cert: BoundCertificate) -> np.ndarray:
@@ -383,7 +368,7 @@ def pointwise_slack(cert: BoundCertificate, triple) -> float:
     # nan is inf - inf or inf * 0 after the product overflowed: s^N has
     # overflowed too there, and with N >= 2 it outgrows the product's s^(3/2)
     with np.errstate(over="ignore", invalid="ignore"):
-        slack = float(_slack_arrays(cert, lam)[0])
+        slack = float(_slack(cert, lam)[0])
     return math.inf if math.isnan(slack) else slack
 
 
@@ -466,8 +451,7 @@ def verify_pointwise(cert: BoundCertificate, sample_count: int, *, seed: int = 0
     count = _non_negative_int(sample_count, "sample count")
     seed = _non_negative_int(seed, "seed")
     cert.validate()
-    slack = _slack_kernel(cert)
-    min_slack = float(_slack_arrays(cert, _tight_ray_points(cert)).min())
+    min_slack = float(_slack(cert, _tight_ray_points(cert)).min())
     top = _screen_top(_screen_floor(cert, prove_ray(cert.order, cert.constant)), min_slack)
     blocks = -(-count // BLOCK_ROWS)
     workers = min(_usable_cpus(), blocks)
@@ -475,8 +459,9 @@ def verify_pointwise(cert: BoundCertificate, sample_count: int, *, seed: int = 0
         return min_slack
     rows = min(count, BLOCK_ROWS) // workers
     block = np.empty((rows * workers, 3))
-    s, lhs = np.empty(rows * workers), np.empty(rows * workers)
-    # the screen's two row masks, allocated once like the other buffers
+    # the screen's scratch: each row's largest uniform, its spread and two
+    # row masks, allocated once like the draws
+    high, low = np.empty((2, rows * workers))
     keep, below = np.empty((2, rows * workers), dtype=bool)
     chunks = -(-count // rows)
     # worker w scans chunk w, then each chunk no worker has claimed yet, so a
@@ -488,9 +473,9 @@ def verify_pointwise(cert: BoundCertificate, sample_count: int, *, seed: int = 0
     rngs = [np.random.Generator(np.random.PCG64(seed)) for _ in range(workers)]
 
     def scan(w: int) -> float:
-        low = math.inf
+        least = math.inf
         part = slice(w * rows, (w + 1) * rows)
-        draws, s_w, lhs_w = block[part], s[part], lhs[part]
+        draws, high_w, low_w = block[part], high[part], low[part]
         keep_w, below_w = keep[part], below[part]
         drawn = 0    # rows rngs[w] has moved past; claimed chunks only increase
         chunk = w
@@ -501,9 +486,8 @@ def verify_pointwise(cert: BoundCertificate, sample_count: int, *, seed: int = 0
             drawn = start + m
             lam = draws[:m]
             rngs[w].random(out=lam)
-            # the screen, with s and lhs as scratch: hi is each row's largest
-            # uniform, lo its spread
-            hi, lo = s_w[:m], lhs_w[:m]
+            # the screen: hi is each row's largest uniform, lo its spread
+            hi, lo = high_w[:m], low_w[:m]
             np.maximum(lam[:, 0], lam[:, 1], out=hi)
             np.maximum(hi, lam[:, 2], out=hi)
             np.minimum(lam[:, 0], lam[:, 1], out=lo)
@@ -518,12 +502,10 @@ def verify_pointwise(cert: BoundCertificate, sample_count: int, *, seed: int = 0
             lam += -3.0
             lam *= math.log(10.0)
             np.exp(lam, out=lam)
-            values = slack(lam, s_w[:len(lam)], lhs_w[:len(lam)])
-            if len(lam):
-                low = min(low, float(values.min()))
+            least = min(least, float(_slack(cert, lam).min(initial=math.inf)))
             with lock:
                 chunk = next(unclaimed, chunks)
-        return low
+        return least
 
     lows = [math.inf] * workers
     errors = []
@@ -560,14 +542,14 @@ def sharpness_location(cert: BoundCertificate) -> tuple[float, float]:
     """(s*, value) of the minimal pointwise ratio on the equal-eigenvalue ray.
 
     On the ray s = 3 t^2 the ratio of the truncated density to t^3 is
-    (3^(3/2)/beta) sum_k c_k y^k / y^(3/2) in the scaled variable y = s/beta^2,
-    which keeps every power finite up to the largest order.
+    (3^(3/2)/beta) sum_k c_k y^k / y^(3/2) in the slack's scaled variable
+    y = s/beta^2, summed by the same `_series`.
     """
     c = _coeff_floats(cert.order)
 
     def neg_ratio(u: float) -> float:
         y = math.exp(u)
-        return -sum(ck * y ** (k + 1) for k, ck in enumerate(c)) / y ** 1.5
+        return -float(_series(c, y)) / y ** 1.5
 
     u_star, val = golden_max(neg_ratio, math.log(1e-4), math.log(1e4))
     return cert.beta ** 2 * math.exp(u_star), float(-3.0 ** 1.5 * val / cert.beta)

@@ -4,51 +4,28 @@ The static energy density K(B0) + mu^2 V depends on the field only through
 the charge density B0 and the potential, so the second-order equations
 integrate once to the first-order law B0 K'(B0) - K(B0) = mu^2 V, an
 algebraic relation B0 = W(field).  The kinetic law (`model.KineticLaw`)
-solves it in closed form; this module ties it to a potential, and checks a
-profile against the one Euler-Lagrange equation of every chart and law by a
+solves it in closed form, as a function of mu^2 V alone
+(`KineticLaw.density`), so a caller that needs V anyway evaluates it once.
+This module gives the static density K(B0) + mu^2 V, and checks a profile
+against the one Euler-Lagrange equation of every chart and law by a
 finite-difference residual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DbisolError
-from .model import ModelParams, PotentialSpec
+from .model import ModelParams
 
-__all__ = ["BpsLaw", "EomResidualReport", "bps_law_for", "static_density", "eom_residual"]
+__all__ = ["EomResidualReport", "static_density", "eom_residual"]
 
 
 def static_density(params: ModelParams, b0, v):
     """Static energy density K(B0) + mu^2 V at charge density B0 and potential value V."""
     return params.kinetic_law.kinetic(b0, params.beta) + params.mu ** 2 * v
-
-
-@dataclass(frozen=True)
-class BpsLaw:
-    """The relation B0 = W(field) for one model and potential.
-
-    B0 depends on the field only through the potential value: of_potential
-    maps V >= 0 to B0 >= 0, so a caller that needs V anyway evaluates it once.
-    Profiles decrease from the anti-vacuum boundary to the vacuum, so the
-    slope is -B0 times the chart's slope scale over its Jacobian.
-    """
-
-    of_potential: Callable[[np.ndarray], np.ndarray]
-    potential: PotentialSpec
-
-    def density(self, field):
-        """B0 at target coordinates."""
-        return self.of_potential(self.potential.evaluate(field))
-
-
-def bps_law_for(model: ModelParams, potential: PotentialSpec) -> BpsLaw:
-    """Closed-form first-order law for the model's kinetic prescription."""
-    law = model.kinetic_law
-    return BpsLaw(lambda v: law.density(model.mu ** 2 * v, model.beta), potential)
 
 
 # 100 interior samples plus the two at each end that lack a full stencil

@@ -126,7 +126,7 @@ class RunConfig:
                 "custom",
                 evaluate=lambda xi: np.power(np.asarray(xi, dtype=float), a),
                 derivative=lambda xi: a * np.power(np.asarray(xi, dtype=float), a - 1.0),
-                domain=(0.0, math.pi), vacuum_coordinate=0.0, vacuum_exponent=a)
+                domain=(0.0, math.pi), vacuum_exponent=a)
         raise unknown
 
 

@@ -2,12 +2,14 @@
 
 Two sectors are supported.  The planar one works on the chart h in [0, 1]
 with the vacuum at h = 0, the three-dimensional one on xi in [0, pi] with the
-vacuum at xi = 0.  Each sector's `Chart` (`Sector.chart`) holds every fact
-that tells the two apart, and the solvers read it in place of branching on
-the sector.  Likewise the `KineticLaw` holds every fact that tells the DBI
-square root from the pure power: K(B0), K'(B0), the first-order law, the
-dual variable P = K'(B0) on that law and the power with which B0 vanishes at
-the vacuum.  Every chart takes both laws.  All quantities are dimensionless.
+vacuum at xi = 0; every potential has its vacuum at 0.  Each sector's `Chart`
+(`Sector.chart`) holds every fact that tells the two apart, the unit-mass
+target average (`Chart.average`) among them, and the solvers read it in
+place of branching on the sector.  Likewise the `KineticLaw` holds every
+fact that tells the DBI square root from the pure power: K(B0), K'(B0), the
+first-order law, the dual variable P = K'(B0) on that law and the power with
+which B0 vanishes at the vacuum.  Every chart takes both laws.  All
+quantities are dimensionless.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .errors import DbisolError, SectorMismatchError
 from .numerics import tanh_sinh
 
 __all__ = [
-    "Sector", "Chart", "KineticLaw", "PotentialSpec", "ModelParams", "TargetMeasure",
-    "make_potential", "target_measure", "fit_vacuum_exponent",
+    "Sector", "Chart", "KineticLaw", "PotentialSpec", "ModelParams",
+    "make_potential", "fit_vacuum_exponent",
 ]
 
 
@@ -131,15 +133,15 @@ class KineticLaw:
 class PotentialSpec:
     """A potential on a one-dimensional target chart.
 
-    evaluate and derivative accept floats or numpy arrays.  vacuum_exponent
-    is the leading power of V near the vacuum point, used for localization
-    classification and endpoint handling in the profile solver.
+    evaluate and derivative accept floats or numpy arrays.  The vacuum is at
+    the domain's lower end, 0 on every chart; vacuum_exponent is the leading
+    power of V there, used for localization classification and endpoint
+    handling in the profile solver.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
     derivative: Callable[[np.ndarray], np.ndarray]
     domain: tuple[float, float]
-    vacuum_coordinate: float
     vacuum_exponent: float
     tag: str
 
@@ -229,6 +231,13 @@ class Chart:
         out = self.radial(rr, params)
         return out if out.ndim else float(out)
 
+    def average(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
+        """Average of fn, a vectorized function of the field, over the unit-mass
+        target measure unit_weight * jacobian on [0, anti_vacuum]."""
+        return tanh_sinh(
+            lambda s: np.full(np.shape(s), self.unit_weight) * self.jacobian(s) * fn(s),
+            0.0, self.anti_vacuum)
+
 
 CHARTS = {
     # h in [0, 1] in the chart x = r^2 / 2.  The inverse map int 1 / B0
@@ -270,8 +279,10 @@ def make_potential(tag: str, alpha: float | None = None, *,
     """Build one of the built-in potentials or wrap a custom one.
 
     Tags: "old-baby-power" (requires alpha > 0), "skyrme-standard",
-    "bps-potential", "custom" (requires every field; the declared
-    vacuum_exponent is cross-checked against a log-log fit).
+    "bps-potential", "custom" (requires evaluate, derivative, domain and
+    vacuum_exponent; the declared vacuum_exponent is cross-checked against a
+    log-log fit).  Every chart has its vacuum at 0, so vacuum_coordinate may
+    be given only as 0.
     """
     if tag == "old-baby-power":
         if alpha is None or alpha <= 0:
@@ -281,7 +292,6 @@ def make_potential(tag: str, alpha: float | None = None, *,
             evaluate=lambda h: np.power(np.asarray(h, dtype=float), a),
             derivative=lambda h: a * np.power(np.asarray(h, dtype=float), a - 1.0),
             domain=(0.0, 1.0),
-            vacuum_coordinate=0.0,
             vacuum_exponent=a,
             tag=tag,
         )
@@ -290,7 +300,6 @@ def make_potential(tag: str, alpha: float | None = None, *,
             evaluate=_one_minus_cos,
             derivative=lambda xi: np.sin(np.asarray(xi, dtype=float)),
             domain=(0.0, math.pi),
-            vacuum_coordinate=0.0,
             vacuum_exponent=2.0,
             tag=tag,
         )
@@ -299,20 +308,22 @@ def make_potential(tag: str, alpha: float | None = None, *,
             evaluate=_eta,
             derivative=_eta_deriv,
             domain=(0.0, math.pi),
-            vacuum_coordinate=0.0,
             vacuum_exponent=3.0,
             tag=tag,
         )
     if tag == "custom":
         missing = [name for name, v in (("evaluate", evaluate), ("derivative", derivative),
-                                        ("domain", domain), ("vacuum_coordinate", vacuum_coordinate),
-                                        ("vacuum_exponent", vacuum_exponent)) if v is None]
+                                        ("domain", domain), ("vacuum_exponent", vacuum_exponent))
+                   if v is None]
         if missing:
             raise DbisolError(f"custom potential requires {', '.join(missing)}")
+        if vacuum_coordinate not in (None, 0.0):
+            raise DbisolError(f"the vacuum is at 0 on every chart, got vacuum_coordinate "
+                              f"{vacuum_coordinate}")
         if vacuum_exponent <= 0:
             raise DbisolError(f"vacuum_exponent must be positive, got {vacuum_exponent}")
         spec = PotentialSpec(evaluate, derivative, tuple(map(float, domain)),
-                             float(vacuum_coordinate), float(vacuum_exponent), tag)
+                             float(vacuum_exponent), tag)
         fitted = fit_vacuum_exponent(spec)
         if not math.isclose(fitted, spec.vacuum_exponent, rel_tol=0.15):
             raise DbisolError(
@@ -325,38 +336,13 @@ def make_potential(tag: str, alpha: float | None = None, *,
 def fit_vacuum_exponent(potential: PotentialSpec) -> float:
     """Least-squares slope of log V against log(distance to the vacuum).
 
-    Fitted on 25 distances from 1e-6 to 1e-3 of the domain width.
+    Fitted on 25 distances above the domain's lower end, the vacuum, from
+    1e-6 to 1e-3 of the domain width.
     """
     lo, hi = potential.domain
     d = np.logspace(-6.0, -3.0, 25) * (hi - lo)
-    if potential.vacuum_coordinate <= 0.5 * (lo + hi):
-        s = potential.vacuum_coordinate + d
-    else:
-        s = potential.vacuum_coordinate - d
-    v = np.asarray(potential.evaluate(s), dtype=float)
+    v = np.asarray(potential.evaluate(lo + d), dtype=float)
     if np.any(v <= 0):
         raise DbisolError("potential is not positive next to its vacuum")
     slope = np.polyfit(np.log(d), np.log(v), 1)[0]
     return float(slope)
-
-
-@dataclass(frozen=True)
-class TargetMeasure:
-    """Unit-mass weight on the target chart used for potential averages."""
-
-    weight: Callable[[np.ndarray], np.ndarray]
-    domain: tuple[float, float]
-
-    def mass(self) -> float:
-        return tanh_sinh(self.weight, *self.domain)
-
-    def average(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
-        """Weighted integral of fn, a vectorized function of the target coordinate."""
-        return tanh_sinh(lambda s: self.weight(s) * fn(s), *self.domain)
-
-
-def target_measure(sector: Sector) -> TargetMeasure:
-    """Unit-mass measure: flat on [0,1] for the planar chart, (2/pi) sin^2 on [0,pi]."""
-    chart = sector.chart
-    return TargetMeasure(lambda s: np.full(np.shape(s), chart.unit_weight) * chart.jacobian(s),
-                         (0.0, chart.anti_vacuum))

@@ -20,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bps import BpsLaw, bps_law_for, static_density
+from .bps import static_density
 from .errors import DbisolError, NoSolitonError, SectorMismatchError
-from .model import ModelParams, PotentialSpec, make_potential, target_measure
+from .model import ModelParams, PotentialSpec, make_potential
 from .numerics import tanh_sinh
 from .profiles import (GridSpec, SolitonProfile, baby_old_radius, profile_field_at,
                        skyrme_bps_radius, solve_profile)
@@ -50,15 +50,13 @@ def bps_energy_integral(model: ModelParams, potential: PotentialSpec,
     of the field; where B0 underflows to zero it is taken as its limit 0.
     """
     chart = model.sector.chart_for(potential)
-    if model.mu == 0.0:
-        return 0.0
-    law = bps_law_for(model, potential)
+    law = model.kinetic_law
     lo, hi = field_range if field_range is not None else (0.0, chart.anti_vacuum)
     scale = chart.slope_scale(model)
 
     def integrand(f):
         v = np.asarray(potential.evaluate(f), dtype=float)
-        b0 = np.asarray(law.of_potential(v), dtype=float)
+        b0 = law.density(model.mu ** 2 * v, model.beta)
         dens = static_density(model, b0, v)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(b0 > 0.0, dens * chart.jacobian(f) / (scale * b0), 0.0)
@@ -184,7 +182,8 @@ def energy_per_charge_average(model: ModelParams, potential: PotentialSpec) -> f
         return law.dual(model.mu ** 2 * np.asarray(potential.evaluate(s), dtype=float),
                         model.beta)
 
-    return model.sector.chart.average_factor * target_measure(model.sector).average(dual)
+    chart = model.sector.chart
+    return chart.average_factor * chart.average(dual)
 
 
 def power_family_energy_per_charge(model: ModelParams, potential: PotentialSpec) -> float:
@@ -217,8 +216,9 @@ def small_mu_sweep(model: ModelParams, mus: Sequence[float],
     return MuSweepResult(tuple(map(float, mus)), tuple(map(float, energies)), slope)
 
 
-def _limit_law(model: ModelParams, potential: PotentialSpec) -> BpsLaw:
-    return BpsLaw(lambda v: 2.0 * model.mu * np.sqrt(np.asarray(v, dtype=float)), potential)
+def _limit_law(model: ModelParams):
+    """B0 as a function of V on the beta -> infinity limit of the first-order law."""
+    return lambda v: 2.0 * model.mu * np.sqrt(np.asarray(v, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -245,7 +245,7 @@ def large_beta_sweep(model: ModelParams, betas: Sequence[float],
         p = replace(model, beta=float(beta))
         prof = solve_profile(p, pot, GridSpec(count=800))
         energies.append(bps_energy_integral(p, pot))
-        limit_field = profile_field_at(p, pot, prof.coordinates, law=_limit_law(p, pot))
+        limit_field = profile_field_at(p, pot, prof.coordinates, law=_limit_law(p))
         distances.append(float(np.max(np.abs(prof.field - limit_field))))
     fit = np.polyfit(np.log(np.asarray(betas, dtype=float)), np.log(np.asarray(distances)), 1)
     return BetaSweepResult(tuple(map(float, betas)), tuple(map(float, energies)),

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bps import BpsLaw, bps_law_for, static_density
+from .bps import static_density
 from .errors import DbisolError, NoSolitonError
 from .model import Chart, KineticLaw, ModelParams, PotentialSpec, Sector, _eta
 from .numerics import CumulativeIntegral, bisect_monotone
@@ -286,8 +286,8 @@ def _threshold_margin(law: KineticLaw, vacuum_exponent: float, chart: Chart) -> 
     return chart.threshold - 2.0 * law.vacuum_power(vacuum_exponent)
 
 
-def _profile_on_law(model: ModelParams, potential: PotentialSpec, law: BpsLaw,
-                    coords: np.ndarray, field: np.ndarray, compacton_radius: float | None,
+def _profile_on_law(model: ModelParams, potential: PotentialSpec, coords: np.ndarray,
+                    field: np.ndarray, compacton_radius: float | None,
                     field_floor: float = 0.0) -> SolitonProfile:
     """Profile of field samples on the first-order law, with its derived columns.
 
@@ -301,7 +301,7 @@ def _profile_on_law(model: ModelParams, potential: PotentialSpec, law: BpsLaw,
     cdens = np.zeros_like(field)
     f = field[inside]
     v = np.asarray(potential.evaluate(f), dtype=float)
-    b0 = np.asarray(law.of_potential(v), dtype=float)
+    b0 = model.kinetic_law.density(model.mu ** 2 * v, model.beta)
     edens[inside] = chart.prefactor(model) * static_density(model, b0, v)
     # y is the Jacobian times the slope; where the Jacobian vanishes at the
     # anti-vacuum boundary, the slope itself diverges
@@ -335,24 +335,26 @@ class _InverseMap:
     """Cumulative inverse map of one first-order profile.
 
     Carries the regularized quadrature of coordinate(field) and inverts it on
-    arbitrary coordinate grids.
+    arbitrary coordinate grids.  law maps V to B0, by default the model's own
+    first-order law.
     """
 
     def __init__(self, model: ModelParams, potential: PotentialSpec,
-                 law: BpsLaw | None = None):
+                 law: Callable[[np.ndarray], np.ndarray] | None = None):
         chart = model.sector.chart_for(potential)
         _require_potential_term(model)
 
-        the_law = law if law is not None else bps_law_for(model, potential)
+        if law is None:
+            def law(v):
+                return model.kinetic_law.density(model.mu ** 2 * v, model.beta)
         scale = chart.slope_scale(model)
 
         def inv_integrand(f):
             # 1/|d(coordinate)/d(field)|
-            return chart.jacobian(f) / (scale * np.asarray(the_law.density(f), dtype=float))
+            return chart.jacobian(f) / (scale * np.asarray(law(potential.evaluate(f)), dtype=float))
 
         self.compact = classify_localization(potential.vacuum_exponent, model.sector,
                                              model.kinetic_law) is LocalizationClass.COMPACTON
-        self.law = the_law
         self.anti = anti = chart.anti_vacuum
         if self.compact:
             # the substitution field = t^p makes the integrand smooth at t = 0
@@ -394,11 +396,11 @@ class _InverseMap:
 
 
 def profile_field_at(model: ModelParams, potential: PotentialSpec, coords, *,
-                     law: BpsLaw | None = None) -> np.ndarray:
+                     law: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
     """Field values of the first-order profile at arbitrary coordinates.
 
-    law replaces the model's own first-order law (the sweeps pass the
-    beta -> infinity limit law).
+    law, a map from the potential value V to B0, replaces the model's own
+    first-order law (the sweeps pass the beta -> infinity limit law).
     """
     return _InverseMap(model, potential, law).field_at(coords)
 
@@ -420,8 +422,8 @@ def solve_profile(model: ModelParams, potential: PotentialSpec,
     if inv.compact:
         coords = np.concatenate([coords, coords[-1] + (coords[1] - coords[0]) * np.arange(1, 11)])
         field = np.concatenate([field, np.zeros(10)])
-        return _profile_on_law(model, potential, inv.law, coords, field, inv.extent)
-    return _profile_on_law(model, potential, inv.law, coords, field, None, FIELD_FLOOR)
+        return _profile_on_law(model, potential, coords, field, inv.extent)
+    return _profile_on_law(model, potential, coords, field, None, FIELD_FLOOR)
 
 
 def profile_on_grid(field_fn: Callable[[np.ndarray], np.ndarray], model: ModelParams,
@@ -434,8 +436,7 @@ def profile_on_grid(field_fn: Callable[[np.ndarray], np.ndarray], model: ModelPa
     else:
         coords = np.linspace(0.0, extent, count or 1000)
     field = np.asarray(field_fn(coords), dtype=float)
-    return _profile_on_law(model, potential, bps_law_for(model, potential), coords, field,
-                           compacton_radius)
+    return _profile_on_law(model, potential, coords, field, compacton_radius)
 
 
 def write_atomic(path, data: str | bytes) -> None:

@@ -16,7 +16,7 @@ from dbisol import (DbisolError, PAVLOVSKII_REFERENCE, bound_constant, bound_ene
                     sharpness, taylor_coefficients, verify_pointwise, weights_for_alpha)
 from dbisol import bounds
 from dbisol.bounds import (BLOCK_ROWS, SCREEN_SPREAD, _coeff_floats, _screen_floor,
-                           _screen_top, _slack_arrays, _tight_ray_points)
+                           _screen_top, _slack, _tight_ray_points)
 
 C2_EXACT = 0.5 * 3.0 ** 1.5
 # the largest double not above 3^(3/2)/2; C2_EXACT, the nearest, lies 2.8e-17 above it
@@ -30,15 +30,16 @@ FAR_POINT = np.full((1, 3), 1e3)
 
 
 def reference_slack(cert, lam: np.ndarray) -> np.ndarray:
-    """Slack of each row of lam from whole-array expressions."""
+    """Slack of each row of lam from whole-array expressions, summed in y = s / beta^2."""
     x, y, z = lam.T
-    s = (x * x + z * z) + y * y
-    a = _coeff_floats(cert.order) / (cert.beta * cert.beta) ** np.arange(cert.order)
+    b2 = cert.beta * cert.beta
+    w = ((x * x + z * z) + y * y) / b2
+    c = _coeff_floats(cert.order)
     with np.errstate(over="ignore"):
-        lhs = np.full_like(s, a[-1])
-        for ak in a[-2::-1]:
-            lhs = lhs * s + ak
-        lhs = lhs * s
+        lhs = np.full_like(w, c[-1])
+        for ck in c[-2::-1]:
+            lhs = lhs * w + ck
+        lhs = b2 * (lhs * w)
     return lhs - x * y * z * (cert.constant / cert.beta)
 
 
@@ -56,19 +57,15 @@ def split_minimum(cert, count: int, seed: int, workers: int) -> float:
         return verify_pointwise(cert, count, seed=seed)
 
 
-def kernel_failing_off(caller: int):
-    """A _slack_kernel whose kernels raise MemoryError on any thread but caller."""
-    make = bounds._slack_kernel
+def slack_failing_off(caller: int):
+    """A _slack that raises MemoryError on any thread but caller."""
+    slack = bounds._slack
 
-    def kernel_of(cert):
-        slack = make(cert)
-
-        def kernel(lam, s, lhs):
-            if threading.get_ident() != caller:
-                raise MemoryError("worker out of memory")
-            return slack(lam, s, lhs)
-        return kernel
-    return kernel_of
+    def failing(cert, lam):
+        if threading.get_ident() != caller:
+            raise MemoryError("worker out of memory")
+        return slack(cert, lam)
+    return failing
 
 
 def mp_bound_constant(order: int) -> mp.mpf:
@@ -257,6 +254,13 @@ class TestDuality:
         c3b = replace(c3, beta=10.0)
         assert sharpness(c3b) == pytest.approx(c3.constant / 10.0, rel=1e-6)
 
+    def test_order_three_sharpness_is_exact(self):
+        # the ray minimum, summed by the slack's Horner rule in y = s / beta^2,
+        # is C_3 = 7/2 to the last bit
+        cert = optimize_bound(3)
+        assert cert.constant == 3.5
+        assert sharpness(cert) == 3.5
+
 
 class TestPointwise:
     def test_min_slack_nonnegative(self):
@@ -284,7 +288,7 @@ class TestPointwise:
         s = 13.0
         c = [float(x) for x in taylor_coefficients(3)]
         lhs = sum(ck * s ** (k + 1) for k, ck in enumerate(c))
-        assert _slack_arrays(cert, lam)[0] == pytest.approx(lhs, rel=1e-15)
+        assert _slack(cert, lam)[0] == pytest.approx(lhs, rel=1e-15)
 
     def test_horner_kernel_matches_direct_sum(self):
         cert = replace(optimize_bound(8), beta=2.5)
@@ -293,7 +297,7 @@ class TestPointwise:
                           for k, ck in enumerate(taylor_coefficients(8)))
                 - cert.constant / 2.5 * a * b * c
                 for s, (a, b, c) in zip((lam * lam).sum(axis=1), lam)]
-        np.testing.assert_allclose(_slack_arrays(cert, lam), want, rtol=1e-13)
+        np.testing.assert_allclose(_slack(cert, lam), want, rtol=1e-13)
 
     def test_slack_past_float_range_is_infinite(self):
         cert = optimize_bound(64)
@@ -305,7 +309,7 @@ class TestPointwise:
     @pytest.mark.parametrize("triple", [(1e103, 1e103, 1e103), (1e200, 1e200, 0.0),
                                         (1e300, 1e300, 1e300)])
     def test_slack_with_overflowing_product_is_infinite(self, order, triple):
-        # the eigenvalue product overflows too: inf - inf or inf * 0 in the kernel
+        # the eigenvalue product overflows too: inf - inf or inf * 0 in the slack
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert pointwise_slack(optimize_bound(order), triple) == math.inf
@@ -340,7 +344,7 @@ class TestPointwise:
         lam = one_array_draws(seed, count)
         cert = optimize_bound(order, beta)
         want = reference_slack(cert, lam)
-        assert np.array_equal(_slack_arrays(cert, lam).view(np.int64), want.view(np.int64))
+        assert np.array_equal(_slack(cert, lam).view(np.int64), want.view(np.int64))
         # the ray holds the minimum of a valid certificate; with one far point
         # in its place the minimum falls on the draws
         for points in (_tight_ray_points(cert), FAR_POINT):
@@ -370,43 +374,38 @@ class TestPointwise:
 
     def test_worker_error_reaches_caller(self):
         with mock.patch("dbisol.bounds._usable_cpus", return_value=3), \
-                mock.patch("dbisol.bounds._slack_kernel",
-                           kernel_failing_off(threading.get_ident())):
+                mock.patch("dbisol.bounds._slack", slack_failing_off(threading.get_ident())):
             with pytest.raises(MemoryError, match="worker out of memory"):
                 verify_pointwise(optimize_bound(3), 3 * BLOCK_ROWS, seed=1)
 
     def test_held_up_worker_leaves_its_chunks_to_the_caller(self):
         # 2 workers, 8 chunks of BLOCK_ROWS // 2 rows; the second worker's
-        # kernel waits until the caller has scanned the 7 chunks that are not
+        # slack waits until the caller has scanned the 7 chunks that are not
         # the worker's first, which a fixed split per worker never lets happen
-        caller, make = threading.get_ident(), bounds._slack_kernel
+        caller, slack = threading.get_ident(), bounds._slack
         chunk, scanned, released = BLOCK_ROWS // 2, [], threading.Event()
 
-        def kernel_of(cert):
-            slack = make(cert)
-
-            def kernel(lam, s, lhs):
-                if threading.get_ident() != caller:
-                    assert released.wait(10), "the caller left chunks to the held-up worker"
-                elif len(lam) == chunk:
-                    scanned.append(chunk)
-                    if len(scanned) == 7:
-                        released.set()
-                return slack(lam, s, lhs)
-            return kernel
+        def held_up(cert, lam):
+            if threading.get_ident() != caller:
+                assert released.wait(10), "the caller left chunks to the held-up worker"
+            elif len(lam) == chunk:
+                scanned.append(chunk)
+                if len(scanned) == 7:
+                    released.set()
+            return slack(cert, lam)
 
         cert = optimize_bound(3)
-        with mock.patch("dbisol.bounds._slack_kernel", kernel_of):
+        with mock.patch("dbisol.bounds._slack", held_up):
             got = split_minimum(cert, 4 * BLOCK_ROWS, 5, 2)
         assert len(scanned) == 7
         assert got.hex() == split_minimum(cert, 4 * BLOCK_ROWS, 5, 1).hex()
 
     @pytest.mark.parametrize("fail", [False, True])
     def test_no_thread_outlives_certify(self, fail):
-        kernel = kernel_failing_off(threading.get_ident()) if fail else bounds._slack_kernel
+        slack = slack_failing_off(threading.get_ident()) if fail else bounds._slack
         before = threading.active_count()
         with mock.patch("dbisol.bounds._usable_cpus", return_value=4), \
-                mock.patch("dbisol.bounds._slack_kernel", kernel):
+                mock.patch("dbisol.bounds._slack", slack):
             if fail:
                 with pytest.raises(MemoryError):
                     certify(optimize_bound(3), 4 * BLOCK_ROWS, seed=2)
@@ -550,7 +549,7 @@ class TestScreen:
             spread = hi - r.min(axis=1) >= SCREEN_SPREAD
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                slack = _slack_arrays(cert, rows_from_uniforms(r))
+                slack = _slack(cert, rows_from_uniforms(r))
             bound = floor * 10.0 ** (18.0 * hi - 9.0)
             assert np.all(slack[spread] >= bound[spread]), order
 
@@ -570,24 +569,20 @@ class TestScreen:
     def test_only_unspread_rows_reach_the_kernel(self):
         # order 3 proves C = 7/2 with a zero minimum on the ray, so every row
         # whose uniforms spread by SCREEN_SPREAD or more is skipped
-        count, seed, seen, make = 3 * BLOCK_ROWS + 7, 9, [], bounds._slack_kernel
+        count, seed, seen, slack = 3 * BLOCK_ROWS + 7, 9, [], bounds._slack
         cert = optimize_bound(3)
 
-        def kernel_of(cert):
-            slack = make(cert)
+        def counted(cert, lam):
+            seen.append(len(lam))
+            return slack(cert, lam)
 
-            def kernel(lam, s, lhs):
-                seen.append(len(lam))
-                return slack(lam, s, lhs)
-            return kernel
-
-        with mock.patch("dbisol.bounds._slack_kernel", kernel_of):
+        with mock.patch("dbisol.bounds._slack", counted):
             got = verify_pointwise(cert, count, seed=seed)
         r = np.random.default_rng(seed).random((count, 3))
         unspread = int((r.max(axis=1) - r.min(axis=1) < SCREEN_SPREAD).sum())
         assert sum(seen) - len(_tight_ray_points(cert)) == unspread
         assert unspread < 100
-        want = min(float(_slack_arrays(cert, _tight_ray_points(cert)).min()),
+        want = min(float(_slack(cert, _tight_ray_points(cert)).min()),
                    float(reference_slack(cert, one_array_draws(seed, count)).min()))
         assert got.hex() == want.hex()
 
@@ -641,6 +636,30 @@ class TestCertificate:
                           "energy_scale", "samples", "min_slack", "proof"}
         assert d["proof"] == {"tangent_points": ["2/3", "3002399751580331/4503599627370496"],
                               "lower_bound": 0.0, "passed": True}
+
+    @pytest.mark.parametrize("order", [40, 64])
+    @pytest.mark.parametrize("beta", [300.0, 1e3, 1e4])
+    def test_large_beta_certifies_without_overflow(self, order, beta):
+        # powers of beta^2 in the coefficients overflowed here, and the slack
+        # went negative: -4.1 at order 64 and beta = 1e4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = certify(optimize_bound(order, beta), 200_000)
+        assert cert.min_slack >= -1e-12
+        assert cert.proof.passed
+
+    def test_validate_rejects_weights_off_the_simplex(self):
+        cert = optimize_bound(3)
+        with pytest.raises(DbisolError, match="^certificate weights do not sum to one$"):
+            replace(cert, weights=tuple(1.01 * w for w in cert.weights)).validate()
+        with pytest.raises(DbisolError, match="^certificate weights do not sum to one$"):
+            verify_pointwise(replace(cert, weights=(0.5, 0.5, 0.5)), 10)
+
+    def test_validate_rejects_wrong_product_exponent(self):
+        # equal weights sum to one, but sum (2k/3) w_k = 4/3
+        cert = replace(optimize_bound(3), weights=(1 / 3, 1 / 3, 1 / 3))
+        with pytest.raises(DbisolError, match="^certificate product exponent is not one$"):
+            cert.validate()
 
     def test_weight_invariants(self):
         for n in (2, 3, 5):

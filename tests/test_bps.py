@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mp_oracle import kinetic
 
 from dbisol import (DbisolError, GridSpec, KineticLaw, ModelParams, Sector, SectorMismatchError,
-                    baby_old_exact, baby_old_radius, bps_energy_integral, bps_law_for,
+                    baby_old_exact, baby_old_radius, bps_energy_integral,
                     eom_residual, make_potential, profile_on_grid, skyrme_standard_exact,
                     skyrme_standard_radius, solve_profile)
 
@@ -42,6 +42,11 @@ def dbi_density(v, params):
 def power_density(v, mu, alpha_k):
     """B0 of the pure-power first-order law at potential value v."""
     return KineticLaw.power(alpha_k).density(mu ** 2 * np.asarray(v, dtype=float), 1.0)
+
+
+def law_density(params, potential, field):
+    """B0 of the model's first-order law at target coordinates."""
+    return params.kinetic_law.density(params.mu ** 2 * potential.evaluate(field), params.beta)
 
 
 class TestDbiDensity:
@@ -134,8 +139,7 @@ class TestNumericDensity:
 
 def chart_slope(field, potential, params):
     """Jacobian times dfield/dcoordinate on the first-order law, from the chart's scale."""
-    law = bps_law_for(params, potential)
-    return -params.sector.chart.slope_scale(params) * law.density(field)
+    return -params.sector.chart.slope_scale(params) * law_density(params, potential, field)
 
 
 class TestSlopes:
@@ -262,22 +266,28 @@ class TestEomResidual:
 class TestBpsLaw:
     def test_density_vanishes_at_vacuum_and_respects_ceiling(self):
         for model, pot in ((baby(beta=0.8), OLD), (skyrme(beta=1.5), STD)):
-            law = bps_law_for(model, pot)
-            assert float(law.density(0.0)) == 0.0
+            assert float(law_density(model, pot, 0.0)) == 0.0
             grid = np.linspace(0.0, pot.domain[1], 300)
-            assert np.all(law.density(grid) >= 0)
-            assert np.all(law.density(grid) < math.sqrt(2) * model.beta)
+            assert np.all(law_density(model, pot, grid) >= 0)
+            assert np.all(law_density(model, pot, grid) < math.sqrt(2) * model.beta)
 
     def test_power_law_origin(self):
-        law = bps_law_for(baby(kinetic_law=KineticLaw.power(1.0)), OLD)
+        model = baby(kinetic_law=KineticLaw.power(1.0))
         v = np.linspace(0.0, 1.0, 11)
-        np.testing.assert_array_equal(law.of_potential(v), power_density(v, 1.0, 1.0))
-        assert float(law.density(0.25)) == pytest.approx(0.5, abs=1e-14)
+        np.testing.assert_array_equal(model.kinetic_law.density(model.mu ** 2 * v, model.beta),
+                                      power_density(v, 1.0, 1.0))
+        assert float(law_density(model, OLD, 0.25)) == pytest.approx(0.5, abs=1e-14)
 
     def test_density_is_of_potential_at_the_potential_value(self):
-        law = bps_law_for(skyrme(beta=1.5, mu=0.7), STD)
-        xi = np.linspace(0.0, math.pi, 50)
-        np.testing.assert_array_equal(law.density(xi), law.of_potential(STD.evaluate(xi)))
+        # the profile's charge density is the law at the potential value of its field
+        model = skyrme(beta=1.5, mu=0.7)
+        chart = model.sector.chart
+        prof = solve_profile(model, STD, GridSpec(count=200))
+        inside = prof.field > 0.0
+        b0 = law_density(model, STD, prof.field[inside])
+        np.testing.assert_array_equal(
+            prof.charge_density[inside],
+            model.charge * chart.unit_weight * np.abs(-chart.slope_scale(model) * b0))
 
     @pytest.mark.parametrize("kinetic_law", [KineticLaw.dbi(), KineticLaw.power(0.75)])
     def test_potential_evaluated_once_per_node(self, kinetic_law):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbisol import (DbisolError, KineticLaw, ModelParams, Sector,
-                    fit_vacuum_exponent, make_potential, target_measure)
+                    fit_vacuum_exponent, make_potential)
 
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -48,7 +48,7 @@ class TestPotentials:
         s = np.linspace(*pot.domain, 2001)
         v = np.asarray(pot.evaluate(s))
         assert np.all(v >= 0)
-        assert pot.evaluate(pot.vacuum_coordinate) == 0.0
+        assert pot.evaluate(0.0) == 0.0
 
     @pytest.mark.parametrize("tag,alpha", [("old-baby-power", 1.0), ("old-baby-power", 3.0),
                                            ("skyrme-standard", None), ("bps-potential", None)])
@@ -88,6 +88,9 @@ class TestPotentials:
                              domain=(0.0, 1.0), vacuum_coordinate=0.0,
                              vacuum_exponent=1.5)
         assert pot.evaluate(0.25) == pytest.approx(0.125)
+        bare = make_potential("custom", evaluate=pot.evaluate, derivative=pot.derivative,
+                              domain=(0.0, 1.0), vacuum_exponent=1.5)
+        assert fit_vacuum_exponent(bare) == fit_vacuum_exponent(pot)
 
     def test_custom_potential_exponent_crosschecked(self):
         with pytest.raises(DbisolError):
@@ -101,20 +104,39 @@ class TestPotentials:
         with pytest.raises(DbisolError):
             make_potential("custom", evaluate=lambda h: h)
 
+    def test_custom_vacuum_is_at_zero(self):
+        # V = (pi - xi)^2 vanishes at pi, which no chart takes as its vacuum
+        def custom(**kw):
+            return make_potential("custom", evaluate=lambda xi: (math.pi - np.asarray(xi)) ** 2,
+                                  derivative=lambda xi: -2.0 * (math.pi - np.asarray(xi)),
+                                  domain=(0.0, math.pi), vacuum_exponent=2.0, **kw)
+        with pytest.raises(DbisolError, match="vacuum is at 0") as err:
+            custom(vacuum_coordinate=math.pi)
+        assert "\n" not in str(err.value)
+        # with the vacuum at 0 the log-log fit sees V = pi^2 there
+        for vacuum in ({}, {"vacuum_coordinate": 0.0}):
+            with pytest.raises(DbisolError, match="disagrees with the log-log fit"):
+                custom(**vacuum)
+
 
 class TestMeasures:
     @pytest.mark.parametrize("sector", list(Sector))
     def test_unit_mass(self, sector):
-        assert target_measure(sector).mass() == pytest.approx(1.0, abs=1e-10)
+        chart = sector.chart
+        volume = chart.volume(chart.anti_vacuum) - chart.volume(0.0)
+        assert chart.unit_weight * volume == pytest.approx(1.0, abs=1e-15)
 
     def test_average_of_one(self):
         for sector in Sector:
-            assert target_measure(sector).average(lambda s: 1.0) == pytest.approx(1.0, abs=1e-10)
+            assert sector.chart.average(lambda s: 1.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_skyrme_weight_shape(self):
-        m = target_measure(Sector.SKYRME3D)
-        assert m.weight(0.0) == 0.0
-        assert m.weight(math.pi / 2) == pytest.approx(2.0 / math.pi)
+        chart = Sector.SKYRME3D.chart
+        assert chart.unit_weight * chart.jacobian(0.0) == 0.0
+        assert chart.unit_weight * chart.jacobian(math.pi / 2) == pytest.approx(2.0 / math.pi)
+        # the average of fn weighs it with (2/pi) sin^2
+        assert chart.average(np.cos) == pytest.approx(0.0, abs=1e-15)
+        assert chart.average(lambda xi: np.sin(xi) ** 2) == pytest.approx(0.75, rel=1e-14)
 
 
 class TestValidateParams:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath as mp
@@ -184,6 +185,17 @@ class TestAverages:
             with pytest.warns(UserWarning, match="no soliton"):
                 assert route(power, OLD) == 0.0
 
+    @pytest.mark.parametrize("law", [KineticLaw.dbi(), KineticLaw.power(0.75)],
+                             ids=["dbi", "ak0.75"])
+    @pytest.mark.parametrize("model,pot", [(baby(mu=0.0), OLD), (skyrme(mu=0.0), STD)],
+                             ids=["baby", "skyrme"])
+    def test_energy_integral_is_zero_at_mu_zero(self, model, pot, law):
+        # B0 = 0 everywhere, so the integrand takes its limit 0 at every node
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            energy = bps_energy_integral(replace(model, kinetic_law=law), pot)
+        assert energy == 0.0
+
     def test_power_family_oracle(self):
         p = baby(kinetic_law=KineticLaw.power(1.0))
         got = power_family_energy_per_charge(p, OLD)
@@ -258,8 +270,8 @@ class TestSweeps:
 
     def test_limiting_slope_value(self):
         # dh/dx -> -(2 sqrt2 pi / |n|) mu sqrt(2 V) on the planar chart
-        law = _limit_law(baby(), OLD)
-        slope = -Sector.BABY2D.chart.slope_scale(baby()) * law.density(1.0)
+        law = _limit_law(baby())
+        slope = -Sector.BABY2D.chart.slope_scale(baby()) * law(OLD.evaluate(1.0))
         assert slope == pytest.approx(-4.0 * math.pi, abs=1e-12)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -395,6 +396,44 @@ class TestSolvedProfileShape:
             assert np.all(prof.field[~past] > 0.0)
         else:
             assert prof.field[-1] == pytest.approx(FIELD_FLOOR, rel=1e-15)
+
+
+class TestValidateInvariants:
+    """Each raise of SolitonProfile.validate_invariants, on a broken copy of a solved profile."""
+
+    PROFILE = solve_profile(baby(), OLD, GridSpec(count=200))
+
+    def broken(self, **columns):
+        return replace(self.PROFILE, **columns)
+
+    def test_solved_profile_passes(self):
+        self.PROFILE.validate_invariants()
+
+    def test_non_monotone_field(self):
+        field = self.PROFILE.field.copy()
+        field[50] = field[49] + 1e-6
+        with pytest.raises(DbisolError, match="^field is not monotone non-increasing$"):
+            self.broken(field=field).validate_invariants()
+
+    def test_wrong_start(self):
+        with pytest.raises(DbisolError,
+                           match="^profile does not start at the anti-vacuum value$"):
+            self.broken(field=0.999 * self.PROFILE.field).validate_invariants()
+
+    def test_no_vacuum(self):
+        with pytest.raises(DbisolError, match="^profile does not reach the vacuum$"):
+            self.broken(field=np.maximum(self.PROFILE.field, 1e-3)).validate_invariants()
+
+    def test_charge_density_sign_flip(self):
+        with pytest.raises(DbisolError, match="^charge density changes sign against the "
+                                              "topological charge$"):
+            self.broken(charge_density=-self.PROFILE.charge_density).validate_invariants()
+
+    def test_non_finite_energy_density(self):
+        energy = self.PROFILE.energy_density.copy()
+        energy[10] = np.nan
+        with pytest.raises(DbisolError, match="^energy density is not finite everywhere$"):
+            self.broken(energy_density=energy).validate_invariants()
 
 
 class TestOracleFields:

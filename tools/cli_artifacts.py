@@ -1,9 +1,10 @@
 """Fingerprint the artifacts of a fixed set of `dbisol` runs.
 
-Runs 38 CLI configurations (solve, verify, bound, sweep and classify across
+Runs 39 CLI configurations (solve, verify, bound, sweep and classify across
 both sectors and every potential family; bound also at the largest order and
-at a large beta, where its exact ray proof is hardest), each in a fresh
-interpreter inside a temporary directory, and prints one line per artifact:
+at large beta, where its exact ray proof is hardest and its powers of beta
+would leave the float range), each in a fresh interpreter inside a temporary
+directory, and prints one line per artifact:
 
     <run> <artifact> <value>
 
@@ -59,6 +60,7 @@ RUNS = (
     ("bound-3-b2", "bound --order 3 --beta 2"),
     ("bound-64", "bound --order 64"),
     ("bound-8-b100", "bound --order 8 --beta 100"),
+    ("bound-64-b1000", "bound --order 64 --beta 1000"),
     ("sweep-mu", "sweep --axis mu --values 0.1,0.05,0.02"),
     ("sweep-beta", "sweep --axis beta --values 10,100,1000"),
     ("sweep-beta-m0.5-n2", "sweep --axis beta --values 10,100,1000 --mu 0.5 --n 2"),
