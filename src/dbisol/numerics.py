@@ -3,35 +3,59 @@
 Every quadrature rule of the package lives here.  A fixed-level tanh-sinh
 rule computes the definite integrals (energies, target-space averages),
 whose integrands behave like algebraic powers at the vacuum endpoint.
-Composite Gauss-Legendre rules are used for the cumulative integrals of the
-inverse profile maps, which need prefix integrals and are arranged to be
-smooth by endpoint substitutions; they are inverted by a Newton iteration
-bracketed by the mesh segment, since the derivative of a prefix integral is
-the integrand itself.  Plain bisection inverts the other monotone functions
-(closed-form profiles, the bound weights' root) for whole arrays of targets.
+A composite 12-point Gauss-Legendre rule computes the cumulative integrals
+of the inverse profile maps, which need prefix integrals and are arranged to
+be smooth by endpoint substitutions, on SEGMENTS uniform segments;
+graded_mesh halves the first one GRADING_LEVELS times toward a fractional
+power left at its end.  The integrand is evaluated once, at the nodes.  The
+inverse is a Newton iteration on each segment's Legendre interpolant
+through its node values, bracketed by the segment, since the derivative of
+a prefix integral is the integrand itself.  Plain bisection inverts the
+other monotone functions (closed-form profiles, the bound weights' root) for
+whole arrays of targets.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
 import numpy as np
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _TS_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 # tanh-sinh step 2^-6: every energy and average lands within 1e-15 of a
 # 20-digit reference over the whole coupling range
 _TS_LEVEL = 6
+# segments of a CumulativeIntegral mesh, and the halvings of graded_mesh:
+# with 500 segments every profile family matches the mpmath oracle to
+# 1e-12, and 20 levels bring the clamped compacton radii to 1e-13
+SEGMENTS = 500
+GRADING_LEVELS = 20
+# Gauss-Legendre nodes per segment
+_GL_POINTS = 12
 # cap on the Newton steps of CumulativeIntegral.invert; the profile
-# integrands converge in 1-2
+# integrands take 1 or 2, a few targets near a 3-D core 3
 _NEWTON_STEPS = 8
 
 
-def _gl_nodes(deg: int) -> tuple[np.ndarray, np.ndarray]:
-    if deg not in _GL_CACHE:
-        _GL_CACHE[deg] = np.polynomial.legendre.leggauss(deg)
-    return _GL_CACHE[deg]
+@functools.cache
+def _segment_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes x and weights w on [-1, 1], and two maps from node values.
+
+    Row n of the interpolation map gives the n-th Legendre coefficient of
+    the interpolant through the 12 node values, (2n + 1)/2 sum_k w_k P_n(x_k) y_k,
+    exact because the rule integrates P_n times a degree-11 polynomial
+    exactly.  The integral map gives the 13 coefficients of the
+    interpolant's integral from -1.
+    """
+    # numpy.polynomial is imported on first use: commands that solve no
+    # profile never load it
+    legendre = np.polynomial.legendre
+    x, w = legendre.leggauss(_GL_POINTS)
+    n = np.arange(_GL_POINTS)
+    interpolate = (n[:, None] + 0.5) * legendre.legvander(x, _GL_POINTS - 1).T * w[None, :]
+    return x, w, interpolate, legendre.legint(interpolate, lbnd=-1.0)
 
 
 def _ts_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -68,86 +92,111 @@ def tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> floa
     return span * float(np.dot(w[keep], f(x[keep])))
 
 
-class CumulativeIntegral:
-    """Prefix integral of f on [a, b] over a uniform mesh of 1500 segments.
+def uniform_mesh(a: float, b: float) -> np.ndarray:
+    """Edges of SEGMENTS equal segments of [a, b]."""
+    return np.linspace(float(a), float(b), SEGMENTS + 1)
 
-    prefix[j] approximates the integral of f from a to edges[j].  Segment
-    integrals use a fixed 12-point Gauss-Legendre rule, so the result is
-    accurate to machine precision for analytic integrands and fully
-    deterministic.
+
+def graded_mesh(a: float, b: float) -> np.ndarray:
+    """uniform_mesh(a, b) with its first segment halved GRADING_LEVELS times toward a.
+
+    The segment next to a is cut at a + h/2, a + h/4, ..., a + h/2^GRADING_LEVELS
+    (h the uniform width), so an integrand with a fractional power of the
+    distance from a is integrated on segments that shrink with that distance.
+    """
+    edges = uniform_mesh(a, b)
+    cuts = edges[0] + (edges[1] - edges[0]) * 2.0 ** -np.arange(GRADING_LEVELS, 0, -1)
+    return np.concatenate([edges[:1], cuts, edges[1:]])
+
+
+class CumulativeIntegral:
+    """Prefix integral of f over a mesh, and its inverse.
+
+    f is called once, on the 12 Gauss-Legendre nodes of every segment, and
+    never again.  prefix[j] is the integral of f from edges[0] to edges[j]:
+    the running sum of the segment integrals with the exact rounding error
+    of each addition (TwoSum) added back, so it carries about one rounding
+    in all, not one per segment.  Each segment keeps its degree-11
+    interpolant through the node values in Legendre form, with the
+    interpolant's integral from the segment start; the rule integrates
+    degree 23 exactly, so the interpolant's integral over a whole segment is
+    the segment integral, and the inverse is continuous across edges.
     """
 
-    def __init__(self, f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
-        self.f = f
-        self.a = float(a)
-        self.b = float(b)
-        x, w = _gl_nodes(12)
-        self.edges = np.linspace(self.a, self.b, 1501)
-        h = self.edges[1] - self.edges[0]
-        mids = 0.5 * (self.edges[:-1] + self.edges[1:])
-        nodes = mids[:, None] + 0.5 * h * x[None, :]
-        seg = 0.5 * h * (f(nodes) * w[None, :]).sum(axis=1)
-        self.prefix = np.concatenate([[0.0], np.cumsum(seg)])
+    def __init__(self, f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray):
+        x, w, interpolate, integrate = _segment_rule()
+        self.edges = np.asarray(edges, dtype=float)
+        self._mid = 0.5 * (self.edges[:-1] + self.edges[1:])
+        self._half = 0.5 * (self.edges[1:] - self.edges[:-1])
+        values = f(self._mid[:, None] + self._half[:, None] * x[None, :])
+        # Legendre coefficients in tau in [-1, 1] of the interpolant and of
+        # its integral from the segment start, one column per segment, scaled
+        # by the half-width: the integral in t and its tau derivative
+        scaled = (self._half[:, None] * values).T
+        self._slope = interpolate @ scaled
+        self._integral = integrate @ scaled
+        seg = self._half * (values @ w)
+        run = np.cumsum(seg)
+        prev = np.concatenate([[0.0], run[:-1]])
+        # TwoSum: the exact error of prev + seg = run
+        back = run - prev
+        err = (prev - (run - back)) + (seg - back)
+        self.prefix = np.concatenate([[0.0], run + np.cumsum(err)])
 
     @property
     def total(self) -> float:
         return float(self.prefix[-1])
 
-    def partial(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Integral of f over (lo_i, hi_i), vectorized."""
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        x, w = _gl_nodes(12)
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        nodes = mid[None, :] + half[None, :] * x[:, None]
-        return half * (self.f(nodes) * w[:, None]).sum(axis=0)
-
     def invert(self, targets: np.ndarray) -> np.ndarray:
         """Solve prefix-integral(t) = target for each target (f >= 0).
 
-        Safeguarded Newton iteration inside the mesh segment that holds each
-        target, started from linear interpolation of the prefix.  The
-        derivative of the prefix integral is f itself.  Each residual shrinks
-        the segment bracket by its sign; a step that is not finite or leaves
-        the closed bracket falls back to the bracket midpoint.  The loop
-        stops after a step that moves no sample by more than 1e-6 of a
-        segment: the next correction would be of order 1e-12 of a segment,
-        below the rounding noise of the residual.  A step costs 13
-        evaluations of f per target (55 bisection steps took 660), and the
-        profile integrands take 1-2 steps.  Targets 0 and total map exactly
-        to a and b, and f is not evaluated for them.
+        Safeguarded Newton iteration on the interpolant of the segment that
+        holds each target, in the segment's own coordinate tau in [-1, 1].
+        The residual is prefix[j] less the target plus the interpolant's
+        integral from the segment start, and its derivative is the
+        interpolant itself, both summed by Clenshaw's recurrence (numpy's
+        legval); f is not called.  The start is tau = 2u - 1, u the fraction
+        of the segment integral below the target.  Each residual shrinks the
+        bracket [-1, 1] by its sign; a step that is not finite or leaves the
+        closed bracket falls back to the bracket midpoint.  A target's
+        iteration stops after a step that moves it by at most 1e-6 of its
+        segment: the next correction would be of order 1e-12 of a
+        segment, below the rounding noise of the residual.  Targets 0 and
+        total map exactly to the ends of the mesh.
         """
         targets = np.clip(np.asarray(targets, dtype=float), 0.0, self.total)
-        out = np.where(targets <= 0.0, self.a, self.b)
+        out = np.where(targets <= 0.0, self.edges[0], self.edges[-1])
         inner = (targets > 0.0) & (targets < self.total)
         out[inner] = self._newton(targets[inner])
         return out
 
     def _newton(self, targets: np.ndarray) -> np.ndarray:
         # 0 < target < total, so prefix[j] < target <= prefix[j + 1]
+        legval = np.polynomial.legendre.legval
         j = np.searchsorted(self.prefix, targets) - 1
-        lo = self.edges[j]
-        hi = self.edges[j + 1]
-        start = lo
-        base = self.prefix[j]
-        t = lo + (targets - base) / (self.prefix[j + 1] - base) * (hi - lo)
-        tol = 1e-6 * (self.b - self.a) / (len(self.edges) - 1)
-        # a segment end may hold 0*inf (compacton chart) or 1/0 (where B0
-        # rounds to 0); the bracket and the midpoint fallback absorb it
+        gap = self.prefix[j] - targets
+        tau = -2.0 * gap / (self.prefix[j + 1] - self.prefix[j]) - 1.0
+        lo = np.full_like(tau, -1.0)
+        hi = np.ones_like(tau)
+        todo = np.arange(tau.size)
+        # the interpolant may vanish inside a segment or at its ends; the
+        # bracket and the fallback absorb the division
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for _ in range(_NEWTON_STEPS):
-                r = base + self.partial(start, t) - targets
-                lo = np.where(r < 0.0, t, lo)
-                hi = np.where(r > 0.0, t, hi)
-                tn = t - r / self.f(t)
-                ok = np.isfinite(tn) & (lo <= tn) & (tn <= hi)
-                tn = np.where(ok, tn, 0.5 * (lo + hi))
-                moved = np.max(np.abs(tn - t), initial=0.0)
-                t = tn
-                if moved <= tol:
+                t = tau[todo]
+                segment = j[todo]
+                r = gap[todo] + legval(t, self._integral[:, segment], tensor=False)
+                slope = legval(t, self._slope[:, segment], tensor=False)
+                a = np.where(r < 0.0, t, lo[todo])
+                b = np.where(r > 0.0, t, hi[todo])
+                tn = t - r / slope
+                tn = np.where(np.isfinite(tn) & (a <= tn) & (tn <= b), tn, 0.5 * (a + b))
+                tau[todo], lo[todo], hi[todo] = tn, a, b
+                # a step of at most 1e-6 of the segment ends a target's iteration
+                todo = todo[np.abs(tn - t) > 2e-6]
+                if not todo.size:
                     break
-        return t
+        return self._mid[j] + self._half[j] * tau
 
 
 def bisect_monotone(f: Callable[[np.ndarray], np.ndarray], targets: np.ndarray,

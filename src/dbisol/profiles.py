@@ -4,9 +4,12 @@ Profiles are built by quadrature of the separable inverse map: the
 first-order law gives the slope as a function of the field alone, so the
 coordinate is the integral of 1/slope from the anti-vacuum boundary.  The
 vanishing of the slope at the vacuum is removed by the substitution
-field = t^p with p chosen from the near-vacuum exponent of the potential,
-after which the integrand is smooth and a composite Gauss-Legendre rule is
-exact to machine precision.  This quadrature is the only profile solver;
+field = t^p with p chosen from the near-vacuum exponent of the potential
+and at least 2.  Where that floor leaves a fractional power of t at the
+vacuum, the mesh is graded toward it.  A composite Gauss-Legendre rule
+(numerics.CumulativeIntegral) then reaches machine precision; it evaluates
+the integrand once per node, and inverts the map on the interpolants
+through those node values.  This quadrature is the only profile solver;
 the tests check it against an mpmath oracle written apart from the package.
 
 Closed-form evaluators for the three exactly solvable cases live here too,
@@ -30,7 +33,7 @@ import numpy as np
 from .bps import static_density
 from .errors import DbisolError, NoSolitonError
 from .model import Chart, KineticLaw, ModelParams, PotentialSpec, Sector, _eta
-from .numerics import CumulativeIntegral, bisect_monotone
+from .numerics import CumulativeIntegral, bisect_monotone, graded_mesh, uniform_mesh
 
 __all__ = [
     "LocalizationClass", "GridSpec", "SolitonProfile",
@@ -357,28 +360,30 @@ class _InverseMap:
                                              model.kinetic_law) is LocalizationClass.COMPACTON
         self.anti = anti = chart.anti_vacuum
         if self.compact:
-            # the substitution field = t^p makes the integrand smooth at t = 0
+            # the substitution field = t^p makes the integrand smooth at t = 0;
+            # where p is clamped at 2, a fractional power of t is left there,
+            # and the mesh is graded toward it (at larger p, nodes that near 0
+            # would underflow t^p or V)
             p = max(2.0, 2.0 / _threshold_margin(model.kinetic_law, potential.vacuum_exponent,
                                                  chart))
-            t_hi = anti ** (1.0 / p)
+            mesh = (graded_mesh if p == 2.0 else uniform_mesh)(0.0, anti ** (1.0 / p))
 
             def g(t):
                 tt = np.asarray(t, dtype=float)
                 return p * np.power(tt, p - 1.0) * inv_integrand(np.power(tt, p))
 
-            span = (0.0, t_hi)
             self._to_field = lambda t: np.power(t, p)
         else:
             def g(s):
                 f = np.exp(np.asarray(s, dtype=float))
                 return f * inv_integrand(f)
 
-            span = (math.log(FIELD_FLOOR), math.log(anti))
+            mesh = uniform_mesh(math.log(FIELD_FLOOR), math.log(anti))
             self._to_field = np.exp
         # an integrand that overflows, divides by zero or turns NaN leaves a
         # non-finite total, reported below in one line
         with np.errstate(all="ignore"):
-            self._cum = CumulativeIntegral(g, *span)
+            self._cum = CumulativeIntegral(g, mesh)
         self.extent = self._cum.total
         if not math.isfinite(self.extent) or self.extent <= 0:
             raise DbisolError("inverse map integral did not converge; slope singularity "

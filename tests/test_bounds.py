@@ -512,23 +512,27 @@ class TestScreen:
     @given(order=ORDERS, beta=BETAS,
            triple=st.tuples(*[st.floats(min_value=-3.0, max_value=3.0)] * 3))
     @example(order=3, beta=1.0, triple=(math.log10(2 / 3), math.log10(2 / 3), -3.0))
+    @example(order=14, beta=10.0, triple=(0.5, 0.5, 0.5))
     def test_slack_is_at_least_the_ray_slack_at_the_same_s(self, order, beta, triple):
         # the AM-GM reduction, exactly: slack(lam) >= (s/3) r(u) >= (s/3) L >= 0
         cert = optimize_bound(order, beta)
         proof = prove_ray(order, cert.constant)
         lam = [10.0 ** e for e in triple]
+        # slack - ray = (C/beta) ((s/3)^(3/2) - lam1 lam2 lam3) with C > 0: AM-GM,
+        # squared and in exact rationals, since the two are equal where the
+        # eigenvalues are
+        l1, l2, l3 = (Fraction(v) for v in lam)
+        assert cert.constant > 0
+        assert (l1 * l2 * l3) ** 2 <= ((l1 * l1 + l2 * l2 + l3 * l3) / 3) ** 3
         with mp.workdps(40):
             c = [mp.mpf(f.numerator) / f.denominator for f in taylor_coefficients(order)]
             lam = [mp.mpf(x) for x in lam]
             s = sum(x * x for x in lam)
             density = sum(ck * s ** (k + 1) / mp.mpf(beta) ** (2 * k) for k, ck in enumerate(c))
-            scale = mp.mpf(cert.constant) / mp.mpf(beta)
-            slack = density - scale * lam[0] * lam[1] * lam[2]
-            ray = density - scale * (s / 3) ** mp.mpf(1.5)
+            ray = density - mp.mpf(cert.constant) / mp.mpf(beta) * (s / 3) ** mp.mpf(1.5)
             u = mp.sqrt(s / 3) / mp.mpf(beta)
             r = sum(ck * 3 ** (k + 1) * u ** (2 * k) for k, ck in enumerate(c)) - \
                 mp.mpf(cert.constant) * u
-            assert slack >= ray
             assert mp.almosteq(ray, s / 3 * r, rel_eps=mp.mpf("1e-30"), abs_eps=mp.mpf("1e-60"))
             assert r >= mp.mpf(proof.lower_bound) >= 0
 

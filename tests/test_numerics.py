@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from dbisol import KineticLaw, ModelParams, Sector, make_potential
-from dbisol.numerics import CumulativeIntegral, _ts_nodes, tanh_sinh
+from dbisol import profiles
+from dbisol.numerics import (GRADING_LEVELS, SEGMENTS, CumulativeIntegral, _ts_nodes,
+                             graded_mesh, tanh_sinh, uniform_mesh)
 from dbisol.profiles import _InverseMap
 
 
@@ -73,17 +75,43 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def _bisect_reference(cum, targets):
-    """The 55-step bisection inside each target's segment that Newton replaced."""
+def _partial(f, lo, hi):
+    """Integral of f over (lo_i, hi_i) by a 12-point Gauss-Legendre rule of its own."""
+    x, w = np.polynomial.legendre.leggauss(12)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return half * (f(mid[None, :] + half[None, :] * x[:, None]) * w[:, None]).sum(axis=0)
+
+
+def _bisect_reference(f, cum, targets):
+    """55 bisection steps on the integrand itself inside each target's segment."""
     j = np.clip(np.searchsorted(cum.prefix, targets) - 1, 0, len(cum.edges) - 2)
     lo, hi = cum.edges[j].copy(), cum.edges[j + 1].copy()
     start, base = cum.edges[j], cum.prefix[j]
     for _ in range(55):
         mid = 0.5 * (lo + hi)
-        up = base + cum.partial(start, mid) < targets
+        up = base + _partial(f, start, mid) < targets
         lo = np.where(up, mid, lo)
         hi = np.where(up, hi, mid)
     return 0.5 * (lo + hi)
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Integrands of the inverse maps built in the test, each counting its calls."""
+    seen = []
+
+    class Recording(CumulativeIntegral):
+        def __init__(self, f, edges):
+            calls = []
+
+            def counted(t):
+                calls.append(np.size(t))
+                return f(t)
+            seen.append((f, calls))
+            super().__init__(counted, edges)
+
+    monkeypatch.setattr(profiles, "CumulativeIntegral", Recording)
+    return seen
 
 
 def _xi_power(a):
@@ -130,7 +158,7 @@ class TestCumulativeInversion:
         (lambda t: np.full_like(t, 3.0), 0.5, 2.5, lambda y: 0.5 + y / 3.0),
     ], ids=["exp", "inverse-sqrt", "constant"])
     def test_known_primitives(self, f, a, b, inverse):
-        cum = CumulativeIntegral(f, a, b)
+        cum = CumulativeIntegral(f, uniform_mesh(a, b))
         targets = np.linspace(0.0, cum.total, 2001)[1:-1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -140,34 +168,60 @@ class TestCumulativeInversion:
     @pytest.mark.parametrize("f,a,b", [(np.exp, -1.0, 2.0),
                                        (lambda t: 2.0 * t / np.sqrt(t * t), 0.0, 2.0)])
     def test_ends_map_exactly(self, f, a, b):
-        cum = CumulativeIntegral(f, a, b)
+        cum = CumulativeIntegral(f, uniform_mesh(a, b))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = cum.invert(np.array([0.0, cum.total, -1.0, 2.0 * cum.total]))
         assert got.tolist() == [a, b, a, b]
 
     def test_sorted_targets_give_monotone_result(self):
-        cum = CumulativeIntegral(lambda t: 1.0 + 0.9 * np.sin(7.0 * t), 0.0, 3.0)
+        cum = CumulativeIntegral(lambda t: 1.0 + 0.9 * np.sin(7.0 * t),
+                                 uniform_mesh(0.0, 3.0))
         targets = np.sort(np.random.default_rng(5).uniform(0.0, cum.total, 20000))
         assert np.all(np.diff(cum.invert(targets)) >= 0.0)
 
     @pytest.mark.parametrize("model,pot", FAMILIES)
-    def test_newton_matches_bisection(self, model, pot):
+    def test_newton_matches_bisection(self, model, pot, recorded):
         inv = _InverseMap(model, pot)
+        (f, _), = recorded
         x = np.linspace(0.0, inv.extent, 1000)[1:-1]
         targets = inv.extent - x
         newton = inv._to_field(inv._cum.invert(targets))
-        reference = inv._to_field(_bisect_reference(inv._cum, targets))
+        reference = inv._to_field(_bisect_reference(f, inv._cum, targets))
         inner = reference > 0.0
         assert inner.sum() > 900
         np.testing.assert_allclose(newton[inner], reference[inner], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("model,pot", FAMILIES[::4])
-    def test_integrand_calls_per_inversion(self, model, pot):
+    def test_integrand_calls_per_inversion(self, model, pot, recorded):
         inv = _InverseMap(model, pot)
-        cum, f = inv._cum, inv._cum.f
-        calls = []
-        cum.f = lambda t: (calls.append(np.size(t)), f(t))[1]
+        (_, calls), = recorded
+        segments = len(inv._cum.edges) - 1
+        assert segments in (SEGMENTS, SEGMENTS + GRADING_LEVELS)
+        # one call on every node of the mesh, then none to invert
+        assert calls == [segments * 12]
         inv.field_at(np.linspace(0.0, inv.extent, 1000))
-        # 55 bisection steps of a 12-point rule took 660,000
-        assert 0 < sum(calls) <= 66_000
+        assert calls == [segments * 12]
+
+    def test_graded_mesh_halves_the_first_segment(self):
+        uniform, graded = uniform_mesh(0.0, 2.0), graded_mesh(0.0, 2.0)
+        h = uniform[1]
+        np.testing.assert_array_equal(graded[GRADING_LEVELS + 1:], uniform[1:])
+        np.testing.assert_array_equal(graded[:GRADING_LEVELS + 1],
+                                      [0.0] + [h / 2 ** k for k in range(GRADING_LEVELS, 0, -1)])
+
+    def test_graded_mesh_resolves_a_fractional_power(self):
+        # t^(1/2) on [0, 1], the vacuum end of a clamped compacton chart: its
+        # primitive (2/3) t^(3/2) inverts to t = (3y/2)^(2/3)
+        uniform = CumulativeIntegral(np.sqrt, uniform_mesh(0.0, 1.0))
+        graded = CumulativeIntegral(np.sqrt, graded_mesh(0.0, 1.0))
+        assert abs(uniform.total - 2.0 / 3.0) > 1e-10
+        assert graded.total == pytest.approx(2.0 / 3.0, rel=1e-15)
+        targets = np.linspace(0.0, graded.total, 2001)[1:-1]
+        np.testing.assert_allclose(graded.invert(targets), (1.5 * targets) ** (2.0 / 3.0),
+                                   rtol=1e-13, atol=0)
+
+    def test_prefix_is_compensated(self):
+        # 500 segment integrals of 0.1: a plain running sum drifts by ulps
+        cum = CumulativeIntegral(lambda t: np.full_like(t, 0.1), uniform_mesh(0.0, 500.0))
+        np.testing.assert_array_equal(cum.prefix, [0.1 * k for k in range(SEGMENTS + 1)])

@@ -183,6 +183,31 @@ class TestSolveBaby:
         assert np.max(np.abs(prof.field - expected)) <= 1e-8
         assert prof.compacton_radius == pytest.approx(1 / math.pi, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_power_family_compacton_to_rounding(self, n):
+        # the same compacton, whose inverse-map integrand is the constant 2:
+        # what is left is the rounding of the prefix sums and the inversion
+        prof = solve_profile(baby(charge=n, kinetic_law=KineticLaw.power(1.0)), OLD)
+        x0 = mp.mpf(n) / mp.pi
+        with mp.workdps(30):
+            assert abs(prof.compacton_radius - x0) / x0 <= 1e-15
+            x = prof.coordinates
+            inside = (x > 0.0) & (x < 0.99 * float(x0))
+            worst = max(abs(g - (1 - mp.mpf(xx) / x0) ** 2) / (1 - mp.mpf(xx) / x0) ** 2
+                        for xx, g in zip(x[inside].tolist(), prof.field[inside].tolist()))
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("tag,alpha_k,beta,mu", [("old:0.5", None, 0.148, 0.298),
+                                                     ("old:1", 2.0, 6.07, 1.48)])
+    def test_radius_where_the_substitution_is_clamped(self, tag, alpha_k, beta, mu):
+        # B0 vanishes like the field to a power below 1/2, so the chart's t^2
+        # leaves a fractional power of t at the vacuum
+        law = KineticLaw.dbi() if alpha_k is None else KineticLaw.power(alpha_k)
+        prof = solve_profile(baby(beta=beta, mu=mu, kinetic_law=law),
+                             make_potential("old-baby-power", float(tag[4:])))
+        oracle = Soliton("baby", tag, beta, mu, 1, alpha_k)
+        assert prof.compacton_radius == pytest.approx(float(oracle.radius()), rel=1e-13)
+
     def test_padding_and_grid(self):
         grid = GridSpec(count=500)
         prof = solve_profile(baby(), OLD, grid)
@@ -437,21 +462,39 @@ class TestValidateInvariants:
 
 
 class TestOracleFields:
-    # tails carry the rounding of the inverse map's running sum over 1500
-    # segments, which reaches about 1e-12 of the field near the core
     @pytest.mark.parametrize("model,pot,tag,rel", [
         (baby(beta=0.4, mu=2.5, charge=3), make_potential("old-baby-power", 0.5), "old:0.5", 1e-12),
-        (baby(beta=2.5, mu=0.4, charge=-1), make_potential("old-baby-power", 3.0), "old:3", 5e-12),
+        (baby(beta=2.5, mu=0.4, charge=-1), make_potential("old-baby-power", 3.0), "old:3", 1e-12),
         (baby(kinetic_law=KineticLaw.power(0.75)), make_potential("old-baby-power", 2.0), "old:2",
-         5e-12),
+         1e-12),
         (skyrme(beta=1.6, mu=0.4, charge=2), STD, "standard", 1e-12),
         (skyrme(beta=2.0), BPSPOT, "bps", 1e-12),
-        (skyrme(beta=0.16, mu=0.25), xi_power_potential(7.0), "power:7", 5e-12),
+        (skyrme(beta=0.16, mu=0.25), xi_power_potential(7.0), "power:7", 1e-12),
     ], ids=["old:0.5", "old:3", "old:2-power-law", "standard", "bps", "power:7"])
     def test_interior_fields(self, model, pot, tag, rel):
         oracle = Soliton(model.sector.value, tag, model.beta, model.mu, model.charge,
                          model.kinetic_law.alpha_k)
         assert_interior_fields_match(solve_profile(model, pot), oracle, stride=50, rel=rel)
+
+
+class TestNearThresholds:
+    # exponents close to the localization thresholds, on both sides, where
+    # the compacton chart's substitution power is large or clamped at 2
+    @pytest.mark.parametrize("model,pot", [
+        (baby(charge=2), make_potential("old-baby-power", 1.9)),
+        (baby(charge=2), make_potential("old-baby-power", 0.01)),
+        (baby(charge=2, kinetic_law=KineticLaw.power(0.51)), OLD),
+        (baby(charge=2, kinetic_law=KineticLaw.power(10.0)),
+         make_potential("old-baby-power", 10.0)),
+        (skyrme(charge=2), xi_power_potential(5.5)),
+        (skyrme(charge=2, kinetic_law=KineticLaw.power(2.0)), xi_power_potential(9.0)),
+        (skyrme(charge=2, kinetic_law=KineticLaw.power(3.0)), xi_power_potential(15.0)),
+    ], ids=["old:1.9", "old:0.01", "old:1-ak0.51", "old:10-ak10", "power:5.5",
+            "power:9-ak2", "power:15-ak3"])
+    def test_solves(self, model, pot):
+        prof = solve_profile(model, pot)
+        prof.validate_invariants()
+        assert charge_quadrature(prof, model) == pytest.approx(2.0, rel=1e-12)
 
 
 class TestTruncatedCharge:

@@ -1,6 +1,6 @@
 """Fingerprint the artifacts of a fixed set of `dbisol` runs.
 
-Runs 39 CLI configurations (solve, verify, bound, sweep and classify across
+Runs 41 CLI configurations (solve, verify, bound, sweep and classify across
 both sectors and every potential family; bound also at the largest order and
 at large beta, where its exact ray proof is hardest and its powers of beta
 would leave the float range), each in a fresh interpreter inside a temporary
@@ -49,6 +49,8 @@ RUNS = (
     ("solve-old1-ak0.75", "solve --potential old:1 --alpha-k 0.75"),
     ("solve-standard-ak2", "solve --sector skyrme --potential standard --alpha-k 2"),
     ("solve-bps-ak0.75", "solve --sector skyrme --potential bps --alpha-k 0.75"),
+    ("solve-old0.5-b0.148-m0.298", "solve --potential old:0.5 --beta 0.148 --mu 0.298"),
+    ("solve-old1-ak2-b6.07-m1.48", "solve --potential old:1 --alpha-k 2 --beta 6.07 --mu 1.48"),
     ("verify-baby", "verify"),
     ("verify-skyrme", "verify --sector skyrme"),
     ("verify-skyrme-n3", "verify --sector skyrme --n 3"),
