@@ -24,14 +24,22 @@ second is at least (C/beta)(s/3)^(3/2)(sqrt(R) - 1)^2/(1 + R) with
 R = 10^(12 d), the worst case putting the middle square at the mean of the
 other two.  A row whose bound, less an allowance for the rounding of its
 computed slack, exceeds the minimum slack already found on the ray points
-cannot set the minimum; it is skipped before its `exp`.  The other rows go
-through the same affine step, `exp` and `_slack` as without the screen,
-so the certified minimum is the same double.
+cannot set the minimum; it is skipped before its `exp`.  The bound grows
+with the largest uniform, so a spread row is skipped once that reaches a
+level top.  The uniforms are multiples of 2^-53, so |u0 - u1| is exact and
+at most the spread: no row with |u0 - u1| >= SCREEN_SPREAD and, unless
+top <= 0, u0 >= top can pass, and a prefilter drops those rows first.  The
+rows that pass go through the same affine step, `exp` and `_slack` as
+without the screen, so the certified minimum is the same double.
 
 The Monte-Carlo draws are cut into contiguous row chunks, scanned by at most
 one worker per usable CPU, each chunk drawn by the worker's own copy of the
 seeded generator advanced to the chunk's first draw; the minimum is exact, so
-the certified slack is the same bit for bit whatever the number of CPUs.
+the certified slack is the same bit for bit whatever the number of CPUs.  A
+chunk makes five numpy calls over all its rows (draw, subtract, abs,
+compare, flatnonzero), each a point where the GIL may pass to another
+worker; the rest work on its few candidates, and at beta = 1 almost no
+chunk gets past their screen.
 """
 
 from __future__ import annotations
@@ -301,11 +309,12 @@ def optimize_bound(order: int, beta: float = 1.0, *,
 
 # Monte-Carlo rows per block.  One call allocates one block of buffers, and
 # each of its workers takes a slice of BLOCK_ROWS // workers rows, the size
-# of one chunk.  The size was measured with every row through the slack,
-# which the screen spares almost every row: the draws, s and the Horner sum
-# of a slice (at most about 1.3 MB) stay in a 2 MB L2 cache of the
-# core that runs the worker; 2^14-2^15 rows measured fastest on one core,
-# 2^12 pays per-block overhead and 2^16 and up leave the cache
+# of one chunk: its draws and their |u0 - u1|, 32 B per row, at most 1 MB.
+# The size was chosen when every row still went through the slack, where
+# 2^14-2^15 rows measured fastest on one core.  Now that a chunk without
+# survivors ends before `exp`, its cost is mostly the draws and a few GIL
+# hand-offs: larger slices hand off less often but cost 32 B for each row
+# they add
 BLOCK_ROWS = 1 << 15
 
 # rows whose three raw uniforms spread by less than this are always
@@ -424,6 +433,21 @@ def _screen_top(floor: float, min_slack: float) -> float:
     return math.inf
 
 
+def _screened_min(cert: BoundCertificate, rows: np.ndarray, top: float) -> float:
+    """Minimum slack over the rows of raw uniforms whose spread is below
+    SCREEN_SPREAD or whose largest uniform is below top; inf if none."""
+    high = rows.max(axis=1)
+    lam = rows[(high - rows.min(axis=1) < SCREEN_SPREAD) | (high < top)]
+    if not lam.size:
+        return math.inf
+    # 10^u with u = -3 + 6 r, bit for bit numpy's uniform(-3, 3)
+    lam *= 6.0
+    lam += -3.0
+    lam *= math.log(10.0)
+    np.exp(lam, out=lam)
+    return float(_slack(cert, lam).min())
+
+
 def verify_pointwise(cert: BoundCertificate, sample_count: int, *, seed: int = 0) -> float:
     """Minimum slack of the pointwise bound over random eigenvalue triples.
 
@@ -445,8 +469,10 @@ def verify_pointwise(cert: BoundCertificate, sample_count: int, *, seed: int = 0
     `exp` (see the module docstring): a row is evaluated when its uniforms
     spread by less than SCREEN_SPREAD or its largest uniform lies below the
     level where `_screen_floor`'s bound exceeds the minimum slack on the ray
-    points.  Every skipped row's computed slack lies above that minimum, so
-    the result is the unscreened minimum bit for bit.
+    points.  Only the candidates of the exact prefilter are screened, and a
+    chunk in which no row passes calls no `exp` and no `_slack`.  Every
+    skipped row's computed slack lies above the minimum, so the result is
+    the unscreened minimum bit for bit.
     """
     count = _non_negative_int(sample_count, "sample count")
     seed = _non_negative_int(seed, "seed")
@@ -459,10 +485,8 @@ def verify_pointwise(cert: BoundCertificate, sample_count: int, *, seed: int = 0
         return min_slack
     rows = min(count, BLOCK_ROWS) // workers
     block = np.empty((rows * workers, 3))
-    # the screen's scratch: each row's largest uniform, its spread and two
-    # row masks, allocated once like the draws
-    high, low = np.empty((2, rows * workers))
-    keep, below = np.empty((2, rows * workers), dtype=bool)
+    # the prefilter's scratch, each row's |u0 - u1|, allocated once like the draws
+    gaps = np.empty(rows * workers)
     chunks = -(-count // rows)
     # worker w scans chunk w, then each chunk no worker has claimed yet, so a
     # worker whose CPU is busy leaves its share to the others
@@ -475,8 +499,7 @@ def verify_pointwise(cert: BoundCertificate, sample_count: int, *, seed: int = 0
     def scan(w: int) -> float:
         least = math.inf
         part = slice(w * rows, (w + 1) * rows)
-        draws, high_w, low_w = block[part], high[part], low[part]
-        keep_w, below_w = keep[part], below[part]
+        draws, gaps_w = block[part], gaps[part]
         drawn = 0    # rows rngs[w] has moved past; claimed chunks only increase
         chunk = w
         while chunk < chunks:
@@ -486,23 +509,16 @@ def verify_pointwise(cert: BoundCertificate, sample_count: int, *, seed: int = 0
             drawn = start + m
             lam = draws[:m]
             rngs[w].random(out=lam)
-            # the screen: hi is each row's largest uniform, lo its spread
-            hi, lo = high_w[:m], low_w[:m]
-            np.maximum(lam[:, 0], lam[:, 1], out=hi)
-            np.maximum(hi, lam[:, 2], out=hi)
-            np.minimum(lam[:, 0], lam[:, 1], out=lo)
-            np.minimum(lo, lam[:, 2], out=lo)
-            np.subtract(hi, lo, out=lo)
-            np.less(lo, SCREEN_SPREAD, out=keep_w[:m])
-            np.less(hi, top, out=below_w[:m])
-            np.logical_or(keep_w[:m], below_w[:m], out=keep_w[:m])
-            lam = lam[keep_w[:m]]
-            # 10^u with u = -3 + 6 r, bit for bit numpy's uniform(-3, 3)
-            lam *= 6.0
-            lam += -3.0
-            lam *= math.log(10.0)
-            np.exp(lam, out=lam)
-            least = min(least, float(_slack(cert, lam).min(initial=math.inf)))
+            # the prefilter keeps every row the screen can keep
+            gap = gaps_w[:m]
+            np.subtract(lam[:, 0], lam[:, 1], out=gap)
+            np.abs(gap, out=gap)
+            near = gap < SCREEN_SPREAD
+            if top > 0.0:
+                near |= lam[:, 0] < top
+            candidates = np.flatnonzero(near)
+            if candidates.size:
+                least = min(least, _screened_min(cert, lam[candidates], top))
             with lock:
                 chunk = next(unclaimed, chunks)
         return least

@@ -54,8 +54,9 @@ def eom_residual(profile, *, edge_margin: float | None = None) -> EomResidualRep
 
     Evaluated on interior samples only: full stencils, inside the support of
     the field (above 1e-12), and at least edge_margin away from any support
-    edge (default 5 grid spacings), where the derivative of a compact profile
-    degenerates.  The profile needs at least EOM_MIN_SAMPLES samples.
+    edge, where the derivative of a compact profile degenerates.  The default
+    margin is 5 samples, counted by index so that no rounding of the
+    coordinates decides.  The profile needs at least EOM_MIN_SAMPLES samples.
     For a profile on the first-order law the maximum residual decays like the
     square of the spacing.
     """
@@ -69,8 +70,6 @@ def eom_residual(profile, *, edge_margin: float | None = None) -> EomResidualRep
     delta = float(steps[0])
     if not np.allclose(steps, delta, rtol=1e-8, atol=1e-12):
         raise DbisolError("profile grid is not uniform")
-    if edge_margin is None:
-        edge_margin = 5.0 * delta
 
     chart = profile.sector.chart
     scale = chart.slope_scale(params)
@@ -90,10 +89,12 @@ def eom_residual(profile, *, edge_margin: float | None = None) -> EomResidualRep
     in_support = idx[support]
     mask = np.zeros(len(x), dtype=bool)
     if in_support.size:
-        lo_edge = x[in_support[0]]
-        hi_edge = x[in_support[-1]]
+        first, last = in_support[0], in_support[-1]
         mask = support & ~np.isnan(R)
-        mask &= (x - lo_edge >= edge_margin) & (hi_edge - x >= edge_margin)
+        if edge_margin is None:
+            mask &= (idx - first >= 5) & (last - idx >= 5)
+        else:
+            mask &= (x - x[first] >= edge_margin) & (x[last] - x >= edge_margin)
         mask[:2] = False
         mask[-2:] = False
     res = R[mask]

@@ -373,7 +373,9 @@ class TestPointwise:
         assert got.hex() == split_minimum(cert, count, seed, 1).hex()
 
     def test_worker_error_reaches_caller(self):
+        # FAR_POINT lets every row through the screen, so every chunk reaches _slack
         with mock.patch("dbisol.bounds._usable_cpus", return_value=3), \
+                mock.patch("dbisol.bounds._tight_ray_points", return_value=FAR_POINT), \
                 mock.patch("dbisol.bounds._slack", slack_failing_off(threading.get_ident())):
             with pytest.raises(MemoryError, match="worker out of memory"):
                 verify_pointwise(optimize_bound(3), 3 * BLOCK_ROWS, seed=1)
@@ -405,6 +407,7 @@ class TestPointwise:
         slack = slack_failing_off(threading.get_ident()) if fail else bounds._slack
         before = threading.active_count()
         with mock.patch("dbisol.bounds._usable_cpus", return_value=4), \
+                mock.patch("dbisol.bounds._tight_ray_points", return_value=FAR_POINT), \
                 mock.patch("dbisol.bounds._slack", slack):
             if fail:
                 with pytest.raises(MemoryError):
@@ -589,6 +592,55 @@ class TestScreen:
         want = min(float(_slack(cert, _tight_ray_points(cert)).min()),
                    float(reference_slack(cert, one_array_draws(seed, count)).min()))
         assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("order, beta, inflate, lowest_top, highest_top", [
+        (3, 1.0, False, -math.inf, -math.inf), (2, 100.0, False, 0.2, 0.25),
+        (3, 1.0, True, math.inf, math.inf)], ids=["top-minus-inf", "top-inside", "top-plus-inf"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_regime_matches_one_array_reference(self, order, beta, inflate, lowest_top,
+                                                      highest_top, workers):
+        # the screen skips every spread row (order 3 proves a zero minimum on
+        # the ray), keeps the spread rows whose largest uniform lies below
+        # top (order 2 at beta = 100), or keeps every row (a certificate whose
+        # proof fails)
+        cert = optimize_bound(order, beta)
+        if inflate:
+            cert = replace(cert, constant=cert.constant * 1.01)
+        ray = float(reference_slack(cert, _tight_ray_points(cert)).min())
+        top = _screen_top(_screen_floor(cert, prove_ray(order, cert.constant)), ray)
+        assert lowest_top <= top <= highest_top
+        # counts either side of a chunk edge, with more than workers - 1 blocks
+        rows = BLOCK_ROWS // workers
+        for count in (7 * rows - 1, 7 * rows, 7 * rows + 1):
+            expect = min(ray, float(reference_slack(cert, one_array_draws(4, count)).min()))
+            with mock.patch("dbisol.bounds._usable_cpus", return_value=workers):
+                got = verify_pointwise(cert, count, seed=4)
+            assert got.hex() == expect.hex(), count
+
+    @pytest.mark.parametrize("order, beta, surviving_chunks", [(3, 1.0, 3), (2, 100.0, 32)])
+    def test_slack_runs_once_per_chunk_with_a_surviving_row(self, order, beta, surviving_chunks):
+        # once for the ray, then once for each chunk of BLOCK_ROWS // 2 rows in
+        # which a row passes the screen; at order 3 about 2e-3 of the rows pass
+        # the prefilter, but only 3 of seed 1's 524288 rows pass the screen
+        count, seed, calls, slack = 16 * BLOCK_ROWS, 1, [], bounds._slack
+        cert = optimize_bound(order, beta)
+
+        def counted(cert, lam):
+            calls.append(len(lam))
+            return slack(cert, lam)
+
+        with mock.patch("dbisol.bounds._usable_cpus", return_value=2), \
+                mock.patch("dbisol.bounds._slack", counted):
+            verify_pointwise(cert, count, seed=seed)
+        top = _screen_top(_screen_floor(cert, prove_ray(order, cert.constant)),
+                          float(_slack(cert, _tight_ray_points(cert)).min()))
+        r = np.random.default_rng(seed).random((count, 3))
+        hi = r.max(axis=1)
+        passes = (hi - r.min(axis=1) < SCREEN_SPREAD) | (hi < top)
+        surviving = np.unique(np.flatnonzero(passes) // (BLOCK_ROWS // 2))
+        assert len(surviving) == surviving_chunks
+        assert len(calls) == 1 + surviving_chunks
+        assert sum(calls) == len(_tight_ray_points(cert)) + int(passes.sum())
 
 
 class TestEnergyBound:

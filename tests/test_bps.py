@@ -225,6 +225,17 @@ class TestEomResidual:
         assert len(rep.residuals) == len(rep.coordinates)
         assert len(rep.residuals) > 100
 
+    @pytest.mark.parametrize("exponent", [0.5, 1.0, 2.0])
+    def test_edge_samples_do_not_depend_on_rounding(self, exponent):
+        # the sample 5 spacings inside each support edge counts whatever the
+        # coordinates round to: the same compacton on a radius up to 8e-9
+        # relative larger or smaller keeps every sample but the 5 at each edge
+        prof = solve_profile(baby(), make_potential("old-baby-power", exponent))
+        counts = {len(eom_residual(replace(prof, coordinates=prof.coordinates * (1 + k * 1e-9)))
+                      .residuals) for k in range(-8, 9)}
+        support = int((prof.field > 1e-12).sum())
+        assert counts == {support - 10}
+
     def test_rejects_short_profiles(self):
         pot = make_potential("old-baby-power", 1.0)
         prof = profile_on_grid(lambda x: baby_old_exact(x, baby()), baby(), pot,

@@ -1,10 +1,12 @@
 """Fingerprint the artifacts of a fixed set of `dbisol` runs.
 
-Runs 41 CLI configurations (solve, verify, bound, sweep and classify across
+Runs 42 CLI configurations (solve, verify, bound, sweep and classify across
 both sectors and every potential family; bound also at the largest order and
 at large beta, where its exact ray proof is hardest and its powers of beta
-would leave the float range), each in a fresh interpreter inside a temporary
-directory, and prints one line per artifact:
+would leave the float range, and at order 2 with beta = 100, where the
+Monte-Carlo screen also keeps spread rows whose largest uniform is small),
+each in a fresh interpreter inside a temporary directory, and prints one
+line per artifact:
 
     <run> <artifact> <value>
 
@@ -63,6 +65,7 @@ RUNS = (
     ("bound-64", "bound --order 64"),
     ("bound-8-b100", "bound --order 8 --beta 100"),
     ("bound-64-b1000", "bound --order 64 --beta 1000"),
+    ("bound-2-b100", "bound --order 2 --beta 100"),
     ("sweep-mu", "sweep --axis mu --values 0.1,0.05,0.02"),
     ("sweep-beta", "sweep --axis beta --values 10,100,1000"),
     ("sweep-beta-m0.5-n2", "sweep --axis beta --values 10,100,1000 --mu 0.5 --n 2"),
