@@ -7,9 +7,9 @@ vacuum at xi = 0; every potential has its vacuum at 0.  Each sector's `Chart`
 target average (`Chart.average`) among them, and the solvers read it in
 place of branching on the sector.  Likewise the `KineticLaw` holds every
 fact that tells the DBI square root from the pure power: K(B0), K'(B0), the
-first-order law, the dual variable P = K'(B0) on that law and the power with
-which B0 vanishes at the vacuum.  Every chart takes both laws.  All
-quantities are dimensionless.
+first-order law, P = K'(B0) on that law, the margin of the power with
+which B0 vanishes at the vacuum below a threshold, and the large-beta
+limit.  Every chart takes both laws.  All quantities are dimensionless.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class KineticLaw:
     Square-root (DBI) when alpha_k is None, K = beta^2 (1 - sqrt(1 - B0^2 / (2 beta^2))),
     else the pure power K = (B0^2)^alpha_k.  Each fact that tells the two apart
     lives here: K, its derivative K', the first-order law B0 K' - K = mu^2 V
-    solved for B0, P = K'(B0) on that law, and the power with which B0
-    vanishes at the vacuum.
+    solved for B0, P = K'(B0) on that law, the threshold margin of the power
+    with which B0 vanishes at the vacuum, and the large-beta limit law.
     """
 
     alpha_k: float | None = None
@@ -124,9 +124,17 @@ class KineticLaw:
         a2 = 2.0 * self.alpha_k
         return a2 * np.power(x / (a2 - 1.0), 1.0 - 1.0 / a2)
 
-    def vacuum_power(self, vacuum_exponent: float) -> float:
-        """Power with which B0 vanishes where V vanishes like the field to vacuum_exponent."""
-        return vacuum_exponent / (2.0 if self.is_dbi else 2.0 * self.alpha_k)
+    def large_beta_law(self, mu: float) -> Callable[[np.ndarray], np.ndarray]:
+        """B0 of V on the beta -> infinity limit, 2 mu sqrt(V); the power law has no beta."""
+        if not self.is_dbi:
+            raise DbisolError("the large-beta limit is the DBI law's; the power law has no beta")
+        return lambda v: 2.0 * mu * np.sqrt(np.asarray(v, dtype=float))
+
+    def threshold_margin(self, vacuum_exponent: float, threshold: float) -> float:
+        """threshold less twice the power, A/2 (DBI) or A/(2 alpha_k), with which B0 vanishes
+        where V vanishes like the field to A; formed so that it does not cancel near 0."""
+        k = 1.0 if self.is_dbi else self.alpha_k
+        return (k * threshold - vacuum_exponent) / k
 
 
 @dataclass(frozen=True)

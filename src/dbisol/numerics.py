@@ -4,11 +4,9 @@ Every quadrature rule of the package lives here.  A fixed-level tanh-sinh
 rule computes the definite integrals (energies, target-space averages),
 whose integrands behave like algebraic powers at the vacuum endpoint.
 A composite 12-point Gauss-Legendre rule computes the cumulative integrals
-of the inverse profile maps, which need prefix integrals and are arranged to
-be smooth by endpoint substitutions, on SEGMENTS uniform segments;
-graded_mesh halves the first one GRADING_LEVELS times toward a fractional
-power left at its end.  The integrand is evaluated once, at the nodes.  The
-inverse is a Newton iteration on each segment's Legendre interpolant
+of the inverse profile maps, smooth and positive in the log of the field,
+on SEGMENTS uniform segments, evaluating the integrand once, at the nodes.
+The inverse is a Newton iteration on each segment's Legendre interpolant
 through its node values, bracketed by the segment, since the derivative of
 a prefix integral is the integrand itself.  Plain bisection inverts the
 other monotone functions (closed-form profiles, the bound weights' root) for
@@ -27,15 +25,13 @@ _TS_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 # tanh-sinh step 2^-6: every energy and average lands within 1e-15 of a
 # 20-digit reference over the whole coupling range
 _TS_LEVEL = 6
-# segments of a CumulativeIntegral mesh, and the halvings of graded_mesh:
-# with 500 segments every profile family matches the mpmath oracle to
-# 1e-12, and 20 levels bring the clamped compacton radii to 1e-13
+# segments of a CumulativeIntegral mesh: with 500 every profile family
+# matches the mpmath oracle to 1e-12
 SEGMENTS = 500
-GRADING_LEVELS = 20
 # Gauss-Legendre nodes per segment
 _GL_POINTS = 12
 # cap on the Newton steps of CumulativeIntegral.invert; the profile
-# integrands take 1 or 2, a few targets near a 3-D core 3
+# integrands take 1 to 3, a few targets near a 3-D core 4 or 5
 _NEWTON_STEPS = 8
 
 
@@ -97,18 +93,6 @@ def uniform_mesh(a: float, b: float) -> np.ndarray:
     return np.linspace(float(a), float(b), SEGMENTS + 1)
 
 
-def graded_mesh(a: float, b: float) -> np.ndarray:
-    """uniform_mesh(a, b) with its first segment halved GRADING_LEVELS times toward a.
-
-    The segment next to a is cut at a + h/2, a + h/4, ..., a + h/2^GRADING_LEVELS
-    (h the uniform width), so an integrand with a fractional power of the
-    distance from a is integrated on segments that shrink with that distance.
-    """
-    edges = uniform_mesh(a, b)
-    cuts = edges[0] + (edges[1] - edges[0]) * 2.0 ** -np.arange(GRADING_LEVELS, 0, -1)
-    return np.concatenate([edges[:1], cuts, edges[1:]])
-
-
 class CumulativeIntegral:
     """Prefix integral of f over a mesh, and its inverse.
 
@@ -149,6 +133,10 @@ class CumulativeIntegral:
 
     def invert(self, targets: np.ndarray) -> np.ndarray:
         """Solve prefix-integral(t) = target for each target (f >= 0).
+
+        The result is relatively accurate only where f > 0 at the start of
+        the target's segment: the stop rule below is absolute in the segment
+        coordinate, and a Newton step from a flat start leaves the bracket.
 
         Safeguarded Newton iteration on the interpolant of the segment that
         holds each target, in the segment's own coordinate tau in [-1, 1].

@@ -216,11 +216,6 @@ def small_mu_sweep(model: ModelParams, mus: Sequence[float],
     return MuSweepResult(tuple(map(float, mus)), tuple(map(float, energies)), slope)
 
 
-def _limit_law(model: ModelParams):
-    """B0 as a function of V on the beta -> infinity limit of the first-order law."""
-    return lambda v: 2.0 * model.mu * np.sqrt(np.asarray(v, dtype=float))
-
-
 @dataclass(frozen=True)
 class BetaSweepResult:
     betas: tuple[float, ...]
@@ -234,8 +229,10 @@ def large_beta_sweep(model: ModelParams, betas: Sequence[float],
     """Sup-norm distance of profiles to the large-beta limit, with decay fit.
 
     The potential defaults to V = h; a potential of another sector's chart
-    raises SectorMismatchError.
+    raises SectorMismatchError.  A model under the power law, which has no
+    beta, raises DbisolError.
     """
+    limit_law = model.kinetic_law.large_beta_law(model.mu)
     if len(set(betas)) < 3:
         raise DbisolError("need at least 3 distinct beta values for an exponent fit")
     pot = potential if potential is not None else make_potential("old-baby-power", 1.0)
@@ -245,7 +242,7 @@ def large_beta_sweep(model: ModelParams, betas: Sequence[float],
         p = replace(model, beta=float(beta))
         prof = solve_profile(p, pot, GridSpec(count=800))
         energies.append(bps_energy_integral(p, pot))
-        limit_field = profile_field_at(p, pot, prof.coordinates, law=_limit_law(p))
+        limit_field = profile_field_at(p, pot, prof.coordinates, law=limit_law)
         distances.append(float(np.max(np.abs(prof.field - limit_field))))
     fit = np.polyfit(np.log(np.asarray(betas, dtype=float)), np.log(np.asarray(distances)), 1)
     return BetaSweepResult(tuple(map(float, betas)), tuple(map(float, energies)),

@@ -2,15 +2,15 @@
 
 Profiles are built by quadrature of the separable inverse map: the
 first-order law gives the slope as a function of the field alone, so the
-coordinate is the integral of 1/slope from the anti-vacuum boundary.  The
-vanishing of the slope at the vacuum is removed by the substitution
-field = t^p with p chosen from the near-vacuum exponent of the potential
-and at least 2.  Where that floor leaves a fractional power of t at the
-vacuum, the mesh is graded toward it.  A composite Gauss-Legendre rule
-(numerics.CumulativeIntegral) then reaches machine precision; it evaluates
-the integrand once per node, and inverts the map on the interpolants
-through those node values.  This quadrature is the only profile solver;
-the tests check it against an mpmath oracle written apart from the package.
+coordinate is the integral of 1/slope from the anti-vacuum boundary, taken
+in s = ln(field).  There the integrand behaves like exp(kappa s) at the
+vacuum, kappa half the threshold margin: a tail (kappa <= 0) is resolved
+down to FIELD_FLOOR, and a compacton's piece below a small field is summed
+in closed form.  A composite Gauss-Legendre rule (numerics.CumulativeIntegral)
+reaches machine precision on the rest; it evaluates the integrand once per
+node, and inverts the map on the interpolants through those node values.
+This quadrature is the only profile solver; the tests check it against an
+mpmath oracle written apart from the package.
 
 Closed-form evaluators for the three exactly solvable cases live here too,
 together with tail classification.
@@ -32,8 +32,8 @@ import numpy as np
 
 from .bps import static_density
 from .errors import DbisolError, NoSolitonError
-from .model import Chart, KineticLaw, ModelParams, PotentialSpec, Sector, _eta
-from .numerics import CumulativeIntegral, bisect_monotone, graded_mesh, uniform_mesh
+from .model import KineticLaw, ModelParams, PotentialSpec, Sector, _eta
+from .numerics import CumulativeIntegral, bisect_monotone, uniform_mesh
 
 __all__ = [
     "LocalizationClass", "GridSpec", "SolitonProfile",
@@ -55,6 +55,9 @@ class LocalizationClass(enum.Enum):
 
 # field value down to which solve_profile resolves a profile with an infinite tail
 FIELD_FLOOR = 1e-9
+# field below which a compacton's inverse map is summed in closed form from
+# its leading vacuum power, with an error of order 1e-16^(kappa + delta)
+_COMPACTON_SPLIT = 1e-16
 
 
 @dataclass(frozen=True)
@@ -240,7 +243,7 @@ def classify_localization(vacuum_exponent: float, sector: Sector,
     """
     if vacuum_exponent <= 0:
         raise DbisolError("vacuum exponent must be positive")
-    margin = _threshold_margin(kinetic_law, vacuum_exponent, sector.chart)
+    margin = kinetic_law.threshold_margin(vacuum_exponent, sector.chart.threshold)
     if abs(margin) < 1e-12:
         return LocalizationClass.EXPONENTIAL
     if margin > 0:
@@ -283,11 +286,6 @@ def tail_fit(profile: SolitonProfile) -> LocalizationClass:
 
 # ---------------------------------------------------------------------------
 # solver
-
-def _threshold_margin(law: KineticLaw, vacuum_exponent: float, chart: Chart) -> float:
-    """The chart's threshold less twice the power with which B0 vanishes at the vacuum."""
-    return chart.threshold - 2.0 * law.vacuum_power(vacuum_exponent)
-
 
 def _profile_on_law(model: ModelParams, potential: PotentialSpec, coords: np.ndarray,
                     field: np.ndarray, compacton_radius: float | None,
@@ -337,9 +335,9 @@ def _require_potential_term(model: ModelParams) -> None:
 class _InverseMap:
     """Cumulative inverse map of one first-order profile.
 
-    Carries the regularized quadrature of coordinate(field) and inverts it on
-    arbitrary coordinate grids.  law maps V to B0, by default the model's own
-    first-order law.
+    Carries the quadrature of coordinate(field) and inverts it on arbitrary
+    coordinate grids.  law maps V to B0, by default the model's own
+    first-order law; it must vanish at the vacuum with the model law's power.
     """
 
     def __init__(self, model: ModelParams, potential: PotentialSpec,
@@ -352,42 +350,35 @@ class _InverseMap:
                 return model.kinetic_law.density(model.mu ** 2 * v, model.beta)
         scale = chart.slope_scale(model)
 
-        def inv_integrand(f):
-            # 1/|d(coordinate)/d(field)|
-            return chart.jacobian(f) / (scale * np.asarray(law(potential.evaluate(f)), dtype=float))
+        def g(s):
+            # |d(coordinate)/d(ln field)|
+            f = np.exp(np.asarray(s, dtype=float))
+            b0 = np.asarray(law(potential.evaluate(f)), dtype=float)
+            return f * (chart.jacobian(f) / (scale * b0))
 
-        self.compact = classify_localization(potential.vacuum_exponent, model.sector,
+        exponent = potential.vacuum_exponent
+        self.compact = classify_localization(exponent, model.sector,
                                              model.kinetic_law) is LocalizationClass.COMPACTON
-        self.anti = anti = chart.anti_vacuum
-        if self.compact:
-            # the substitution field = t^p makes the integrand smooth at t = 0;
-            # where p is clamped at 2, a fractional power of t is left there,
-            # and the mesh is graded toward it (at larger p, nodes that near 0
-            # would underflow t^p or V)
-            p = max(2.0, 2.0 / _threshold_margin(model.kinetic_law, potential.vacuum_exponent,
-                                                 chart))
-            mesh = (graded_mesh if p == 2.0 else uniform_mesh)(0.0, anti ** (1.0 / p))
-
-            def g(t):
-                tt = np.asarray(t, dtype=float)
-                return p * np.power(tt, p - 1.0) * inv_integrand(np.power(tt, p))
-
-            self._to_field = lambda t: np.power(t, p)
-        else:
-            def g(s):
-                f = np.exp(np.asarray(s, dtype=float))
-                return f * inv_integrand(f)
-
-            mesh = uniform_mesh(math.log(FIELD_FLOOR), math.log(anti))
-            self._to_field = np.exp
-        # an integrand that overflows, divides by zero or turns NaN leaves a
-        # non-finite total, reported below in one line
+        self.anti = chart.anti_vacuum
+        # a compacton's g vanishes like exp(kappa s), kappa half the threshold
+        # margin, so its piece below lo is g(ln lo) / kappa, up to an error of
+        # order lo^(kappa + delta), delta >= 0.01 the next power in B0; lo
+        # keeps V(lo) a normal double.  A tail stops at FIELD_FLOOR.
+        self._kappa = 0.5 * model.kinetic_law.threshold_margin(exponent, chart.threshold)
+        self._lo = max(_COMPACTON_SPLIT, 1e-300 ** (1.0 / exponent)) if self.compact \
+            else FIELD_FLOOR
+        if not potential.evaluate(self._lo) > 0.0:
+            raise DbisolError(f"the potential V underflows to 0 at the field floor "
+                              f"{self._lo:g}, so the inverse map cannot reach it")
+        mesh = uniform_mesh(math.log(self._lo), math.log(self.anti))
+        # an integrand that overflows, divides by zero or turns NaN (B0
+        # underflowing where V does not) leaves a non-finite total
         with np.errstate(all="ignore"):
             self._cum = CumulativeIntegral(g, mesh)
-        self.extent = self._cum.total
+            self._below = float(g(mesh[0])) / self._kappa if self.compact else 0.0
+        self.extent = self._below + self._cum.total
         if not math.isfinite(self.extent) or self.extent <= 0:
-            raise DbisolError("inverse map integral did not converge; slope singularity "
-                              "is not integrable for this potential")
+            raise DbisolError("inverse map integral is not finite for this model and potential")
 
     def field_at(self, coords) -> np.ndarray:
         """Field at each coordinate.
@@ -396,8 +387,13 @@ class _InverseMap:
         compacton, exactly 0 at coordinates >= the radius.
         """
         x = np.asarray(coords, dtype=float)
-        field = np.where(x <= 0.0, self.anti, self._to_field(self._cum.invert(self.extent - x)))
-        return np.where(x >= self.extent, 0.0, field) if self.compact else field
+        y = self.extent - x
+        field = np.exp(self._cum.invert(y - self._below))
+        if self.compact:
+            # below lo the integral from the vacuum is below * (field / lo)^kappa
+            field = np.where(y < self._below, self._lo * np.clip(y / self._below, 0.0, 1.0)
+                             ** (1.0 / self._kappa), field)
+        return np.where(x <= 0.0, self.anti, field)
 
 
 def profile_field_at(model: ModelParams, potential: PotentialSpec, coords, *,
@@ -405,7 +401,9 @@ def profile_field_at(model: ModelParams, potential: PotentialSpec, coords, *,
     """Field values of the first-order profile at arbitrary coordinates.
 
     law, a map from the potential value V to B0, replaces the model's own
-    first-order law (the sweeps pass the beta -> infinity limit law).
+    first-order law (the sweeps pass the beta -> infinity limit law).  It
+    must vanish at the vacuum with the model law's power, which sets the
+    closed-form piece of a compacton's map: the DBI limit 2 mu sqrt(V) does.
     """
     return _InverseMap(model, potential, law).field_at(coords)
 

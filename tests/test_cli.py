@@ -109,16 +109,26 @@ class TestSolveCommand:
         assert out == ""
         assert not (tmp_path / "x.json").exists()
 
-    @pytest.mark.parametrize("tag", ["old:50", "old:1.99"])
+    @pytest.mark.parametrize("tag", ["old:50"])
     def test_inverse_map_failure_prints_one_line(self, tmp_path, tag):
-        # a fresh interpreter, so every RuntimeWarning would reach its stderr
+        # a fresh interpreter, so every RuntimeWarning would reach its stderr;
+        # V = h^50 is 0 in doubles at the tail's field floor 1e-9
         proc = subprocess.run(
             [sys.executable, "-m", "dbisol.cli", "solve", "--potential", tag,
              "--out", str(tmp_path / "x")], capture_output=True, text=True)
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error: inverse map integral did not converge")
+        assert proc.stderr.startswith("error: the potential V underflows to 0 at the field floor")
         assert proc.stderr.count("\n") == 1
         assert proc.stdout == ""
+
+    def test_compacton_next_to_the_threshold_solves(self, tmp_path):
+        # B0 vanishes like h^0.995: the compacton's integrand is nearly flat in ln h
+        proc = subprocess.run(
+            [sys.executable, "-m", "dbisol.cli", "solve", "--potential", "old:1.99",
+             "--out", str(tmp_path / "x")], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert (tmp_path / "x.csv").exists()
 
     def test_compacton_with_divergent_potential_slope_warns_nothing(self, tmp_path):
         # V' = h^(-1/2)/2 diverges on the zero padding past the radius
@@ -322,8 +332,10 @@ class TestSweepCommand:
          "error: sweeps run the linear potential old:1 only, not standard"),
         (["--axis", "beta", "--potential", "old:2", "--values", "10,100,1000"], 1,
          "error: sweeps run the linear potential old:1 only, not old:2"),
+        (["--axis", "beta", "--alpha-k", "2", "--values", "10,20,40,80"], 1,
+         "error: the large-beta limit is the DBI law's; the power law has no beta"),
     ], ids=["zero-mu", "repeated-beta", "skyrme-sector", "mu-standard", "mu-old2",
-            "beta-standard", "beta-old2"])
+            "beta-standard", "beta-old2", "beta-power-law"])
     def test_bad_input_gives_one_line(self, tmp_path, capfd, args, code, message):
         assert main(["sweep", *args, "--out", str(tmp_path / "s")]) == code
         out, err = capfd.readouterr()

@@ -18,7 +18,6 @@ from dbisol import (DbisolError, GridSpec, KineticLaw, ModelParams, Sector, Sect
                     skyrme_standard_exact, skyrme_standard_radius,
                     small_mu_sweep, solve_profile)
 from dbisol.cli import RunConfig
-from dbisol.observables import _limit_law
 
 OLD = make_potential("old-baby-power", 1.0)
 STD = make_potential("skyrme-standard")
@@ -258,6 +257,11 @@ class TestSweeps:
         ratio = res.distances[0] / res.distances[1]
         assert 80.0 < ratio < 125.0
 
+    def test_large_beta_rejects_the_power_law(self):
+        # the power law has no beta: every distance would be the same
+        with pytest.raises(DbisolError, match="power law has no beta"):
+            large_beta_sweep(baby(kinetic_law=KineticLaw.power(2.0)), [10.0, 20.0, 40.0])
+
     def test_large_beta_needs_three_points(self):
         with pytest.raises(DbisolError):
             large_beta_sweep(baby(), [10.0, 100.0])
@@ -270,7 +274,7 @@ class TestSweeps:
 
     def test_limiting_slope_value(self):
         # dh/dx -> -(2 sqrt2 pi / |n|) mu sqrt(2 V) on the planar chart
-        law = _limit_law(baby())
+        law = baby().kinetic_law.large_beta_law(baby().mu)
         slope = -Sector.BABY2D.chart.slope_scale(baby()) * law(OLD.evaluate(1.0))
         assert slope == pytest.approx(-4.0 * math.pi, abs=1e-12)
 

@@ -9,7 +9,8 @@ from mp_oracle import Soliton
 from dbisol import (DbisolError, GridSpec, KineticLaw, LocalizationClass, ModelParams,
                     NoSolitonError, Sector, angular_profile, baby_old_exact,
                     baby_old_radius, charge_quadrature, classify_localization,
-                    endpoint_asymptotics, energy_quadrature, make_potential, profile_field_at,
+                    compute_energy_report, endpoint_asymptotics, energy_quadrature,
+                    make_potential, profile_field_at,
                     profile_on_grid,
                     skyrme_bps_exact, skyrme_bps_radius, skyrme_standard_exact,
                     skyrme_standard_implicit_lhs, skyrme_standard_radius,
@@ -198,10 +199,11 @@ class TestSolveBaby:
         assert worst <= 1e-13
 
     @pytest.mark.parametrize("tag,alpha_k,beta,mu", [("old:0.5", None, 0.148, 0.298),
-                                                     ("old:1", 2.0, 6.07, 1.48)])
-    def test_radius_where_the_substitution_is_clamped(self, tag, alpha_k, beta, mu):
-        # B0 vanishes like the field to a power below 1/2, so the chart's t^2
-        # leaves a fractional power of t at the vacuum
+                                                     ("old:1", 2.0, 6.07, 1.48)],
+                             ids=["old:0.5", "old:1-ak2"])
+    def test_radius_where_b0_vanishes_like_a_low_power(self, tag, alpha_k, beta, mu):
+        # B0 vanishes like the field to a power below 1/2, so the integrand
+        # in ln(field) falls off steeply toward the closed-form piece
         law = KineticLaw.dbi() if alpha_k is None else KineticLaw.power(alpha_k)
         prof = solve_profile(baby(beta=beta, mu=mu, kinetic_law=law),
                              make_potential("old-baby-power", float(tag[4:])))
@@ -479,7 +481,7 @@ class TestOracleFields:
 
 class TestNearThresholds:
     # exponents close to the localization thresholds, on both sides, where
-    # the compacton chart's substitution power is large or clamped at 2
+    # the integrand in ln(field) is nearly flat or falls off steeply
     @pytest.mark.parametrize("model,pot", [
         (baby(charge=2), make_potential("old-baby-power", 1.9)),
         (baby(charge=2), make_potential("old-baby-power", 0.01)),
@@ -495,6 +497,28 @@ class TestNearThresholds:
         prof = solve_profile(model, pot)
         prof.validate_invariants()
         assert charge_quadrature(prof, model) == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("sector,tag,alpha_k", [
+        ("baby", "old:1.99", None), ("baby", "old:1.95", None),
+        ("skyrme", "power:5.99", None), ("skyrme", "power:5.9", None),
+        ("baby", "old:1", 0.5000001), ("baby", "old:40", 50.0),
+    ], ids=["old:1.99", "old:1.95", "power:5.99", "power:5.9", "old:1-ak0.5000001",
+            "old:40-ak50"])
+    def test_compactons_at_the_threshold(self, sector, tag, alpha_k):
+        law = KineticLaw.dbi() if alpha_k is None else KineticLaw.power(alpha_k)
+        a = float(tag.split(":")[1])
+        if sector == "baby":
+            model, pot = baby(kinetic_law=law), make_potential("old-baby-power", a)
+        else:
+            model, pot = skyrme(kinetic_law=law), xi_power_potential(a)
+        prof = solve_profile(model, pot)
+        prof.validate_invariants()
+        oracle = Soliton(sector, tag, 1.0, 1.0, 1, alpha_k)
+        assert prof.compacton_radius == pytest.approx(float(oracle.radius()), rel=1e-13)
+        report = compute_energy_report(prof, model, pot)
+        assert report.rel_discrepancy_avg <= 1e-9
+        assert classify_localization(a, model.sector, law) is LocalizationClass.COMPACTON
+        assert tail_fit(prof) is LocalizationClass.COMPACTON
 
 
 class TestTruncatedCharge:

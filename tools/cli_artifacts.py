@@ -1,7 +1,8 @@
 """Fingerprint the artifacts of a fixed set of `dbisol` runs.
 
-Runs 42 CLI configurations (solve, verify, bound, sweep and classify across
-both sectors and every potential family; bound also at the largest order and
+Runs 44 CLI configurations (solve, verify, bound, sweep and classify across
+both sectors and every potential family; solve also next to the planar and
+the 3-D localization thresholds; bound also at the largest order and
 at large beta, where its exact ray proof is hardest and its powers of beta
 would leave the float range, and at order 2 with beta = 100, where the
 Monte-Carlo screen also keeps spread rows whose largest uniform is small),
@@ -53,6 +54,8 @@ RUNS = (
     ("solve-bps-ak0.75", "solve --sector skyrme --potential bps --alpha-k 0.75"),
     ("solve-old0.5-b0.148-m0.298", "solve --potential old:0.5 --beta 0.148 --mu 0.298"),
     ("solve-old1-ak2-b6.07-m1.48", "solve --potential old:1 --alpha-k 2 --beta 6.07 --mu 1.48"),
+    ("solve-old1.99", "solve --potential old:1.99"),
+    ("solve-skyrme-power5.9", "solve --sector skyrme --potential power:5.9"),
     ("verify-baby", "verify"),
     ("verify-skyrme", "verify --sector skyrme"),
     ("verify-skyrme-n3", "verify --sector skyrme --n 3"),
