@@ -139,10 +139,6 @@ class RayProof:
     lower_bound: float
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {"tangent_points": list(self.tangent_points), "lower_bound": self.lower_bound,
-                "passed": self.passed}
-
 
 @dataclass(frozen=True)
 class BoundCertificate:
@@ -156,26 +152,8 @@ class BoundCertificate:
     min_slack: float | None = None
     proof: RayProof | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "weights": list(self.weights),
-            "alpha": self.alpha,
-            "constant": self.constant,
-            "beta": self.beta,
-            "energy_scale": self.energy_scale,
-            "samples": self.samples,
-            "min_slack": self.min_slack,
-            "proof": None if self.proof is None else self.proof.to_json_dict(),
-        }
-
     def validate(self, tol: float = 1e-12) -> None:
-        w = np.asarray(self.weights)
-        k = np.arange(1, self.order + 1)
-        if abs(w.sum() - 1.0) > tol:
-            raise DbisolError("certificate weights do not sum to one")
-        if abs((2.0 * k / 3.0 * w).sum() - 1.0) > tol:
-            raise DbisolError("certificate product exponent is not one")
+        _check_weights(self.order, self.weights, tol)
 
 
 MAX_ORDER = 64

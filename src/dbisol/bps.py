@@ -8,7 +8,8 @@ solves it in closed form, as a function of mu^2 V alone
 (`KineticLaw.density`), so a caller that needs V anyway evaluates it once.
 This module gives the static density K(B0) + mu^2 V, and checks a profile
 against the one Euler-Lagrange equation of every chart and law by a
-finite-difference residual.
+finite-difference residual, kept a margin of whole samples away from the
+support edges.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class EomResidualReport:
         self.coordinates.setflags(write=False)
 
 
-def eom_residual(profile, *, edge_margin: float | None = None) -> EomResidualReport:
+def eom_residual(profile, *, margin: int = 5) -> EomResidualReport:
     """Central-difference residual of the second-order (Euler-Lagrange) equation.
 
     With B0 = -J f' / s, the chart's Jacobian J and slope scale s, the energy
@@ -53,10 +54,10 @@ def eom_residual(profile, *, edge_margin: float | None = None) -> EomResidualRep
         R = -(J / s) d/dx K'(B0) - mu^2 V'(f) = 0.
 
     Evaluated on interior samples only: full stencils, inside the support of
-    the field (above 1e-12), and at least edge_margin away from any support
-    edge, where the derivative of a compact profile degenerates.  The default
-    margin is 5 samples, counted by index so that no rounding of the
-    coordinates decides.  The profile needs at least EOM_MIN_SAMPLES samples.
+    the field (above 1e-12), and at least margin samples away from any
+    support edge, where the derivative of a compact profile degenerates.  The
+    margin is counted by index, so that no rounding of the coordinates
+    decides.  The profile needs at least EOM_MIN_SAMPLES samples.
     For a profile on the first-order law the maximum residual decays like the
     square of the spacing.
     """
@@ -90,11 +91,7 @@ def eom_residual(profile, *, edge_margin: float | None = None) -> EomResidualRep
     mask = np.zeros(len(x), dtype=bool)
     if in_support.size:
         first, last = in_support[0], in_support[-1]
-        mask = support & ~np.isnan(R)
-        if edge_margin is None:
-            mask &= (idx - first >= 5) & (last - idx >= 5)
-        else:
-            mask &= (x - x[first] >= edge_margin) & (x[last] - x >= edge_margin)
+        mask = support & ~np.isnan(R) & (idx - first >= margin) & (last - idx >= margin)
         mask[:2] = False
         mask[-2:] = False
     res = R[mask]

@@ -9,14 +9,17 @@ place of branching on the sector.  Likewise the `KineticLaw` holds every
 fact that tells the DBI square root from the pure power: K(B0), K'(B0), the
 first-order law, P = K'(B0) on that law, the margin of the power with
 which B0 vanishes at the vacuum below a threshold, and the large-beta
-limit.  Every chart takes both laws.  All quantities are dimensionless.
+limit, which is a model of its own: the BPS Skyrme term K = B0^2, the power
+law at alpha_k = 1.  Every chart takes both laws.  All quantities are
+dimensionless.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -55,7 +58,7 @@ class KineticLaw:
     else the pure power K = (B0^2)^alpha_k.  Each fact that tells the two apart
     lives here: K, its derivative K', the first-order law B0 K' - K = mu^2 V
     solved for B0, P = K'(B0) on that law, the threshold margin of the power
-    with which B0 vanishes at the vacuum, and the large-beta limit law.
+    with which B0 vanishes at the vacuum, and the large-beta limit model.
     """
 
     alpha_k: float | None = None
@@ -124,11 +127,17 @@ class KineticLaw:
         a2 = 2.0 * self.alpha_k
         return a2 * np.power(x / (a2 - 1.0), 1.0 - 1.0 / a2)
 
-    def large_beta_law(self, mu: float) -> Callable[[np.ndarray], np.ndarray]:
-        """B0 of V on the beta -> infinity limit, 2 mu sqrt(V); the power law has no beta."""
+    def large_beta_limit(self, model: ModelParams) -> ModelParams:
+        """The model's beta -> infinity limit: the BPS Skyrme model K = B0^2 at mu' = 2 mu.
+
+        As beta grows the DBI K tends to B0^2 / 4, whose law B0^2 / 4 = mu^2 V
+        is the law B0^2 = (2 mu)^2 V of K = B0^2, the power law at alpha_k = 1:
+        the two give the same B0 of V, so the same profiles, while the returned
+        model's energies are four times the limit's.  The power law has no beta.
+        """
         if not self.is_dbi:
             raise DbisolError("the large-beta limit is the DBI law's; the power law has no beta")
-        return lambda v: 2.0 * mu * np.sqrt(np.asarray(v, dtype=float))
+        return replace(model, kinetic_law=KineticLaw.power(1.0), mu=2.0 * model.mu)
 
     def threshold_margin(self, vacuum_exponent: float, threshold: float) -> float:
         """threshold less twice the power, A/2 (DBI) or A/(2 alpha_k), with which B0 vanishes
@@ -196,14 +205,23 @@ def _one_minus_cos(xi):
     return 2.0 * np.sin(0.5 * xi) ** 2
 
 
+# Taylor coefficients of (xi - cos xi sin xi) / xi^3 in xi^2, highest first:
+# (-1)^(k+1) 4^k / (2k + 1)!, i.e. 2/3, -2/15, 4/315, ...
+_ETA_SERIES = tuple((-1) ** (k + 1) * 4 ** k / math.factorial(2 * k + 1)
+                    for k in range(10, 0, -1))
+
+
 def _eta(xi):
     xi = np.asarray(xi, dtype=float)
     x2 = xi * xi
-    # series of xi - cos(xi) sin(xi) below 0.1, exact form above; the direct
-    # expression loses all digits at small xi
-    series = xi * x2 * (2.0 / 3.0 - x2 * (2.0 / 15.0 - x2 * (4.0 / 315.0 - x2 * (2.0 / 2835.0))))
+    # the direct expression xi - cos(xi) sin(xi) cancels like 1.5 / xi^2, so
+    # below 1 the series is used instead (10 terms; the first one dropped is
+    # below 3e-16 relative); both are within 6e-16 of mpmath
+    series = 0.0
+    for c in _ETA_SERIES:
+        series = series * x2 + c
     exact = xi - np.cos(xi) * np.sin(xi)
-    return 0.5 * np.where(np.abs(xi) < 0.1, series, exact)
+    return 0.5 * np.where(np.abs(xi) < 1.0, xi * x2 * series, exact)
 
 
 def _eta_deriv(xi):
@@ -221,7 +239,6 @@ class Chart:
 
     anti_vacuum: float
     threshold: float
-    unit_weight: float       # unit_weight * jacobian has unit mass on the chart
     average_factor: float    # of the per-charge target average
     slope_pole: bool         # the slope diverges at the anti-vacuum value
     jacobian: Callable       # volume element in the field; planar, the scalar 1.0
@@ -230,6 +247,11 @@ class Chart:
     prefactor: Callable      # params -> factor from kinetic + potential density
                              # to the chart energy density
     radial: Callable         # (radius, params) -> coordinate of the reduced problem
+
+    @functools.cached_property
+    def unit_weight(self) -> float:
+        """1 / volume(anti_vacuum): unit_weight * jacobian has unit mass on the chart."""
+        return 1.0 / float(self.volume(self.anti_vacuum))
 
     def coordinate_map(self, r, params: ModelParams):
         """Coordinate of the reduced problem at radius r >= 0."""
@@ -251,7 +273,7 @@ CHARTS = {
     # h in [0, 1] in the chart x = r^2 / 2.  The inverse map int 1 / B0
     # converges at the vacuum exactly when B0 vanishes with a power below 1.
     Sector.BABY2D: Chart(
-        anti_vacuum=1.0, threshold=2.0, unit_weight=1.0, average_factor=1.0, slope_pole=False,
+        anti_vacuum=1.0, threshold=2.0, average_factor=1.0, slope_pole=False,
         jacobian=lambda h: 1.0,
         volume=lambda h: h,
         slope_scale=lambda p: 2.0 * math.pi / abs(p.charge),
@@ -260,15 +282,13 @@ CHARTS = {
     ),
     # xi in [0, pi] in the cubic radial chart z = 2 sqrt2 beta pi^2 r^3 / |n|.
     # The inverse map int sin^2 / B0 converges at the vacuum exactly when B0
-    # vanishes with a power below 3, as for both built-in potentials.  The
-    # cubic substitution that linearizes the first-order law compresses the
-    # volume element by 1/3 relative to the planar chart, so per-charge
-    # averages pick it up; the factor is fixed by the average route
-    # reproducing the chart quadrature and both closed-form energies,
-    # whatever beta, mu and sigma.
+    # vanishes with a power below 3, as for both built-in potentials.  On the
+    # law the chart energy is (prefactor / slope_scale) int J P = prefactor
+    # <P> / (slope_scale unit_weight), <P> the target average, so on every
+    # chart average_factor |n| slope_scale unit_weight = prefactor: the 1/3
+    # is that of the prefactor sqrt2 |n| / (3 pi beta).
     Sector.SKYRME3D: Chart(
-        anti_vacuum=math.pi, threshold=6.0, unit_weight=2.0 / math.pi,
-        average_factor=1.0 / 3.0, slope_pole=True,
+        anti_vacuum=math.pi, threshold=6.0, average_factor=1.0 / 3.0, slope_pole=True,
         jacobian=_eta_deriv,
         volume=_eta,
         slope_scale=lambda p: 1.0 / (math.sqrt(2.0) * p.beta),

@@ -9,13 +9,17 @@ vacuum end, which the tanh-sinh rule of `numerics` resolves to machine
 precision.  The target-space average, one route for both kinetic laws,
 uses the same rule on P = K'(B0) from the law, and the charge of a
 first-order profile is in closed form.
+
+The large-beta sweep measures each profile's distance to the BPS Skyrme
+model of `KineticLaw.large_beta_limit`, K = B0^2 at twice mu, which the
+DBI model tends to as beta grows.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -228,11 +232,12 @@ def large_beta_sweep(model: ModelParams, betas: Sequence[float],
                      potential: PotentialSpec | None = None) -> BetaSweepResult:
     """Sup-norm distance of profiles to the large-beta limit, with decay fit.
 
-    The potential defaults to V = h; a potential of another sector's chart
-    raises SectorMismatchError.  A model under the power law, which has no
-    beta, raises DbisolError.
+    The limit is the BPS Skyrme model of `KineticLaw.large_beta_limit`, solved
+    at each beta like any other.  The potential defaults to V = h; a potential
+    of another sector's chart raises SectorMismatchError.  A model under the
+    power law, which has no beta, raises DbisolError.
     """
-    limit_law = model.kinetic_law.large_beta_law(model.mu)
+    limit = model.kinetic_law.large_beta_limit(model)
     if len(set(betas)) < 3:
         raise DbisolError("need at least 3 distinct beta values for an exponent fit")
     pot = potential if potential is not None else make_potential("old-baby-power", 1.0)
@@ -242,7 +247,7 @@ def large_beta_sweep(model: ModelParams, betas: Sequence[float],
         p = replace(model, beta=float(beta))
         prof = solve_profile(p, pot, GridSpec(count=800))
         energies.append(bps_energy_integral(p, pot))
-        limit_field = profile_field_at(p, pot, prof.coordinates, law=limit_law)
+        limit_field = profile_field_at(replace(limit, beta=p.beta), pot, prof.coordinates)
         distances.append(float(np.max(np.abs(prof.field - limit_field))))
     fit = np.polyfit(np.log(np.asarray(betas, dtype=float)), np.log(np.asarray(distances)), 1)
     return BetaSweepResult(tuple(map(float, betas)), tuple(map(float, energies)),
@@ -262,14 +267,7 @@ class EnergyReport:
     rel_discrepancy_avg: float | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "energy_quadrature": self.energy_quadrature,
-            "energy_closed_form": self.energy_closed_form,
-            "energy_per_charge_avg": self.energy_per_charge_avg,
-            "charge": self.charge,
-            "rel_discrepancy_closed": self.rel_discrepancy_closed,
-            "rel_discrepancy_avg": self.rel_discrepancy_avg,
-        }
+        return asdict(self)
 
 
 def _closed_form_for(model: ModelParams, potential: PotentialSpec) -> float | None:

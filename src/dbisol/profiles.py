@@ -10,7 +10,9 @@ in closed form.  A composite Gauss-Legendre rule (numerics.CumulativeIntegral)
 reaches machine precision on the rest; it evaluates the integrand once per
 node, and inverts the map on the interpolants through those node values.
 This quadrature is the only profile solver; the tests check it against an
-mpmath oracle written apart from the package.
+mpmath oracle written apart from the package.  Every profile is that of a
+model's own first-order law: the DBI law's large-beta limit is a model too
+(`KineticLaw.large_beta_limit`), solved like any other.
 
 Closed-form evaluators for the three exactly solvable cases live here too,
 together with tail classification.
@@ -336,24 +338,18 @@ class _InverseMap:
     """Cumulative inverse map of one first-order profile.
 
     Carries the quadrature of coordinate(field) and inverts it on arbitrary
-    coordinate grids.  law maps V to B0, by default the model's own
-    first-order law; it must vanish at the vacuum with the model law's power.
+    coordinate grids.
     """
 
-    def __init__(self, model: ModelParams, potential: PotentialSpec,
-                 law: Callable[[np.ndarray], np.ndarray] | None = None):
+    def __init__(self, model: ModelParams, potential: PotentialSpec):
         chart = model.sector.chart_for(potential)
         _require_potential_term(model)
-
-        if law is None:
-            def law(v):
-                return model.kinetic_law.density(model.mu ** 2 * v, model.beta)
         scale = chart.slope_scale(model)
 
         def g(s):
             # |d(coordinate)/d(ln field)|
             f = np.exp(np.asarray(s, dtype=float))
-            b0 = np.asarray(law(potential.evaluate(f)), dtype=float)
+            b0 = model.kinetic_law.density(model.mu ** 2 * potential.evaluate(f), model.beta)
             return f * (chart.jacobian(f) / (scale * b0))
 
         exponent = potential.vacuum_exponent
@@ -396,16 +392,9 @@ class _InverseMap:
         return np.where(x <= 0.0, self.anti, field)
 
 
-def profile_field_at(model: ModelParams, potential: PotentialSpec, coords, *,
-                     law: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
-    """Field values of the first-order profile at arbitrary coordinates.
-
-    law, a map from the potential value V to B0, replaces the model's own
-    first-order law (the sweeps pass the beta -> infinity limit law).  It
-    must vanish at the vacuum with the model law's power, which sets the
-    closed-form piece of a compacton's map: the DBI limit 2 mu sqrt(V) does.
-    """
-    return _InverseMap(model, potential, law).field_at(coords)
+def profile_field_at(model: ModelParams, potential: PotentialSpec, coords) -> np.ndarray:
+    """Field values of the first-order profile at arbitrary coordinates."""
+    return _InverseMap(model, potential).field_at(coords)
 
 
 def solve_profile(model: ModelParams, potential: PotentialSpec,

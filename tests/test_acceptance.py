@@ -173,8 +173,8 @@ def test_criterion_07_skyrme_bps():
 
 
 def _richardson_ratio(build):
-    r1 = eom_residual(build(1e-3), edge_margin=1e-2).max_abs_residual
-    r2 = eom_residual(build(5e-4), edge_margin=1e-2).max_abs_residual
+    r1 = eom_residual(build(1e-3), margin=round(1e-2 / 1e-3)).max_abs_residual
+    r2 = eom_residual(build(5e-4), margin=round(1e-2 / 5e-4)).max_abs_residual
     return r1 / r2
 
 

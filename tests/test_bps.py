@@ -68,12 +68,14 @@ class TestDbiDensity:
         assert np.all(vals < math.sqrt(2) * p.beta)
 
     def test_large_beta_limit_rate(self):
-        # deviation from the limiting density 2 mu sqrt(V) decays like beta^-2
+        # deviation from the limit model's density 2 mu sqrt(V) decays like beta^-2
         betas = np.array([10.0, 100.0, 1000.0])
         devs = []
         for b in betas:
-            d = dbi_density(1.0, baby(beta=b))
-            devs.append(abs(d - 2.0) / 2.0)
+            limit = KineticLaw.dbi().large_beta_limit(baby(beta=b))
+            want = law_density(limit, OLD, 1.0)
+            assert want == 2.0
+            devs.append(abs(dbi_density(1.0, baby(beta=b)) - want) / want)
         slope = np.polyfit(np.log(betas), np.log(devs), 1)[0]
         assert slope == pytest.approx(-2.0, abs=0.1)
 
@@ -196,6 +198,12 @@ def exact_skyrme_profile(model, delta):
                            spacing=delta, extent=z0 + 10 * delta, compacton_radius=z0)
 
 
+def coarse_and_fine(build):
+    """Residual maxima at spacings 1e-3 and 5e-4, 1e-2 (10 and 20 samples) from the edges."""
+    return [eom_residual(build(delta), margin=round(1e-2 / delta)).max_abs_residual
+            for delta in (1e-3, 5e-4)]
+
+
 class TestEomResidual:
     def test_vacuum_segment_is_exact(self):
         pot = make_potential("old-baby-power", 1.0)
@@ -206,13 +214,11 @@ class TestEomResidual:
         assert len(rep.residuals) == 0
 
     def test_baby_richardson_ratio(self):
-        r1 = eom_residual(exact_baby_profile(baby(), 1e-3), edge_margin=1e-2).max_abs_residual
-        r2 = eom_residual(exact_baby_profile(baby(), 5e-4), edge_margin=1e-2).max_abs_residual
+        r1, r2 = coarse_and_fine(lambda delta: exact_baby_profile(baby(), delta))
         assert r1 / r2 == pytest.approx(4.0, abs=0.5)
 
     def test_skyrme_richardson_ratio(self):
-        r1 = eom_residual(exact_skyrme_profile(skyrme(), 1e-3), edge_margin=1e-2).max_abs_residual
-        r2 = eom_residual(exact_skyrme_profile(skyrme(), 5e-4), edge_margin=1e-2).max_abs_residual
+        r1, r2 = coarse_and_fine(lambda delta: exact_skyrme_profile(skyrme(), delta))
         assert r1 / r2 == pytest.approx(4.0, abs=0.5)
 
     def test_bump_sensitivity(self):
@@ -255,21 +261,24 @@ class TestEomResidual:
         rng = np.random.default_rng(seed)
         model = baby(beta=float(rng.uniform(0.5, 2.0)), mu=float(rng.uniform(0.5, 2.0)),
                      charge=int(rng.integers(1, 4)))
-        r1 = eom_residual(exact_baby_profile(model, 1e-3), edge_margin=1e-2).max_abs_residual
-        r2 = eom_residual(exact_baby_profile(model, 5e-4), edge_margin=1e-2).max_abs_residual
+        r1, r2 = coarse_and_fine(lambda delta: exact_baby_profile(model, delta))
         assert r1 / r2 == pytest.approx(4.0, abs=0.6)
         assert r1 < 1.0 / (8.0 * math.pi ** 2)
 
-    @pytest.mark.parametrize("alpha_k,exponent,edge_margin",
+    @pytest.mark.parametrize("alpha_k,exponent,width",
                              [(2.0, 2.0, None), (0.75, 1.0, 1e-2)], ids=["ak2-old2", "ak0.75-old1"])
-    def test_power_law_residual_converges(self, alpha_k, exponent, edge_margin):
+    def test_power_law_residual_converges(self, alpha_k, exponent, width):
         # the residual is the power law's own Euler-Lagrange equation, so it
-        # falls like the square of the spacing on the solved profile
+        # falls like the square of the spacing on the solved profile; width,
+        # when given, is the margin in the coordinate, rounded to samples
         model = baby(kinetic_law=KineticLaw.power(alpha_k))
         pot = make_potential("old-baby-power", exponent)
-        res = [eom_residual(solve_profile(model, pot, GridSpec(count=g)),
-                            edge_margin=edge_margin).max_abs_residual
-               for g in (1000, 2000, 4000)]
+        res = []
+        for g in (1000, 2000, 4000):
+            prof = solve_profile(model, pot, GridSpec(count=g))
+            delta = prof.coordinates[1] - prof.coordinates[0]
+            margin = 5 if width is None else round(width / delta)
+            res.append(eom_residual(prof, margin=margin).max_abs_residual)
         assert 3.5 <= res[0] / res[1] <= 4.5
         assert 3.5 <= res[1] / res[2] <= 4.5
 

@@ -40,6 +40,20 @@ class TestChartIdentities:
         assert chart.unit_weight * float(chart.volume(chart.anti_vacuum)) \
             == pytest.approx(1.0, rel=1e-15)
 
+    def test_unit_weight_is_the_papers(self):
+        # derived as 1 / volume(anti_vacuum); in doubles 1 / eta(pi) is 2 / pi
+        assert Sector.BABY2D.chart.unit_weight == 1.0
+        assert Sector.SKYRME3D.chart.unit_weight == 2.0 / math.pi
+
+    @PROPERTY
+    @given(SECTORS, log_uniform(1e-4, 1e4), st.integers(-50, 50).filter(lambda n: n != 0))
+    def test_average_factor_follows_from_the_other_facts(self, sector, beta, n):
+        # the energy (prefactor / slope_scale) int J P is prefactor <P> /
+        # (slope_scale unit_weight), and |n| average_factor <P> per charge
+        chart, model = sector.chart, ModelParams(beta, 1.0, n, sector)
+        lhs = chart.average_factor * abs(n) * chart.slope_scale(model) * chart.unit_weight
+        assert lhs == pytest.approx(chart.prefactor(model), rel=1e-15, abs=0.0)
+
     @PROPERTY
     @given(SECTORS, st.floats(1e-5, 1.0 - 1e-5))
     def test_volume_derivative_is_the_jacobian(self, sector, u):

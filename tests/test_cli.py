@@ -10,7 +10,9 @@ from unittest import mock
 
 import pytest
 
-from dbisol.cli import RunConfig, main, read_config_file
+from dbisol import (baby_old_exact, baby_old_radius, eom_residual, make_potential,
+                    skyrme_standard_exact, skyrme_standard_radius)
+from dbisol.cli import RunConfig, _eom_check, main, read_config_file
 
 
 def run_cli(args, tmp_path, capsys=None):
@@ -195,6 +197,36 @@ class TestVerifyCommand:
         assert err == expected and err.count("\n") == 1
         assert out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("sector,beta,mu,n", [("baby", 1.0, 1.0, 3), ("skyrme", 2.5, 0.7, 1)])
+    def test_eom_check_margin_does_not_depend_on_rounding(self, sector, beta, mu, n):
+        # planar n = 3: the sample 10 spacings inside the support edge lies at
+        # 0.574 and the edge at 0.584, whose difference rounds below 1e-2; in
+        # 3-D at (2.5, 0.7) the same happens at 1e-3.  The same compacton on a
+        # radius up to 8e-9 relative larger or smaller counts every sample at
+        # least 10 (20) spacings inside the support at spacing 1e-3 (5e-4)
+        cfg = RunConfig(command="verify", sector=sector, beta=beta, mu=mu, n=n)
+        if sector == "baby":
+            model, pot = cfg.model(), make_potential("old-baby-power", 1.0)
+            radius, exact = baby_old_radius(model), lambda x: baby_old_exact(x, model)
+        else:
+            model = replace(cfg.model(), beta=beta / mu, mu=1.0)
+            pot, sigma = make_potential("skyrme-standard"), model.sigma
+            radius = skyrme_standard_radius(sigma)
+            exact = lambda z: skyrme_standard_exact(z, sigma)  # noqa: E731
+        dropped = set()
+
+        def recording(prof, **kw):
+            rep = eom_residual(prof, **kw)
+            dropped.add((rep.grid_spacing, int((prof.field > 1e-12).sum()) - len(rep.residuals)))
+            return rep
+
+        with mock.patch("dbisol.cli.eom_residual", recording):
+            for k in (-8, -1, 0, 1, 8):
+                stretch = 1.0 + k * 1e-9
+                _eom_check(model, pot, stretch * radius, lambda x: exact(x / stretch),
+                           pot.domain[1], math.inf, False)
+        assert dropped == {(1e-3, 20), (5e-4, 40)}
 
     def test_perturbation_fails_with_exit_three(self, tmp_path, capsys):
         code = main(["verify", "--sector", "baby", "--inject-perturbation",
@@ -437,11 +469,7 @@ class TestConfigHandling:
     def test_round_trip(self):
         cfg = RunConfig(command="solve", sector="skyrme", potential="bps", beta=2.0,
                         mu=0.5, n=3, grid=500, out="x", seed=4)
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(Exception):
-            RunConfig.from_dict({"command": "solve", "bogus": 1})
+        assert RunConfig(**cfg.to_dict()) == cfg
 
     def test_config_file_and_precedence(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

@@ -68,10 +68,24 @@ class TestPotentials:
         assert np.max(np.abs(got - fd) / np.maximum(np.abs(fd), 1e-10)) < 1e-6
 
     def test_bps_potential_series_branch_is_seamless(self):
+        # the series hands over to the exact form at xi = 1
         pot = make_potential("bps-potential")
-        for x in (0.0999, 0.1001):
-            exact = (x - math.cos(x) * math.sin(x)) / 2
-            assert pot.evaluate(x) == pytest.approx(exact, rel=1e-13)
+        for x in (math.nextafter(1.0, 0.0), 1.0, 0.9999, 1.0001):
+            with mp.workdps(40):
+                xm = mp.mpf(x)
+                want = float((xm - mp.cos(xm) * mp.sin(xm)) / 2)
+            assert float(pot.evaluate(x)) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_bps_potential_matches_mpmath(self):
+        # eta = (xi - cos xi sin xi) / 2 to rounding on both branches; a
+        # 4-term series below 0.1 was 3.85e-13 off just below the switch
+        xs = np.concatenate([np.geomspace(1e-3, math.pi, 400), np.linspace(0.09, 0.11, 41),
+                             np.linspace(0.99, 1.01, 41)])
+        got = make_potential("bps-potential").evaluate(xs)
+        with mp.workdps(40):
+            want = [(mp.mpf(x) - mp.cos(mp.mpf(x)) * mp.sin(mp.mpf(x))) / 2 for x in xs]
+            worst = max(abs(mp.mpf(g) - w) / w for g, w in zip(got, want))
+        assert worst <= 1e-15
 
     def test_rejects_bad_exponent_and_tag(self):
         with pytest.raises(DbisolError):
@@ -204,6 +218,29 @@ class TestValidateParams:
 
     def test_sigma(self):
         assert params(beta=2.0, mu=1.0).sigma == pytest.approx(4.0)
+
+
+class TestLargeBetaLimit:
+    """The DBI law's beta -> infinity limit is the BPS Skyrme model K = B0^2 at 2 mu."""
+
+    @pytest.mark.parametrize("sector", list(Sector))
+    def test_is_the_alpha_one_model_at_twice_mu(self, sector):
+        model = params(beta=3.0, mu=0.7, charge=-2, sector=sector)
+        limit = model.kinetic_law.large_beta_limit(model)
+        assert limit == replace(model, kinetic_law=KineticLaw.power(1.0), mu=1.4)
+
+    @PROPERTY
+    @given(log_uniform(1e-8, 1e8), log_uniform(1e-8, 1e8), log_uniform(1e-4, 1e4))
+    def test_density_is_twice_mu_sqrt_v(self, mu, v, beta):
+        # B0^2 / 4 = mu^2 V, the law of K = B0^2 / 4, the DBI K as beta grows
+        limit = KineticLaw.dbi().large_beta_limit(params(beta=beta, mu=mu))
+        got = float(limit.kinetic_law.density(limit.mu ** 2 * v, limit.beta))
+        assert got == pytest.approx(2.0 * mu * math.sqrt(v), rel=1e-15, abs=0.0)
+
+    def test_power_law_has_no_beta(self):
+        model = params(kinetic_law=KineticLaw.power(2.0))
+        with pytest.raises(DbisolError, match="power law has no beta"):
+            model.kinetic_law.large_beta_limit(model)
 
 
 class TestDual:

@@ -3,6 +3,7 @@ import warnings
 from dataclasses import replace
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from dbisol import (DbisolError, GridSpec, KineticLaw, ModelParams, Sector, Sect
                     bps_energy_integral, charge_quadrature, compute_energy_report,
                     energy_per_charge_average, energy_quadrature,
                     large_beta_sweep, make_potential,
-                    power_family_energy_per_charge, profile_on_grid,
+                    power_family_energy_per_charge, profile_field_at, profile_on_grid,
                     skyrme_bps_energy_closed, skyrme_standard_energy_closed,
                     skyrme_standard_exact, skyrme_standard_radius,
                     small_mu_sweep, solve_profile)
@@ -274,9 +275,20 @@ class TestSweeps:
 
     def test_limiting_slope_value(self):
         # dh/dx -> -(2 sqrt2 pi / |n|) mu sqrt(2 V) on the planar chart
-        law = baby().kinetic_law.large_beta_law(baby().mu)
-        slope = -Sector.BABY2D.chart.slope_scale(baby()) * law(OLD.evaluate(1.0))
+        limit = KineticLaw.dbi().large_beta_limit(baby())
+        b0 = limit.kinetic_law.density(limit.mu ** 2 * OLD.evaluate(1.0), limit.beta)
+        slope = -Sector.BABY2D.chart.slope_scale(limit) * b0
         assert slope == pytest.approx(-4.0 * math.pi, abs=1e-12)
+
+    @pytest.mark.parametrize("mu,n", [(1.0, 1), (0.5, 2), (2.0, -3)])
+    def test_limit_model_solves_the_bps_compacton(self, mu, n):
+        # as beta -> infinity the planar compacton of V = h tends to
+        # h = (2 pi mu (x0 - x) / |n|)^2 with x0 = |n| / (2 pi mu)
+        limit = KineticLaw.dbi().large_beta_limit(baby(mu=mu, charge=n))
+        x0 = abs(n) / (2.0 * math.pi * mu)
+        x = np.linspace(0.0, 1.2 * x0, 241)
+        want = np.where(x < x0, (2.0 * math.pi * mu * (x0 - x) / abs(n)) ** 2, 0.0)
+        np.testing.assert_allclose(profile_field_at(limit, OLD, x), want, rtol=0, atol=1e-13)
 
 
 class TestEnergyReport:

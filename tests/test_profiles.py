@@ -269,6 +269,15 @@ class TestSolveSkyrme:
         assert prof.compacton_radius == pytest.approx(float(oracle.radius()), rel=1e-12)
         assert energy_quadrature(prof, p, pot) == pytest.approx(float(oracle.energy()), rel=1e-12)
 
+    @pytest.mark.parametrize("alpha_k", [None, 0.75])
+    def test_bps_radius_to_rounding(self, alpha_k):
+        # V = eta, the incomplete volume, to rounding: with a 4-term series
+        # below xi = 0.1 the radius under alpha_k = 0.75 was 1.6e-15 off
+        law = KineticLaw.dbi() if alpha_k is None else KineticLaw.power(alpha_k)
+        prof = solve_profile(skyrme(kinetic_law=law), BPSPOT)
+        want = Soliton("skyrme", "bps", 1.0, 1.0, 1, alpha_k).radius()
+        assert abs(prof.compacton_radius - want) <= 3e-16 * want
+
     def test_fields_match_mpmath_oracle(self):
         prof = solve_profile(skyrme(), STD)
         assert_interior_fields_match(prof, Soliton("skyrme", "standard", 1.0, 1.0, 1))

@@ -1,6 +1,6 @@
 """Fingerprint the artifacts of a fixed set of `dbisol` runs.
 
-Runs 44 CLI configurations (solve, verify, bound, sweep and classify across
+Runs 45 CLI configurations (solve, verify, bound, sweep and classify across
 both sectors and every potential family; solve also next to the planar and
 the 3-D localization thresholds; bound also at the largest order and
 at large beta, where its exact ray proof is hardest and its powers of beta
@@ -58,6 +58,7 @@ RUNS = (
     ("solve-skyrme-power5.9", "solve --sector skyrme --potential power:5.9"),
     ("verify-baby", "verify"),
     ("verify-skyrme", "verify --sector skyrme"),
+    ("verify-baby-n3", "verify --n 3"),
     ("verify-skyrme-n3", "verify --sector skyrme --n 3"),
     ("verify-baby-perturbed", "verify --inject-perturbation"),
     ("verify-baby-ak2", "verify --alpha-k 2"),
