@@ -78,13 +78,9 @@ def taylor_coefficients(n: int) -> list[Fraction]:
     return coeffs
 
 
-_COEFF_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.cache
 def _coeff_floats(n: int) -> np.ndarray:
-    if n not in _COEFF_CACHE:
-        _COEFF_CACHE[n] = np.array([float(c) for c in taylor_coefficients(n)])
-    return _COEFF_CACHE[n]
+    return np.array([float(c) for c in taylor_coefficients(n)])
 
 
 def weights_for_alpha(alpha: float) -> tuple[float, float, float]:

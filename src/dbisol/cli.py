@@ -112,13 +112,11 @@ class RunConfig:
         if tag == "bps":
             return make_potential("bps-potential")
         if family == "power":
-            if self.sector == "baby":
-                return make_potential("old-baby-power", a)
             return make_potential(
                 "custom",
-                evaluate=lambda xi: np.power(np.asarray(xi, dtype=float), a),
-                derivative=lambda xi: a * np.power(np.asarray(xi, dtype=float), a - 1.0),
-                domain=(0.0, math.pi), vacuum_exponent=a)
+                evaluate=lambda f: np.power(np.asarray(f, dtype=float), a),
+                derivative=lambda f: a * np.power(np.asarray(f, dtype=float), a - 1.0),
+                domain=(0.0, self.model().sector.chart.anti_vacuum), vacuum_exponent=a)
         raise unknown
 
 
@@ -328,23 +326,25 @@ def cmd_bound(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
+    """Fit the small-mu slope or the large-beta decay exponent of the configured model.
+
+    The sweep runs the configured sector, potential and law; a potential of
+    the other sector's chart exits 1 with the line solve prints, and so does
+    the beta axis under the power law, which has no beta.
+    """
     values = [float(v) for v in cfg.values.split(",") if v.strip()]
     model = cfg.model()
     pot = cfg.make_potential()
-    if pot.tag != "old-baby-power" or pot.vacuum_exponent != 1.0:
-        raise DbisolError(f"sweeps run the linear potential old:1 only, not {cfg.potential}")
-    if cfg.sector != "baby":
-        raise DbisolError(f"sweeps run in the planar sector only, not {cfg.sector}")
     rows = []
     if cfg.axis == "mu":
-        res = small_mu_sweep(model, values)
+        res = small_mu_sweep(model, values, pot)
         for mu, e in zip(res.mus, res.energies):
             rows.append((mu, e, e))
         fit = {"axis": "mu", "values": list(res.mus), "energies": list(res.energies),
                "slope": res.slope, "seed": cfg.seed, "config": cfg.to_dict()}
         print(f"fitted slope = {_fmt(res.slope)}")
     elif cfg.axis == "beta":
-        res = large_beta_sweep(model, values)
+        res = large_beta_sweep(model, values, pot)
         for b, e, d in zip(res.betas, res.energies, res.distances):
             rows.append((b, e, d))
         fit = {"axis": "beta", "values": list(res.betas), "energies": list(res.energies),

@@ -21,7 +21,6 @@ from typing import Callable
 
 import numpy as np
 
-_TS_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 # tanh-sinh step 2^-6: every energy and average lands within 1e-15 of a
 # 20-digit reference over the whole coupling range
 _TS_LEVEL = 6
@@ -54,22 +53,21 @@ def _segment_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return x, w, interpolate, legendre.legint(interpolate, lbnd=-1.0)
 
 
-def _ts_nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@functools.cache
+def _ts_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tanh-sinh nodes on [0, 1] as distances from both ends, with weights.
 
-    Node k sits at t = k h, h = 2^-level, |t| <= 6, i.e. at the fraction
+    Node k sits at t = k h, h = 2^-_TS_LEVEL, |t| <= 6, i.e. at the fraction
     1 / (1 + exp(-2u)) of the interval with u = (pi/2) sinh t.  The distances
     from the lower and the upper end are formed separately, so neither loses
     digits to cancellation; the outermost nodes are about 1e-275 from the ends.
     """
-    if level not in _TS_CACHE:
-        h = 2.0 ** -level
-        t = h * np.arange(-6 * 2 ** level, 6 * 2 ** level + 1)
-        u = 0.5 * math.pi * np.sinh(t)
-        lo = 1.0 / (1.0 + np.exp(-2.0 * u))
-        hi = 1.0 / (1.0 + np.exp(2.0 * u))
-        _TS_CACHE[level] = (lo, hi, h * math.pi * np.cosh(t) * lo * hi)
-    return _TS_CACHE[level]
+    h = 2.0 ** -_TS_LEVEL
+    t = h * np.arange(-6 * 2 ** _TS_LEVEL, 6 * 2 ** _TS_LEVEL + 1)
+    u = 0.5 * math.pi * np.sinh(t)
+    lo = 1.0 / (1.0 + np.exp(-2.0 * u))
+    hi = 1.0 / (1.0 + np.exp(2.0 * u))
+    return lo, hi, h * math.pi * np.cosh(t) * lo * hi
 
 
 def tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
@@ -81,7 +79,7 @@ def tanh_sinh(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> floa
     to machine precision.  f is never evaluated at a or b: nodes that round
     onto an end are dropped.
     """
-    lo, hi, w = _ts_nodes(_TS_LEVEL)
+    lo, hi, w = _ts_nodes()
     span = b - a
     x = np.where(lo <= 0.5, a + span * lo, b - span * hi)
     keep = (x > a) & (x < b)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .bps import static_density
 from .errors import DbisolError, NoSolitonError, SectorMismatchError
-from .model import ModelParams, PotentialSpec, make_potential
+from .model import ModelParams, PotentialSpec
 from .numerics import tanh_sinh
 from .profiles import (GridSpec, SolitonProfile, baby_old_radius, profile_field_at,
                        skyrme_bps_radius, solve_profile)
@@ -206,14 +206,18 @@ class MuSweepResult:
 
 
 def small_mu_sweep(model: ModelParams, mus: Sequence[float],
-                   potential: PotentialSpec | None = None) -> MuSweepResult:
-    """Least-squares slope through the origin of E(mu), by default for V = h."""
+                   potential: PotentialSpec) -> MuSweepResult:
+    """Least-squares slope through the origin of E(mu).
+
+    Under the DBI law the slope tends to |n| c <sqrt V> as mu -> 0, with c the
+    chart's average_factor and <.> its target average.  A potential of
+    another sector's chart raises SectorMismatchError.
+    """
     if len(mus) < 3:
         raise DbisolError("need at least 3 mu values for a slope estimate")
     if 0.0 in mus:
         raise NoSolitonError("mu = 0 admits no soliton")
-    pot = potential if potential is not None else make_potential("old-baby-power", 1.0)
-    energies = [bps_energy_integral(replace(model, mu=float(mu)), pot) for mu in mus]
+    energies = [bps_energy_integral(replace(model, mu=float(mu)), potential) for mu in mus]
     mu_arr = np.asarray(mus, dtype=float)
     e_arr = np.asarray(energies)
     slope = float(np.dot(e_arr, mu_arr) / np.dot(mu_arr, mu_arr))
@@ -229,25 +233,25 @@ class BetaSweepResult:
 
 
 def large_beta_sweep(model: ModelParams, betas: Sequence[float],
-                     potential: PotentialSpec | None = None) -> BetaSweepResult:
+                     potential: PotentialSpec) -> BetaSweepResult:
     """Sup-norm distance of profiles to the large-beta limit, with decay fit.
 
     The limit is the BPS Skyrme model of `KineticLaw.large_beta_limit`, solved
-    at each beta like any other.  The potential defaults to V = h; a potential
-    of another sector's chart raises SectorMismatchError.  A model under the
-    power law, which has no beta, raises DbisolError.
+    at each beta like any other; the distance decays like beta^-2.  A
+    potential of another sector's chart raises SectorMismatchError.  A model
+    under the power law, which has no beta, raises DbisolError.
     """
     limit = model.kinetic_law.large_beta_limit(model)
     if len(set(betas)) < 3:
         raise DbisolError("need at least 3 distinct beta values for an exponent fit")
-    pot = potential if potential is not None else make_potential("old-baby-power", 1.0)
     energies = []
     distances = []
     for beta in betas:
         p = replace(model, beta=float(beta))
-        prof = solve_profile(p, pot, GridSpec(count=800))
-        energies.append(bps_energy_integral(p, pot))
-        limit_field = profile_field_at(replace(limit, beta=p.beta), pot, prof.coordinates)
+        prof = solve_profile(p, potential, GridSpec(count=800))
+        energies.append(bps_energy_integral(p, potential))
+        limit_field = profile_field_at(replace(limit, beta=p.beta), potential,
+                                       prof.coordinates)
         distances.append(float(np.max(np.abs(prof.field - limit_field))))
     fit = np.polyfit(np.log(np.asarray(betas, dtype=float)), np.log(np.asarray(distances)), 1)
     return BetaSweepResult(tuple(map(float, betas)), tuple(map(float, energies)),

@@ -103,7 +103,7 @@ def test_criterion_04_small_mu_slope():
     ok = True
     details = []
     for n, target in ((1, 2.0 / 3.0), (4, 8.0 / 3.0)):
-        res = small_mu_sweep(baby(charge=n), [1e-2, 1e-3, 1e-4])
+        res = small_mu_sweep(baby(charge=n), [1e-2, 1e-3, 1e-4], OLD)
         rel = abs(res.slope - target) / target
         details.append(f"n={n}: slope={res.slope:.5f}")
         ok = ok and rel <= 0.01
@@ -111,7 +111,7 @@ def test_criterion_04_small_mu_slope():
 
 
 def test_criterion_05_large_beta_exponent():
-    res = large_beta_sweep(baby(), [10.0, 100.0, 1000.0])
+    res = large_beta_sweep(baby(), [10.0, 100.0, 1000.0], OLD)
     ok = abs(res.exponent + 2.0) <= 0.1
     report(5, "profile distance to the large-beta limit decays like beta^-2", ok,
            f"exponent={res.exponent:.4f}")

@@ -222,14 +222,15 @@ class TestOptimize:
     @given(order=ORDERS, beta=BETAS)
     def test_constant_is_weighted_product(self, order, beta):
         cert = optimize_bound(order, beta)
-        assert bound_constant(order, cert.weights) == pytest.approx(cert.constant, rel=1e-14)
+        assert bound_constant(order, cert.weights) == pytest.approx(cert.constant, rel=1e-14,
+                                                                    abs=0)
 
     @PROPERTY
     @given(order=ORDERS, beta=BETAS)
     @example(order=64, beta=10.0)
     def test_sharpness_is_constant_over_beta(self, order, beta):
         cert = optimize_bound(order, beta)
-        assert sharpness(cert) == pytest.approx(cert.constant / beta, rel=1e-12)
+        assert sharpness(cert) == pytest.approx(cert.constant / beta, rel=1e-12, abs=0)
 
     def test_rejects_bad_order(self):
         with pytest.raises(DbisolError):
@@ -247,12 +248,12 @@ class TestDuality:
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_sharpness_equals_constant(self, order):
         cert = optimize_bound(order)
-        assert sharpness(cert) == pytest.approx(cert.constant, rel=1e-6)
+        assert sharpness(cert) == pytest.approx(cert.constant, rel=1e-6, abs=0)
 
     def test_sharpness_scales_with_beta(self):
         c3 = optimize_bound(3)
         c3b = replace(c3, beta=10.0)
-        assert sharpness(c3b) == pytest.approx(c3.constant / 10.0, rel=1e-6)
+        assert sharpness(c3b) == pytest.approx(c3.constant / 10.0, rel=1e-6, abs=0)
 
     def test_order_three_sharpness_is_exact(self):
         # the ray minimum, summed by the slack's Horner rule in y = s / beta^2,
@@ -288,7 +289,7 @@ class TestPointwise:
         s = 13.0
         c = [float(x) for x in taylor_coefficients(3)]
         lhs = sum(ck * s ** (k + 1) for k, ck in enumerate(c))
-        assert _slack(cert, lam)[0] == pytest.approx(lhs, rel=1e-15)
+        assert _slack(cert, lam)[0] == pytest.approx(lhs, rel=1e-15, abs=0)
 
     def test_horner_kernel_matches_direct_sum(self):
         cert = replace(optimize_bound(8), beta=2.5)
@@ -653,13 +654,13 @@ class TestEnergyBound:
 
     def test_two_term_bound_value(self):
         got = bound_energy(optimize_bound(2), 1)
-        assert got == pytest.approx(2 * math.pi ** 2 * C2_EXACT, rel=1e-14)
+        assert got == pytest.approx(2 * math.pi ** 2 * C2_EXACT, rel=1e-14, abs=0)
         assert got == pytest.approx(51.28, abs=5e-3)
 
     def test_scales_inversely_with_beta(self):
         cert = optimize_bound(3)
         assert bound_energy(replace(cert, beta=10.0), 2) == pytest.approx(
-            bound_energy(cert, 2) / 10.0, rel=1e-14)
+            bound_energy(cert, 2) / 10.0, rel=1e-14, abs=0)
 
     def test_energy_scale_factor(self):
         cert = replace(optimize_bound(3), energy_scale=3.0)
@@ -673,7 +674,7 @@ class TestReferenceComparison:
         assert out["bound_energy"] == pytest.approx(69.087, abs=1e-3)
         assert out["relative_error"] == pytest.approx(0.2117, abs=1e-3)
         assert out["relative_error_c35"] == pytest.approx(0.2117, abs=1e-3)
-        assert PAVLOVSKII_REFERENCE == pytest.approx(8 * math.pi * 3.487, rel=1e-15)
+        assert PAVLOVSKII_REFERENCE == pytest.approx(8 * math.pi * 3.487, rel=1e-15, abs=0)
 
     def test_two_term_error(self):
         out = compare_reference(optimize_bound(2))

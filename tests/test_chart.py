@@ -38,7 +38,7 @@ class TestChartIdentities:
     def test_unit_weight_times_full_volume_is_one(self, sector):
         chart = sector.chart
         assert chart.unit_weight * float(chart.volume(chart.anti_vacuum)) \
-            == pytest.approx(1.0, rel=1e-15)
+            == pytest.approx(1.0, rel=1e-15, abs=0)
 
     def test_unit_weight_is_the_papers(self):
         # derived as 1 / volume(anti_vacuum); in doubles 1 / eta(pi) is 2 / pi
@@ -92,9 +92,9 @@ class TestChartIdentities:
     def test_coordinate_map_is_the_papers(self, r, beta, n):
         model = ModelParams(beta, 1.0, n, Sector.BABY2D)
         assert Sector.BABY2D.chart.coordinate_map(r, model) == pytest.approx(r * r / 2.0,
-                                                                             rel=1e-15)
+                                                                             rel=1e-15, abs=0)
         z = 2.0 * math.sqrt(2.0) * beta * math.pi ** 2 * r ** 3 / abs(n)
-        assert Sector.SKYRME3D.chart.coordinate_map(r, model) == pytest.approx(z, rel=1e-14)
+        assert Sector.SKYRME3D.chart.coordinate_map(r, model) == pytest.approx(z, rel=1e-14, abs=0)
 
 
 class TestEomFlux:
@@ -116,15 +116,20 @@ class TestEomFlux:
             a = None if alpha_k is None else mp.mpf(alpha_k)
             want_slope = mp.diff(lambda t: kinetic(t, mp.mpf(beta), a), mp.mpf(b0))
             want = kinetic(mp.mpf(b0), mp.mpf(beta), a)
-        assert float(law.kinetic_slope(b0, beta)) == pytest.approx(float(want_slope), rel=1e-12)
-        assert float(law.kinetic(b0, beta)) == pytest.approx(float(want), rel=1e-12)
+        assert float(law.kinetic_slope(b0, beta)) == pytest.approx(float(want_slope), rel=1e-12,
+                                                                   abs=0)
+        assert float(law.kinetic(b0, beta)) == pytest.approx(float(want), rel=1e-12, abs=0)
         # K' is odd in B0, as the slope's sign flips with the charge's
         assert float(law.kinetic_slope(-b0, beta)) == -float(law.kinetic_slope(b0, beta))
 
 
-# where a sector member may be named: the enum and the chart table, and the
-# CLI's parser map
-ALLOWED = {"model.py": {"Sector", "CHARTS"}, "cli.py": {"model"}}
+# where a sector member may be named or a sector compared: the enum and the
+# chart table; the CLI's parser map, RunConfig.model; and verify's suite,
+# _verify_checks, which picks its checks by sector until it runs the
+# configured model (ROADMAP item 9)
+ALLOWED = {"model.py": {"Sector", "CHARTS"}, "cli.py": {"model", "_verify_checks"}}
+SECTOR_BRANCH = re.compile(
+    r"Sector\.(BABY2D|SKYRME3D)|\bsector\s*[!=]=|[!=]=\s*[\w.]*\bsector\b")
 
 
 def _allowed_lines(tree, names):
@@ -141,16 +146,37 @@ def test_no_sector_branch_outside_the_chart_table():
         text = path.read_text()
         allowed = _allowed_lines(ast.parse(text), ALLOWED.get(path.name, set()))
         for lineno, line in enumerate(text.splitlines(), 1):
-            if re.search(r"Sector\.(BABY2D|SKYRME3D)", line) \
-                    and not any(lineno in span for span in allowed):
+            if SECTOR_BRANCH.search(line) and not any(lineno in span for span in allowed):
                 stray.append(f"{path.name}:{lineno}: {line.strip()}")
     assert stray == []
 
 
-# where the kinetic law may be named: the law itself, the closed forms that
-# exist for the DBI law only, and the CLI's parser map
+# where the kinetic law may be read or built: the law itself; the closed
+# forms, which exist for the DBI law only; the CLI's parser map,
+# RunConfig.model; the residual check _eom_check, which runs the DBI law on
+# an exact DBI compacton until verify runs the configured model (ROADMAP
+# item 9); and the default law of classify_localization
 LAW_ALLOWED = {"model.py": {"KineticLaw"}, "observables.py": {"_closed_form_for"},
-               "cli.py": {"model"}}
+               "cli.py": {"model", "_eom_check"}, "profiles.py": {"classify_localization"}}
+LAW_BRANCH = re.compile(r"\.(is_dbi|alpha_k)\b|KineticLaw\.(dbi|power)\(")
+
+
+@pytest.mark.parametrize("pattern,line", [
+    (SECTOR_BRANCH, "sector = Sector.SKYRME3D"), (SECTOR_BRANCH, 'if cfg.sector == "baby":'),
+    (SECTOR_BRANCH, "if sector != other:"), (SECTOR_BRANCH, 'if "baby" == self.sector:'),
+    (LAW_BRANCH, "if law.is_dbi:"), (LAW_BRANCH, "k = model.kinetic_law.alpha_k"),
+    (LAW_BRANCH, "law = KineticLaw.dbi()"), (LAW_BRANCH, "KineticLaw.power(2.0)"),
+])
+def test_guards_flag_every_form_of_a_branch(pattern, line):
+    assert pattern.search(line)
+
+
+@pytest.mark.parametrize("pattern,line", [
+    (SECTOR_BRANCH, "if profile.sector is not model.sector:"),
+    (LAW_BRANCH, "np.power(x, a)"),
+])
+def test_guards_pass_what_is_no_branch(pattern, line):
+    assert not pattern.search(line)
 
 
 def test_no_kinetic_law_branch_outside_the_law():
@@ -159,7 +185,6 @@ def test_no_kinetic_law_branch_outside_the_law():
         text = path.read_text()
         allowed = _allowed_lines(ast.parse(text), LAW_ALLOWED.get(path.name, set()))
         for lineno, line in enumerate(text.splitlines(), 1):
-            if re.search(r"\.(is_dbi|alpha_k)\b", line) \
-                    and not any(lineno in span for span in allowed):
+            if LAW_BRANCH.search(line) and not any(lineno in span for span in allowed):
                 stray.append(f"{path.name}:{lineno}: {line.strip()}")
     assert stray == []

@@ -8,6 +8,7 @@ import warnings
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from dbisol import (baby_old_exact, baby_old_radius, eom_residual, make_potential,
@@ -28,7 +29,7 @@ class TestSolveCommand:
         assert code == 0
         data = json.loads((tmp_path / "s1.json").read_text())
         expected_e = math.sqrt(1.5) - math.log(2 + math.sqrt(3)) / (2 * math.sqrt(2))
-        assert data["energy_quadrature"] == pytest.approx(expected_e, rel=1e-9)
+        assert data["energy_quadrature"] == pytest.approx(expected_e, rel=1e-9, abs=0)
         expected_r = math.sqrt(1.5) / (2 * math.pi)
         assert data["compacton_radius"] == pytest.approx(expected_r, abs=1e-8)
         assert data["compacton_radius"] == pytest.approx(0.194915, abs=2e-5)
@@ -43,14 +44,14 @@ class TestSolveCommand:
         assert code == 0
         data = json.loads((tmp_path / "s2.json").read_text())
         assert data["energy_quadrature"] == pytest.approx(8 * math.sqrt(2) / (9 * math.pi),
-                                                          rel=1e-6)
+                                                          rel=1e-6, abs=0)
         assert data["rel_discrepancy_closed"] < 1e-6
 
     def test_small_mu_reports_the_closed_form(self, tmp_path, capsys):
         # the closed form used to cancel to 0 here and its discrepancy read null
         assert main(["solve", "--mu", "1e-8", "--out", str(tmp_path / "s")]) == 0
         data = json.loads((tmp_path / "s.json").read_text())
-        assert data["energy_closed_form"] == pytest.approx(2.0 / 3.0 * 1e-8, rel=1e-7)
+        assert data["energy_closed_form"] == pytest.approx(2.0 / 3.0 * 1e-8, rel=1e-7, abs=0)
         assert data["rel_discrepancy_closed"] <= 1e-12
         assert "energy_closed_form = 6.66666666" in capsys.readouterr().out
 
@@ -94,6 +95,23 @@ class TestSolveCommand:
         assert not (tmp_path / "x.json").exists()
         assert main(["solve", "--potential", potential, "--grid", str(smallest),
                      "--out", out]) == 0
+
+    @pytest.mark.parametrize("sector", ["baby", "skyrme"])
+    def test_power_is_v_equals_field_to_a_on_the_configured_chart(self, sector):
+        cfg = RunConfig(sector=sector, potential="power:2.5")
+        pot = cfg.make_potential()
+        assert pot.domain == (0.0, cfg.model().sector.chart.anti_vacuum)
+        assert pot.tag == "custom" and pot.vacuum_exponent == 2.5
+        assert float(pot.evaluate(0.5)) == 0.5 ** 2.5
+
+    def test_only_old1_reports_the_planar_closed_form(self, tmp_path):
+        energies = {}
+        for tag in ("old:1", "power:1"):
+            assert main(["solve", "--potential", tag, "--out", str(tmp_path / "s")]) == 0
+            data = json.loads((tmp_path / "s.json").read_text())
+            energies[tag] = data["energy_quadrature"], data["energy_closed_form"]
+        assert energies["old:1"][1] is not None and energies["power:1"][1] is None
+        assert energies["power:1"][0] == energies["old:1"][0]
 
     def test_bad_potential_exits_one(self, tmp_path):
         code = main(["solve", "--potential", "mexican", "--out", str(tmp_path / "x")])
@@ -321,6 +339,11 @@ class TestBoundCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+# the line solve prints for a potential of the other sector's chart
+SKYRME_OF_PLANAR = "error: potential domain (0.0, 1.0) does not match sector skyrme"
+BABY_OF_3D = "error: potential domain (0.0, 3.141592653589793) does not match sector baby"
+
+
 class TestSweepCommand:
     def test_mu_axis(self, tmp_path):
         out = tmp_path / "sw"
@@ -328,7 +351,7 @@ class TestSweepCommand:
                      "--out", str(out)])
         assert code == 0
         data = json.loads((tmp_path / "sw.json").read_text())
-        assert data["slope"] == pytest.approx(2.0 / 3.0, rel=0.01)
+        assert data["slope"] == pytest.approx(2.0 / 3.0, rel=0.01, abs=0)
         rows = (tmp_path / "sw.csv").read_text().splitlines()
         assert rows[0] == "parameter,energy,distance_to_limit"
         assert len(rows) == 4
@@ -354,16 +377,14 @@ class TestSweepCommand:
         (["--values", "0,0,0"], 2, "no soliton: mu = 0 admits no soliton"),
         (["--axis", "beta", "--values", "1,1,1"], 1,
          "error: need at least 3 distinct beta values for an exponent fit"),
-        (["--sector", "skyrme", "--values", "1e-2,1e-3,1e-4"], 1,
-         "error: sweeps run in the planar sector only, not skyrme"),
-        (["--potential", "standard", "--values", "1e-2,1e-3,1e-4"], 1,
-         "error: sweeps run the linear potential old:1 only, not standard"),
-        (["--potential", "old:2", "--values", "1e-2,1e-3,1e-4"], 1,
-         "error: sweeps run the linear potential old:1 only, not old:2"),
+        (["--sector", "skyrme", "--values", "1e-2,1e-3,1e-4"], 1, SKYRME_OF_PLANAR),
+        (["--potential", "standard", "--values", "1e-2,1e-3,1e-4"], 1, BABY_OF_3D),
+        (["--sector", "skyrme", "--potential", "old:2", "--values", "1e-2,1e-3,1e-4"], 1,
+         SKYRME_OF_PLANAR),
         (["--axis", "beta", "--potential", "standard", "--values", "10,100,1000"], 1,
-         "error: sweeps run the linear potential old:1 only, not standard"),
-        (["--axis", "beta", "--potential", "old:2", "--values", "10,100,1000"], 1,
-         "error: sweeps run the linear potential old:1 only, not old:2"),
+         BABY_OF_3D),
+        (["--axis", "beta", "--sector", "skyrme", "--potential", "old:2",
+          "--values", "10,100,1000"], 1, SKYRME_OF_PLANAR),
         (["--axis", "beta", "--alpha-k", "2", "--values", "10,20,40,80"], 1,
          "error: the large-beta limit is the DBI law's; the power law has no beta"),
     ], ids=["zero-mu", "repeated-beta", "skyrme-sector", "mu-standard", "mu-old2",
@@ -374,6 +395,38 @@ class TestSweepCommand:
         assert err == message + "\n"
         assert out == ""
         assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("args", [["--sector", "skyrme", "--potential", "old:2"],
+                                      ["--potential", "bps"]], ids=["planar", "3d"])
+    def test_other_chart_exits_like_solve(self, tmp_path, capfd, args):
+        assert main(["solve", *args, "--out", str(tmp_path / "a")]) == 1
+        solve_err = capfd.readouterr().err
+        for axis, values in (("mu", "1e-2,1e-3,1e-4"), ("beta", "10,100,1000")):
+            assert main(["sweep", *args, "--axis", axis, "--values", values,
+                         "--out", str(tmp_path / "s")]) == 1
+            assert capfd.readouterr().err == solve_err
+
+    @pytest.mark.parametrize("sector,pot,n", [("skyrme", "standard", 1), ("skyrme", "bps", -2),
+                                              ("baby", "old:3", 3), ("baby", "old:2", 2)])
+    def test_mu_slope_is_the_predicted_limit(self, tmp_path, sector, pot, n):
+        # as mu -> 0 under the DBI law, E -> |n| c <sqrt V> mu, c the chart's average_factor
+        assert main(["sweep", "--sector", sector, "--potential", pot, "--n", str(n),
+                     "--axis", "mu", "--values", "1e-2,1e-3,1e-4",
+                     "--out", str(tmp_path / "s")]) == 0
+        cfg = RunConfig(sector=sector, potential=pot, n=n)
+        potential, chart = cfg.make_potential(), cfg.model().sector.chart
+        want = abs(n) * chart.average_factor * chart.average(
+            lambda f: np.sqrt(potential.evaluate(f)))
+        slope = json.loads((tmp_path / "s.json").read_text())["slope"]
+        assert slope == pytest.approx(want, rel=1e-4, abs=0)
+
+    @pytest.mark.parametrize("sector,pot", [("skyrme", "bps"), ("baby", "old:3"),
+                                            ("baby", "old:2")])
+    def test_beta_exponent_is_minus_two(self, tmp_path, sector, pot):
+        assert main(["sweep", "--sector", sector, "--potential", pot, "--axis", "beta",
+                     "--values", "10,100,1000", "--out", str(tmp_path / "s")]) == 0
+        exponent = json.loads((tmp_path / "s.json").read_text())["exponent"]
+        assert exponent == pytest.approx(-2.0, rel=0, abs=0.05)
 
 
 class TestClassifyCommand:
@@ -442,7 +495,7 @@ class TestPowerLaw3D:
                      "--values", "1e-2,1e-3,1e-4", "--out", str(tmp_path / "s")])
         out, err = capfd.readouterr()
         assert code == 1
-        assert err == "error: sweeps run in the planar sector only, not skyrme\n"
+        assert err == SKYRME_OF_PLANAR + "\n"
         assert out == ""
 
 

@@ -34,12 +34,12 @@ class TestPotentials:
 
     def test_standard_value_at_pi(self):
         pot = make_potential("skyrme-standard")
-        assert pot.evaluate(math.pi) == pytest.approx(2.0, rel=1e-15)
+        assert pot.evaluate(math.pi) == pytest.approx(2.0, rel=1e-15, abs=0)
         assert pot.evaluate(0.0) == 0.0
 
     def test_bps_potential_value_at_pi(self):
         pot = make_potential("bps-potential")
-        assert pot.evaluate(math.pi) == pytest.approx(math.pi / 2, rel=1e-15)
+        assert pot.evaluate(math.pi) == pytest.approx(math.pi / 2, rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("tag,alpha", [("old-baby-power", 1.0), ("old-baby-power", 2.5),
                                            ("skyrme-standard", None), ("bps-potential", None)])
@@ -54,7 +54,7 @@ class TestPotentials:
                                            ("skyrme-standard", None), ("bps-potential", None)])
     def test_vacuum_exponent_loglog_fit(self, tag, alpha):
         pot = make_potential(tag, alpha)
-        assert fit_vacuum_exponent(pot) == pytest.approx(pot.vacuum_exponent, rel=1e-3)
+        assert fit_vacuum_exponent(pot) == pytest.approx(pot.vacuum_exponent, rel=1e-3, abs=0)
 
     @pytest.mark.parametrize("tag,alpha", [("old-baby-power", 2.0), ("skyrme-standard", None),
                                            ("bps-potential", None)])
@@ -150,7 +150,7 @@ class TestMeasures:
         assert chart.unit_weight * chart.jacobian(math.pi / 2) == pytest.approx(2.0 / math.pi)
         # the average of fn weighs it with (2/pi) sin^2
         assert chart.average(np.cos) == pytest.approx(0.0, abs=1e-15)
-        assert chart.average(lambda xi: np.sin(xi) ** 2) == pytest.approx(0.75, rel=1e-14)
+        assert chart.average(lambda xi: np.sin(xi) ** 2) == pytest.approx(0.75, rel=1e-14, abs=0)
 
 
 class TestValidateParams:
@@ -277,4 +277,4 @@ class TestDual:
         # composed from K' and B0, the DBI form cancels like e^2 for large e
         law, mu2v = self.law(alpha_k), e * beta ** 2
         want = float(law.kinetic_slope(law.density(mu2v, beta), beta))
-        assert float(law.dual(mu2v, beta)) == pytest.approx(want, rel=1e-12)
+        assert float(law.dual(mu2v, beta)) == pytest.approx(want, rel=1e-12, abs=0)

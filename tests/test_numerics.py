@@ -31,7 +31,7 @@ class TestTanhSinh:
         # an integrable singularity at a nonzero end resolves to about sqrt(eps):
         # no node can sit closer to 1 than one ulp
         got = tanh_sinh(lambda x: 1.0 / np.sqrt((1.0 - x) * (1.0 + x)), -1.0, 1.0)
-        assert got == pytest.approx(math.pi, rel=1e-7)
+        assert got == pytest.approx(math.pi, rel=1e-7, abs=0)
 
     @pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.0, math.pi), (7e-81, 1.0), (0.5, 1.0),
                                      (-3.0, -2.0)])
@@ -41,13 +41,13 @@ class TestTanhSinh:
         def f(x):
             seen.append(np.asarray(x).copy())
             return np.ones_like(x)
-        assert tanh_sinh(f, a, b) == pytest.approx(b - a, rel=1e-15)
+        assert tanh_sinh(f, a, b) == pytest.approx(b - a, rel=1e-15, abs=0)
         x = np.concatenate(seen)
         assert len(seen) == 1
         assert np.all((x > a) & (x < b))
 
     def test_nodes_hug_zero_without_cancellation(self):
-        lo, hi, w = _ts_nodes(6)
+        lo, hi, w = _ts_nodes()
         assert lo[0] < 1e-270 and hi[-1] < 1e-270
         assert np.all(lo > 0) and np.all(hi > 0)
         # the two distances are mirror images and sum to one
@@ -56,7 +56,7 @@ class TestTanhSinh:
         assert w.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_nodes_are_cached(self):
-        assert _ts_nodes(6)[0] is _ts_nodes(6)[0]
+        assert _ts_nodes()[0] is _ts_nodes()[0]
 
     def test_empty_interval(self):
         assert tanh_sinh(np.exp, 1.0, 1.0) == 0.0

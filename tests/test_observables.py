@@ -56,11 +56,12 @@ class TestBabyEnergy:
         assert e_quad == pytest.approx(oracle_energy(p, "old:1"), rel=1e-14, abs=0)
 
     def test_linear_in_charge(self):
-        assert baby_energy_closed(baby(charge=5)) == pytest.approx(5 * BABY_E_UNIT, rel=1e-12)
+        assert baby_energy_closed(baby(charge=5)) == pytest.approx(5 * BABY_E_UNIT, rel=1e-12,
+                                                                   abs=0)
 
     def test_small_mu_closed_form(self):
         p = baby(mu=1e-3)
-        assert baby_energy_closed(p) == pytest.approx(2.0 / 3.0 * 1e-3, rel=0.01)
+        assert baby_energy_closed(p) == pytest.approx(2.0 / 3.0 * 1e-3, rel=0.01, abs=0)
 
     def test_mu_zero_rejected(self):
         with pytest.raises(DbisolError):
@@ -101,11 +102,11 @@ class TestSkyrmeEnergies:
 
     def test_standard_doubles_with_charge(self):
         assert skyrme_standard_energy_closed(skyrme(charge=2)) == pytest.approx(
-            2 * skyrme_standard_energy_closed(skyrme()), rel=1e-14)
+            2 * skyrme_standard_energy_closed(skyrme()), rel=1e-14, abs=0)
 
     def test_bps_triples_with_charge(self):
         assert skyrme_bps_energy_closed(skyrme(charge=3)) == pytest.approx(
-            3 * skyrme_bps_energy_closed(skyrme()), rel=1e-14)
+            3 * skyrme_bps_energy_closed(skyrme()), rel=1e-14, abs=0)
 
 
 class TestCharge:
@@ -144,7 +145,7 @@ class TestCharge:
                                count=300, extent=0.5 * z0)
         lo, hi = prof.field_range()
         want = mp.quad(lambda x: 2 / mp.pi * mp.sin(x) ** 2, [lo, hi])
-        assert charge_quadrature(prof, p) == pytest.approx(float(want), rel=1e-14)
+        assert charge_quadrature(prof, p) == pytest.approx(float(want), rel=1e-14, abs=0)
 
     def test_compacton_field_range_reaches_the_vacuum(self):
         # regression: the lower end was the last interior sample (about 7e-81),
@@ -199,7 +200,7 @@ class TestAverages:
     def test_power_family_oracle(self):
         p = baby(kinetic_law=KineticLaw.power(1.0))
         got = power_family_energy_per_charge(p, OLD)
-        assert got == pytest.approx(4.0 / 3.0, rel=1e-12)
+        assert got == pytest.approx(4.0 / 3.0, rel=1e-12, abs=0)
         # dual route: quadrature over the solved power-family compacton
         prof = solve_profile(p, OLD)
         per = energy_quadrature(prof, p, OLD) / abs(p.charge)
@@ -207,7 +208,7 @@ class TestAverages:
 
     def test_power_family_scales_with_mu(self):
         p = baby(mu=2.0, kinetic_law=KineticLaw.power(1.0))
-        assert power_family_energy_per_charge(p, OLD) == pytest.approx(8.0 / 3.0, rel=1e-12)
+        assert power_family_energy_per_charge(p, OLD) == pytest.approx(8.0 / 3.0, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("law", [KineticLaw.dbi(), KineticLaw.power(0.75),
                                      KineticLaw.power(2.0)], ids=["dbi", "ak0.75", "ak2"])
@@ -238,40 +239,41 @@ class TestLinearity:
 
 class TestSweeps:
     def test_small_mu_slope(self):
-        res = small_mu_sweep(baby(), [1e-2, 1e-3, 1e-4])
-        assert res.slope == pytest.approx(2.0 / 3.0, rel=0.01)
+        res = small_mu_sweep(baby(), [1e-2, 1e-3, 1e-4], OLD)
+        assert res.slope == pytest.approx(2.0 / 3.0, rel=0.01, abs=0)
 
     def test_small_mu_slope_charge_four(self):
-        res = small_mu_sweep(baby(charge=4), [1e-2, 1e-3, 1e-4])
-        assert res.slope == pytest.approx(8.0 / 3.0, rel=0.01)
+        res = small_mu_sweep(baby(charge=4), [1e-2, 1e-3, 1e-4], OLD)
+        assert res.slope == pytest.approx(8.0 / 3.0, rel=0.01, abs=0)
 
     def test_small_mu_needs_three_points(self):
         with pytest.raises(DbisolError):
-            small_mu_sweep(baby(), [0.5])
+            small_mu_sweep(baby(), [0.5], OLD)
 
     def test_large_beta_exponent(self):
-        res = large_beta_sweep(baby(), [10.0, 100.0, 1000.0])
+        res = large_beta_sweep(baby(), [10.0, 100.0, 1000.0], OLD)
         assert res.exponent == pytest.approx(-2.0, abs=0.1)
 
     def test_large_beta_distance_ratio(self):
-        res = large_beta_sweep(baby(), [10.0, 100.0, 1000.0])
+        res = large_beta_sweep(baby(), [10.0, 100.0, 1000.0], OLD)
         ratio = res.distances[0] / res.distances[1]
         assert 80.0 < ratio < 125.0
 
     def test_large_beta_rejects_the_power_law(self):
         # the power law has no beta: every distance would be the same
         with pytest.raises(DbisolError, match="power law has no beta"):
-            large_beta_sweep(baby(kinetic_law=KineticLaw.power(2.0)), [10.0, 20.0, 40.0])
+            large_beta_sweep(baby(kinetic_law=KineticLaw.power(2.0)), [10.0, 20.0, 40.0],
+                             OLD)
 
     def test_large_beta_needs_three_points(self):
         with pytest.raises(DbisolError):
-            large_beta_sweep(baby(), [10.0, 100.0])
+            large_beta_sweep(baby(), [10.0, 100.0], OLD)
 
     @pytest.mark.parametrize("sweep,values", [(small_mu_sweep, [1e-2, 1e-3, 1e-4]),
                                               (large_beta_sweep, [10.0, 100.0, 1000.0])])
-    def test_default_potential_is_planar(self, sweep, values):
+    def test_planar_potential_is_refused_in_3d(self, sweep, values):
         with pytest.raises(SectorMismatchError, match="does not match sector skyrme"):
-            sweep(skyrme(), values)
+            sweep(skyrme(), values, OLD)
 
     def test_limiting_slope_value(self):
         # dh/dx -> -(2 sqrt2 pi / |n|) mu sqrt(2 V) on the planar chart
@@ -331,7 +333,7 @@ class TestEnergyEqualsChargeTimesAverage:
     def test_dbi(self, sector, pot, beta, mu, n):
         p = ModelParams(beta, mu, n, sector)
         assert bps_energy_integral(p, pot) == pytest.approx(
-            abs(n) * energy_per_charge_average(p, pot), rel=1e-12)
+            abs(n) * energy_per_charge_average(p, pot), rel=1e-12, abs=0)
 
     @PROPERTY
     @given(beta=COUPLINGS, mu=COUPLINGS, n=CHARGES,
@@ -341,7 +343,7 @@ class TestEnergyEqualsChargeTimesAverage:
         p = baby(beta=beta, mu=mu, charge=n, kinetic_law=KineticLaw.power(alpha))
         pot = make_potential("old-baby-power", a)
         assert bps_energy_integral(p, pot) == pytest.approx(
-            abs(n) * power_family_energy_per_charge(p, pot), rel=1e-12)
+            abs(n) * power_family_energy_per_charge(p, pot), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("sector,pot", BUILT_IN,
                              ids=[f"{s.value}-{p.tag}-{p.vacuum_exponent}" for s, p in BUILT_IN])
@@ -351,7 +353,7 @@ class TestEnergyEqualsChargeTimesAverage:
         law = KineticLaw.dbi() if alpha_k is None else KineticLaw.power(alpha_k)
         p = ModelParams(beta, mu, n, sector, law)
         assert energy_per_charge_average(p, pot) == pytest.approx(
-            bps_energy_integral(p, pot) / abs(n), rel=1e-12)
+            bps_energy_integral(p, pot) / abs(n), rel=1e-12, abs=0)
 
 
 class TestBabyClosedFormAgainstMpmath:
@@ -410,7 +412,7 @@ class TestStandardClosedFormAgainstMpmath:
         want = self.mp_closed(beta, mu, 1)
         assert abs(skyrme_standard_energy_closed(p) - want) <= 1e-12 * want
         assert skyrme_standard_energy_closed(p) == pytest.approx(
-            mp_energy("skyrme", "standard", beta, mu, 1), rel=1e-12)
+            mp_energy("skyrme", "standard", beta, mu, 1), rel=1e-12, abs=0)
 
 
 def mp_energy(sector, potential, beta, mu, n, alpha_k=None):
@@ -457,5 +459,5 @@ def test_edge_configurations_match_mpmath(sector, potential, beta, mu, n, alpha_
     p, pot = cfg.model(), cfg.make_potential()
     want = mp_energy(sector, potential, beta, mu, n, alpha_k)
     per = energy_per_charge_average if alpha_k is None else power_family_energy_per_charge
-    assert bps_energy_integral(p, pot) == pytest.approx(want, rel=1e-12)
-    assert abs(n) * per(p, pot) == pytest.approx(want, rel=1e-12)
+    assert bps_energy_integral(p, pot) == pytest.approx(want, rel=1e-12, abs=0)
+    assert abs(n) * per(p, pot) == pytest.approx(want, rel=1e-12, abs=0)

@@ -98,7 +98,7 @@ class TestExactSkyrmeStandard:
             z0 = skyrme_standard_radius(sigma)
             dz = 1e-3 * z0
             xi = skyrme_standard_exact(z0 - dz, sigma)
-            assert xi / math.sqrt(2 * dz) == pytest.approx(sigma ** -0.25, rel=0.01)
+            assert xi / math.sqrt(2 * dz) == pytest.approx(sigma ** -0.25, rel=0.01, abs=0)
 
     def test_core_asymptote(self):
         # xi ~ pi - core * z^(1/3) near the origin
@@ -107,7 +107,7 @@ class TestExactSkyrmeStandard:
             z = 1e-3 * z0
             xi = skyrme_standard_exact(z, sigma)
             core = endpoint_asymptotics(sigma)[1]
-            assert (math.pi - xi) / z ** (1 / 3) == pytest.approx(core, rel=0.01)
+            assert (math.pi - xi) / z ** (1 / 3) == pytest.approx(core, rel=0.01, abs=0)
 
 
 class TestExactSkyrmeBps:
@@ -142,7 +142,7 @@ class TestAngularAndCoordinates:
         g = angular_profile(theta)
         gp = (angular_profile(theta + d) - angular_profile(theta - d)) / (2 * d)
         bracket = g * gp / ((1 + g * g) ** 2 * math.sin(theta))
-        assert bracket == pytest.approx(0.25, rel=1e-8)
+        assert bracket == pytest.approx(0.25, rel=1e-8, abs=0)
 
     def test_angular_pole(self):
         with pytest.raises(DbisolError):
@@ -170,7 +170,7 @@ class TestSolveBaby:
     def test_radius_scales_with_charge(self):
         r1 = solve_profile(baby(), OLD).compacton_radius
         r2 = solve_profile(baby(charge=2), OLD).compacton_radius
-        assert r2 == pytest.approx(2 * r1, rel=1e-10)
+        assert r2 == pytest.approx(2 * r1, rel=1e-10, abs=0)
 
     def test_mu_zero_raises(self):
         with pytest.raises(NoSolitonError):
@@ -208,7 +208,7 @@ class TestSolveBaby:
         prof = solve_profile(baby(beta=beta, mu=mu, kinetic_law=law),
                              make_potential("old-baby-power", float(tag[4:])))
         oracle = Soliton("baby", tag, beta, mu, 1, alpha_k)
-        assert prof.compacton_radius == pytest.approx(float(oracle.radius()), rel=1e-13)
+        assert prof.compacton_radius == pytest.approx(float(oracle.radius()), rel=1e-13, abs=0)
 
     def test_padding_and_grid(self):
         grid = GridSpec(count=500)
@@ -266,8 +266,9 @@ class TestSolveSkyrme:
         assert tail_fit(prof) is classify_localization(pot.vacuum_exponent, Sector.SKYRME3D,
                                                        p.kinetic_law)
         oracle = Soliton("skyrme", tag, 1.0, 1.0, 2, alpha_k)
-        assert prof.compacton_radius == pytest.approx(float(oracle.radius()), rel=1e-12)
-        assert energy_quadrature(prof, p, pot) == pytest.approx(float(oracle.energy()), rel=1e-12)
+        assert prof.compacton_radius == pytest.approx(float(oracle.radius()), rel=1e-12, abs=0)
+        assert energy_quadrature(prof, p, pot) == pytest.approx(float(oracle.energy()),
+                                                                rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("alpha_k", [None, 0.75])
     def test_bps_radius_to_rounding(self, alpha_k):
@@ -431,7 +432,7 @@ class TestSolvedProfileShape:
             assert np.all(prof.field[past] == 0.0)
             assert np.all(prof.field[~past] > 0.0)
         else:
-            assert prof.field[-1] == pytest.approx(FIELD_FLOOR, rel=1e-15)
+            assert prof.field[-1] == pytest.approx(FIELD_FLOOR, rel=1e-15, abs=0)
 
 
 class TestValidateInvariants:
@@ -505,7 +506,7 @@ class TestNearThresholds:
     def test_solves(self, model, pot):
         prof = solve_profile(model, pot)
         prof.validate_invariants()
-        assert charge_quadrature(prof, model) == pytest.approx(2.0, rel=1e-12)
+        assert charge_quadrature(prof, model) == pytest.approx(2.0, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("sector,tag,alpha_k", [
         ("baby", "old:1.99", None), ("baby", "old:1.95", None),
@@ -523,7 +524,7 @@ class TestNearThresholds:
         prof = solve_profile(model, pot)
         prof.validate_invariants()
         oracle = Soliton(sector, tag, 1.0, 1.0, 1, alpha_k)
-        assert prof.compacton_radius == pytest.approx(float(oracle.radius()), rel=1e-13)
+        assert prof.compacton_radius == pytest.approx(float(oracle.radius()), rel=1e-13, abs=0)
         report = compute_energy_report(prof, model, pot)
         assert report.rel_discrepancy_avg <= 1e-9
         assert classify_localization(a, model.sector, law) is LocalizationClass.COMPACTON

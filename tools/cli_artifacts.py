@@ -1,6 +1,6 @@
 """Fingerprint the artifacts of a fixed set of `dbisol` runs.
 
-Runs 45 CLI configurations (solve, verify, bound, sweep and classify across
+Runs 49 CLI configurations (solve, verify, bound, sweep and classify across
 both sectors and every potential family; solve also next to the planar and
 the 3-D localization thresholds; bound also at the largest order and
 at large beta, where its exact ray proof is hardest and its powers of beta
@@ -47,6 +47,7 @@ RUNS = (
     ("solve-skyrme-power7", "solve --sector skyrme --potential power:7"),
     ("solve-baby-power2.5", "solve --potential power:2.5"),
     ("solve-skyrme-power2.5", "solve --sector skyrme --potential power:2.5"),
+    ("solve-baby-power1", "solve --potential power:1"),
     ("solve-old1-ak2", "solve --potential old:1 --alpha-k 2"),
     ("solve-old2-ak2", "solve --potential old:2 --alpha-k 2"),
     ("solve-old1-ak0.75", "solve --potential old:1 --alpha-k 0.75"),
@@ -73,6 +74,10 @@ RUNS = (
     ("sweep-mu", "sweep --axis mu --values 0.1,0.05,0.02"),
     ("sweep-beta", "sweep --axis beta --values 10,100,1000"),
     ("sweep-beta-m0.5-n2", "sweep --axis beta --values 10,100,1000 --mu 0.5 --n 2"),
+    ("sweep-standard-mu",
+     "sweep --sector skyrme --potential standard --axis mu --values 0.1,0.05,0.02"),
+    ("sweep-bps-beta", "sweep --sector skyrme --potential bps --axis beta --values 10,100,1000"),
+    ("sweep-old3-beta", "sweep --potential old:3 --axis beta --values 10,100,1000"),
     ("classify-old1", "classify --potential old:1"),
     ("classify-old2", "classify --potential old:2"),
     ("classify-standard", "classify --sector skyrme --potential standard"),
