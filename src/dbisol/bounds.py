@@ -261,8 +261,10 @@ def optimize_bound(order: int, beta: float = 1.0, *,
     """
     if not 2 <= order <= MAX_ORDER:
         raise DbisolError(f"supported truncation orders are 2..{MAX_ORDER}")
-    if not 0.0 < beta < math.inf:
-        raise DbisolError(f"beta must be positive and finite, got {beta}")
+    # the slack's beta^2 and y = s / beta^2 need a positive finite square
+    if not (beta > 0.0 and 0.0 < beta * beta < math.inf):
+        raise DbisolError(f"beta must be positive and finite, got {beta}, with beta^2 "
+                          f"{beta * beta:g}")
     x = _lagrange_root(order)
     k = np.arange(1, order + 1)
     terms = _coeff_floats(order) * x ** k
@@ -528,12 +530,16 @@ def certify(cert: BoundCertificate, sample_count: int, *, seed: int = 0) -> Boun
                    proof=prove_ray(cert.order, cert.constant))
 
 
-def sharpness_location(cert: BoundCertificate) -> tuple[float, float]:
-    """(s*, value) of the minimal pointwise ratio on the equal-eigenvalue ray.
+def sharpness(cert: BoundCertificate) -> float:
+    """Minimal pointwise ratio on the equal-eigenvalue ray; equals C/beta.
 
     On the ray s = 3 t^2 the ratio of the truncated density to t^3 is
     (3^(3/2)/beta) sum_k c_k y^k / y^(3/2) in the slack's scaled variable
-    y = s/beta^2, summed by the same `_series`.
+    y = s/beta^2, summed by the same `_series`.  Every inequality in the chain
+    is tight on this ray at the minimizer, so this is the optimized constant
+    again.  It minimizes the same ray function whose stationarity condition
+    gives the closed-form weights, so it checks the arithmetic, not the bound;
+    the exact ray proof (`prove_ray`) does that.
     """
     c = _coeff_floats(cert.order)
 
@@ -541,19 +547,8 @@ def sharpness_location(cert: BoundCertificate) -> tuple[float, float]:
         y = math.exp(u)
         return -float(_series(c, y)) / y ** 1.5
 
-    u_star, val = golden_max(neg_ratio, math.log(1e-4), math.log(1e4))
-    return cert.beta ** 2 * math.exp(u_star), float(-3.0 ** 1.5 * val / cert.beta)
-
-
-def sharpness(cert: BoundCertificate) -> float:
-    """Minimal pointwise ratio on the equal-eigenvalue ray; equals C/beta.
-
-    Every inequality in the chain is tight on this ray at the minimizer, so
-    this is the optimized constant again.  It minimizes the same ray function
-    whose stationarity condition gives the closed-form weights, so it checks
-    the arithmetic, not the bound; the exact ray proof (`prove_ray`) does that.
-    """
-    return sharpness_location(cert)[1]
+    return float(-3.0 ** 1.5 * golden_max(neg_ratio, math.log(1e-4), math.log(1e4))[1]
+                 / cert.beta)
 
 
 def bound_energy(cert: BoundCertificate, charge: int) -> float:

@@ -4,9 +4,9 @@ The static energy density K(B0) + mu^2 V depends on the field only through
 the charge density B0 and the potential, so the second-order equations
 integrate once to the first-order law B0 K'(B0) - K(B0) = mu^2 V, an
 algebraic relation B0 = W(field).  The kinetic law (`model.KineticLaw`)
-solves it in closed form, as a function of mu^2 V alone
-(`KineticLaw.density`), so a caller that needs V anyway evaluates it once.
-This module gives the static density K(B0) + mu^2 V, and checks a profile
+solves it in closed form, in units of U_B as a function of V and
+sigma = beta^2 / mu^2 alone (`KineticLaw.density`), so a caller that needs V
+anyway evaluates it once.  This module checks a profile
 against the one Euler-Lagrange equation of every chart and law by a
 finite-difference residual, kept a margin of whole samples away from the
 support edges.
@@ -19,14 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DbisolError
-from .model import ModelParams
 
-__all__ = ["EomResidualReport", "static_density", "eom_residual"]
-
-
-def static_density(params: ModelParams, b0, v):
-    """Static energy density K(B0) + mu^2 V at charge density B0 and potential value V."""
-    return params.kinetic_law.kinetic(b0, params.beta) + params.mu ** 2 * v
+__all__ = ["EomResidualReport", "eom_residual"]
 
 
 # 100 interior samples plus the two at each end that lack a full stencil
@@ -48,10 +42,11 @@ class EomResidualReport:
 def eom_residual(profile, *, margin: int = 5) -> EomResidualReport:
     """Central-difference residual of the second-order (Euler-Lagrange) equation.
 
-    With B0 = -J f' / s, the chart's Jacobian J and slope scale s, the energy
-    density K(B0) + mu^2 V(f) has the one equation of every chart and law
+    With b = -J df/dX in the unit-free X = x / length_unit, J the chart's
+    Jacobian, the energy density K(B0) + mu^2 V(f) has the one equation of
+    every chart and law, in units of mu^2:
 
-        R = -(J / s) d/dx K'(B0) - mu^2 V'(f) = 0.
+        R = -J d/dX (K'(B0) / U_P) - V'(f) = 0.
 
     Evaluated on interior samples only: full stencils, inside the support of
     the field (above 1e-12), and at least margin samples away from any
@@ -73,16 +68,15 @@ def eom_residual(profile, *, margin: int = 5) -> EomResidualReport:
         raise DbisolError("profile grid is not uniform")
 
     chart = profile.sector.chart
-    scale = chart.slope_scale(params)
+    step = delta / chart.length_unit(params)
     inner = f[2:-2]
     R = np.full_like(f, np.nan)
     with np.errstate(invalid="ignore", divide="ignore"):
-        b0 = -chart.jacobian(f[1:-1]) * (f[2:] - f[:-2]) / (2.0 * delta * scale)
-        flux = params.kinetic_law.kinetic_slope(b0, params.beta)
+        b = -chart.jacobian(f[1:-1]) * (f[2:] - f[:-2]) / (2.0 * step)
+        flux = params.kinetic_law.kinetic_slope(b, params.sigma)
         # V' may diverge at the vacuum padding, which the support mask drops
         dV = np.asarray(profile.potential.derivative(inner), dtype=float)
-        R[2:-2] = -chart.jacobian(inner) / scale * (flux[2:] - flux[:-2]) / (2.0 * delta) \
-            - params.mu ** 2 * dV
+        R[2:-2] = -chart.jacobian(inner) * (flux[2:] - flux[:-2]) / (2.0 * step) - dV
 
     support = f > 1e-12
     # distance to the nearest support edge, counting domain endpoints

@@ -24,8 +24,7 @@ from .bounds import certify, compare_reference, optimize_bound, sharpness
 from .bps import EOM_MIN_SAMPLES, eom_residual
 from .errors import DbisolError, NoSolitonError, OptimizerError
 from .model import KineticLaw, ModelParams, Sector, make_potential
-from .observables import (bps_energy_integral, compute_energy_report,
-                          large_beta_sweep, small_mu_sweep)
+from .observables import compute_energy_report, large_beta_sweep, small_mu_sweep
 from .profiles import (GridSpec, _csv_rows, _require_potential_term, baby_old_exact,
                        baby_old_radius, classify_localization, profile_on_grid,
                        skyrme_standard_exact, skyrme_standard_radius, solve_profile, tail_fit,
@@ -223,36 +222,27 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
 
     # built in either sector, so that an unknown potential exits 1 as in solve
     pot = cfg.make_potential()
+    model = cfg.model()
     if cfg.sector == "baby":
-        model = cfg.model()
         add_energy_checks(model, pot, n=model.charge)
-        checks.append(_linearity_check(model, pot))
         checks.append(_eom_check(model, make_potential("old-baby-power", 1.0),
                                  baby_old_radius(model), lambda x: baby_old_exact(x, model),
                                  1.0, 1e-1 / (8.0 * math.pi ** 2), cfg.inject_perturbation))
     else:
-        # the checks below run at mu = 1 and take sigma = beta^2 / mu^2 from the config
-        _require_potential_term(cfg.model())
-        for sigma in (0.25, 1.0, 4.0):
-            model = replace(cfg.model(), beta=math.sqrt(sigma), mu=1.0)
+        # energy checks at mu = 1 and three sigma, one under the power law (no shape)
+        _require_potential_term(model)
+        if not 0.0 < model.sigma < math.inf:
+            raise DbisolError("sigma = beta^2 / mu^2 leaves the double range")
+        for sigma in (0.25, 1.0, 4.0) if model.kinetic_law.mu_exponent is None else (1.0,):
             for tag in ("standard", "bps"):
-                add_energy_checks(model, replace(cfg, potential=tag).make_potential(),
+                add_energy_checks(replace(model, beta=math.sqrt(sigma), mu=1.0),
+                                  replace(cfg, potential=tag).make_potential(),
                                   f"[{tag},sigma={sigma}]")
-        model = replace(cfg.model(), beta=math.sqrt(cfg.beta ** 2 / cfg.mu ** 2), mu=1.0)
-        pot = make_potential("skyrme-standard")
-        sigma = model.sigma
-        checks.append(_linearity_check(model, pot))
-        checks.append(_eom_check(model, pot, skyrme_standard_radius(sigma),
-                                 lambda z: skyrme_standard_exact(z, sigma),
+        checks.append(_eom_check(model, make_potential("skyrme-standard"),
+                                 skyrme_standard_radius(model.sigma),
+                                 lambda z: skyrme_standard_exact(z, model.sigma),
                                  math.pi, 10.0, cfg.inject_perturbation))
     return checks
-
-
-def _linearity_check(model: ModelParams, pot) -> dict:
-    """Energy per unit charge over n = 1..5 is constant to 1e-8."""
-    per = [bps_energy_integral(replace(model, charge=n), pot) / n for n in range(1, 6)]
-    spread = (max(per) - min(per)) / per[0]
-    return {"name": "linearity", "passed": bool(spread <= 1e-8), "per_charge_spread": spread}
 
 
 def _eom_check(model: ModelParams, pot, radius: float, exact, field_max: float,
@@ -326,7 +316,8 @@ def cmd_bound(cfg: RunConfig) -> int:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    """Fit the small-mu slope or the large-beta decay exponent of the configured model.
+    """Fit the small-mu slope (under the power law, the exponent of mu) or the
+    large-beta decay exponent of the configured model.
 
     The sweep runs the configured sector, potential and law; a potential of
     the other sector's chart exits 1 with the line solve prints, and so does
@@ -341,8 +332,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
         for mu, e in zip(res.mus, res.energies):
             rows.append((mu, e, e))
         fit = {"axis": "mu", "values": list(res.mus), "energies": list(res.energies),
-               "slope": res.slope, "seed": cfg.seed, "config": cfg.to_dict()}
-        print(f"fitted slope = {_fmt(res.slope)}")
+               "seed": cfg.seed, "config": cfg.to_dict()}
+        if res.slope is None:
+            law = model.kinetic_law.mu_exponent
+            fit.update(exponent=res.exponent, law_exponent=law)
+            print(f"fitted exponent = {_fmt(res.exponent)} (law: {_fmt(law)})")
+        else:
+            fit["slope"] = res.slope
+            print(f"fitted slope = {_fmt(res.slope)}")
     elif cfg.axis == "beta":
         res = large_beta_sweep(model, values, pot)
         for b, e, d in zip(res.betas, res.energies, res.distances):
@@ -450,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     except OptimizerError as exc:
         print(f"optimizer failure: {exc}", file=sys.stderr)
         return 4
-    except (DbisolError, OSError, ValueError) as exc:
+    except (DbisolError, OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,15 +3,15 @@
 Two sectors are supported.  The planar one works on the chart h in [0, 1]
 with the vacuum at h = 0, the three-dimensional one on xi in [0, pi] with the
 vacuum at xi = 0; every potential has its vacuum at 0.  Each sector's `Chart`
-(`Sector.chart`) holds every fact that tells the two apart, the unit-mass
-target average (`Chart.average`) among them, and the solvers read it in
-place of branching on the sector.  Likewise the `KineticLaw` holds every
-fact that tells the DBI square root from the pure power: K(B0), K'(B0), the
-first-order law, P = K'(B0) on that law, the margin of the power with
-which B0 vanishes at the vacuum below a threshold, and the large-beta
-limit, which is a model of its own: the BPS Skyrme term K = B0^2, the power
-law at alpha_k = 1.  Every chart takes both laws.  All quantities are
-dimensionless.
+(`Sector.chart`) holds every fact that tells the two apart, its length and
+energy units and the unit-mass target average (`Chart.average`) among them,
+and the solvers read it in place of branching on the sector.  Likewise the
+`KineticLaw` holds every fact that tells the DBI square root from the pure
+power, each in the couplings' own scale: sigma = beta^2 / mu^2 is the only
+shape parameter of the DBI law and the power law has none, so every solver
+works on a unit-free problem that the units turn into physical coordinates
+and energies.  The large-beta limit, the BPS Skyrme model, is sigma = inf.
+Every chart takes both laws.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -56,9 +56,9 @@ class KineticLaw:
 
     Square-root (DBI) when alpha_k is None, K = beta^2 (1 - sqrt(1 - B0^2 / (2 beta^2))),
     else the pure power K = (B0^2)^alpha_k.  Each fact that tells the two apart
-    lives here: K, its derivative K', the first-order law B0 K' - K = mu^2 V
-    solved for B0, P = K'(B0) on that law, the threshold margin of the power
-    with which B0 vanishes at the vacuum, and the large-beta limit model.
+    lives here, in units (U_B, U_P) with U_B U_P = mu^2: B0 = U_B b,
+    P = K'(B0) = U_P p and K = mu^2 k, where b, p, k and K' / U_P depend on the
+    couplings only through sigma (DBI) and not at all under the power law.
     """
 
     alpha_k: float | None = None
@@ -82,62 +82,76 @@ class KineticLaw:
     def is_dbi(self) -> bool:
         return self.alpha_k is None
 
-    def kinetic(self, b0, beta: float) -> np.ndarray:
-        """K(B0)."""
-        b0 = np.asarray(b0, dtype=float)
-        if self.is_dbi:
-            r = b0 * b0 / (2.0 * beta ** 2)
-            return beta ** 2 * r / (1.0 + np.sqrt(np.maximum(1.0 - r, 0.0)))
-        return np.power(b0 * b0, self.alpha_k)
+    @property
+    def mu_exponent(self) -> float | None:
+        """2 - 1/alpha_k, the power of mu in every energy of the power law, which has no
+        shape parameter; None under the DBI law, whose shape sigma moves with mu."""
+        return None if self.is_dbi else 2.0 - 1.0 / self.alpha_k
 
-    def kinetic_slope(self, b0, beta: float) -> np.ndarray:
-        """K'(B0); under the DBI law 1 - B0^2 / (2 beta^2) is clamped at 1e-300."""
-        b0 = np.asarray(b0, dtype=float)
-        if self.is_dbi:
-            return b0 / (2.0 * np.sqrt(np.maximum(1.0 - b0 * b0 / (2.0 * beta ** 2), 1e-300)))
-        return 2.0 * self.alpha_k * np.sign(b0) * np.power(np.abs(b0), 2.0 * self.alpha_k - 1.0)
+    def units(self, beta: float, mu: float, sigma: float) -> tuple[float, float]:
+        """(U_B, U_P), formed without beta^2 or mu^2; past the double range, inf or 0.
 
-    def density(self, mu2v, beta: float) -> np.ndarray:
-        """B0 >= 0 on the first-order law B0 K'(B0) - K(B0) = mu^2 V, at mu^2 V >= 0.
-
-        DBI: sqrt(2) beta sqrt(1 - (1 + e)^-2) with e = mu^2 V / beta^2, written
-        sqrt(e (2 + e)) / (1 + e) so it stays exact for tiny e; monotone in V and
-        bounded by sqrt(2) beta.  Power: (mu^2 V / (2 alpha_k - 1))^(1 / (2 alpha_k)).
+        DBI: (mu, mu) for sigma >= 1, else (sqrt2 beta, mu (mu / beta) / sqrt2), so
+        that b is of order one at every sigma.  Power: (mu^(1/alpha_k), mu^(2 - 1/alpha_k)).
         """
-        x = np.asarray(mu2v, dtype=float)
-        if np.any(x < 0):
-            raise DbisolError("potential value must be non-negative")
         if self.is_dbi:
-            e = x / beta ** 2
-            return math.sqrt(2.0) * beta * (np.sqrt(e * (2.0 + e)) / (1.0 + e))
-        return np.power(x / (2.0 * self.alpha_k - 1.0), 1.0 / (2.0 * self.alpha_k))
+            r2 = math.sqrt(2.0)
+            return (mu, mu) if sigma >= 1.0 else (r2 * beta, mu * (mu / beta) / r2)
+        with np.errstate(over="ignore"):
+            b_unit, p_unit = np.power(mu, [1.0 / self.alpha_k, self.mu_exponent]).tolist()
+        # an underflowed U_B stays positive, so that a length unit past the range is inf
+        return max(b_unit, math.ulp(0.0)), p_unit
 
-    def dual(self, mu2v, beta: float) -> np.ndarray:
-        """P = K'(B0) on the first-order law, at mu^2 V >= 0.
+    def kinetic(self, b, sigma: float) -> np.ndarray:
+        """k = K(B0) / mu^2 at b = B0 / U_B; DBI in nu = U_B / mu, kappa = U_B / (sqrt2 beta)."""
+        b = np.asarray(b, dtype=float)
+        if self.is_dbi:
+            nu2, kappa2 = (1.0, 0.5 / sigma) if sigma >= 1.0 else (2.0 * sigma, 1.0)
+            return 0.5 * nu2 * b * b / (1.0 + np.sqrt(np.maximum(1.0 - kappa2 * b * b, 0.0)))
+        return np.power(b * b, self.alpha_k)
+
+    def kinetic_slope(self, b, sigma: float) -> np.ndarray:
+        """K'(B0) / U_P at b = B0 / U_B; DBI 1 - B0^2 / (2 beta^2) is clamped at 1e-300."""
+        b = np.asarray(b, dtype=float)
+        if self.is_dbi:
+            nu2, kappa2 = (1.0, 0.5 / sigma) if sigma >= 1.0 else (2.0 * sigma, 1.0)
+            return nu2 * b / (2.0 * np.sqrt(np.maximum(1.0 - kappa2 * b * b, 1e-300)))
+        return 2.0 * self.alpha_k * np.sign(b) * np.power(np.abs(b), 2.0 * self.alpha_k - 1.0)
+
+    def density(self, v, sigma: float) -> np.ndarray:
+        """b = B0 / U_B >= 0 on the first-order law B0 K'(B0) - K(B0) = mu^2 V, at V >= 0.
+
+        DBI, with t = sigma / (sigma + V) in (0, 1]: B0 = mu sqrt(2 V t (1 + t)) for
+        sigma >= 1 and sqrt2 beta sqrt((1 - t)(1 + t)) below, 1 - t = V / (sigma + V).
+        Neither subtracts; the first is exact as t -> 1, at sigma = inf too, where
+        B0 = 2 mu sqrt(V), the large-beta limit, and the second as t -> 0.
+        Power: (V / (2 alpha_k - 1))^(1 / (2 alpha_k)).
+        """
+        v = np.asarray(v, dtype=float)
+        if np.any(v < 0):
+            raise DbisolError("potential value must be non-negative")
+        if not self.is_dbi:
+            return np.power(v / (2.0 * self.alpha_k - 1.0), 1.0 / (2.0 * self.alpha_k))
+        if sigma >= 1.0:
+            t = 1.0 / (1.0 + v / sigma)
+            return np.sqrt(2.0 * v * t * (1.0 + t))
+        # 1 - t; a sigma that underflowed to 0 stays positive, so t = 0 wherever V > 0
+        q = v / (max(sigma, math.ulp(0.0)) + v)
+        return np.sqrt(q * (2.0 - q))
+
+    def dual(self, v, sigma: float) -> np.ndarray:
+        """p = P / U_P, P = K'(B0) on the first-order law, at V >= 0.
 
         On the law K + mu^2 V = B0 P, which makes the energy per charge a
-        target average of P.  Neither form subtracts: DBI (beta / sqrt2)
-        sqrt(e (2 + e)) with e = mu^2 V / beta^2, power
-        2 alpha_k (mu^2 V / (2 alpha_k - 1))^(1 - 1 / (2 alpha_k)).
+        target average of P.  DBI: P = B0 / (2 t), p = b (1 + V / sigma) / 2 for
+        sigma >= 1 and (sigma + V) b below; power:
+        2 alpha_k (V / (2 alpha_k - 1))^(1 - 1 / (2 alpha_k)).
         """
-        x = np.asarray(mu2v, dtype=float)
-        if self.is_dbi:
-            e = x / beta ** 2
-            return beta / math.sqrt(2.0) * np.sqrt(e * (2.0 + e))
-        a2 = 2.0 * self.alpha_k
-        return a2 * np.power(x / (a2 - 1.0), 1.0 - 1.0 / a2)
-
-    def large_beta_limit(self, model: ModelParams) -> ModelParams:
-        """The model's beta -> infinity limit: the BPS Skyrme model K = B0^2 at mu' = 2 mu.
-
-        As beta grows the DBI K tends to B0^2 / 4, whose law B0^2 / 4 = mu^2 V
-        is the law B0^2 = (2 mu)^2 V of K = B0^2, the power law at alpha_k = 1:
-        the two give the same B0 of V, so the same profiles, while the returned
-        model's energies are four times the limit's.  The power law has no beta.
-        """
+        v = np.asarray(v, dtype=float)
         if not self.is_dbi:
-            raise DbisolError("the large-beta limit is the DBI law's; the power law has no beta")
-        return replace(model, kinetic_law=KineticLaw.power(1.0), mu=2.0 * model.mu)
+            a2 = 2.0 * self.alpha_k
+            return a2 * np.power(v / (a2 - 1.0), 1.0 - 1.0 / a2)
+        return self.density(v, sigma) * (0.5 * (1.0 + v / sigma) if sigma >= 1.0 else sigma + v)
 
     def threshold_margin(self, vacuum_exponent: float, threshold: float) -> float:
         """threshold less twice the power, A/2 (DBI) or A/(2 alpha_k), with which B0 vanishes
@@ -194,8 +208,15 @@ class ModelParams:
 
     @property
     def sigma(self) -> float:
-        """beta^2 / mu^2, the single shape parameter of the 3-D profiles."""
-        return self.beta ** 2 / self.mu ** 2
+        """beta^2 / mu^2, the one shape parameter of the DBI law in either sector; inf
+        at mu = 0 and past the double range, where t = 1 to rounding."""
+        ratio = self.beta / self.mu if self.mu else math.inf
+        return ratio * ratio
+
+    @property
+    def units(self) -> tuple[float, float]:
+        """(U_B, U_P) of `KineticLaw.units` at these couplings."""
+        return self.kinetic_law.units(self.beta, self.mu, self.sigma)
 
 
 # numerically stable 1 - cos(xi) and (xi - cos xi sin xi)/2
@@ -235,6 +256,10 @@ class Chart:
     The field runs from the vacuum at 0 to anti_vacuum.  B0 vanishes at the
     vacuum like a power of the field; twice that power below threshold gives
     a compacton, at it an exponential tail, above it a power-law tail.
+
+    In X = x / length_unit the first-order profile has |J df/dX| = b and the
+    energy is energy_unit int J p df (`KineticLaw`); both units take (beta, mu,
+    n, law), and what the package returns is physical, scaled by them.
     """
 
     anti_vacuum: float
@@ -243,9 +268,8 @@ class Chart:
     slope_pole: bool         # the slope diverges at the anti-vacuum value
     jacobian: Callable       # volume element in the field; planar, the scalar 1.0
     volume: Callable         # primitive of jacobian
-    slope_scale: Callable    # params -> factor from B0 to |jacobian * slope|
-    prefactor: Callable      # params -> factor from kinetic + potential density
-                             # to the chart energy density
+    length_unit: Callable    # params -> coordinate per unit-free coordinate X
+    energy_unit: Callable    # params -> energy per unit-free energy
     radial: Callable         # (radius, params) -> coordinate of the reduced problem
 
     @functools.cached_property
@@ -270,29 +294,30 @@ class Chart:
 
 
 CHARTS = {
-    # h in [0, 1] in the chart x = r^2 / 2.  The inverse map int 1 / B0
+    # h in [0, 1] in the chart x = r^2 / 2, with |dh/dx| = 2 pi B0 / |n| and the
+    # energy density 2 pi (K + mu^2 V).  The inverse map int 1 / B0
     # converges at the vacuum exactly when B0 vanishes with a power below 1.
     Sector.BABY2D: Chart(
         anti_vacuum=1.0, threshold=2.0, average_factor=1.0, slope_pole=False,
         jacobian=lambda h: 1.0,
         volume=lambda h: h,
-        slope_scale=lambda p: 2.0 * math.pi / abs(p.charge),
-        prefactor=lambda p: 2.0 * math.pi,
+        length_unit=lambda p: abs(p.charge) / (2.0 * math.pi * p.units[0]),
+        energy_unit=lambda p: abs(p.charge) * p.units[1],
         radial=lambda r, p: 0.5 * r * r,
     ),
-    # xi in [0, pi] in the cubic radial chart z = 2 sqrt2 beta pi^2 r^3 / |n|.
-    # The inverse map int sin^2 / B0 converges at the vacuum exactly when B0
-    # vanishes with a power below 3, as for both built-in potentials.  On the
-    # law the chart energy is (prefactor / slope_scale) int J P = prefactor
-    # <P> / (slope_scale unit_weight), <P> the target average, so on every
-    # chart average_factor |n| slope_scale unit_weight = prefactor: the 1/3
-    # is that of the prefactor sqrt2 |n| / (3 pi beta).
+    # xi in [0, pi] in the cubic radial chart z = 2 sqrt2 beta pi^2 r^3 / |n|, with
+    # |sin^2 xi dxi/dz| = B0 / (sqrt2 beta) and the energy density
+    # sqrt2 |n| (K + mu^2 V) / (3 pi beta).  The inverse map int sin^2 / B0
+    # converges at the vacuum exactly when B0 vanishes with a power below 3,
+    # as for both built-in potentials.  The energy energy_unit int J p is
+    # energy_unit <p> / unit_weight, so on every chart
+    # average_factor |n| unit_weight U_P = energy_unit: the 1/3 is that of 2 / (3 pi).
     Sector.SKYRME3D: Chart(
         anti_vacuum=math.pi, threshold=6.0, average_factor=1.0 / 3.0, slope_pole=True,
         jacobian=_eta_deriv,
         volume=_eta,
-        slope_scale=lambda p: 1.0 / (math.sqrt(2.0) * p.beta),
-        prefactor=lambda p: math.sqrt(2.0) * abs(p.charge) / (3.0 * math.pi * p.beta),
+        length_unit=lambda p: math.sqrt(2.0) * (p.beta / p.units[0]),
+        energy_unit=lambda p: 2.0 * abs(p.charge) * p.units[1] / (3.0 * math.pi),
         radial=lambda r, p: 2.0 * math.sqrt(2.0) * p.beta * math.pi ** 2 / abs(p.charge) * r ** 3,
     ),
 }

@@ -10,9 +10,10 @@ precision.  The target-space average, one route for both kinetic laws,
 uses the same rule on P = K'(B0) from the law, and the charge of a
 first-order profile is in closed form.
 
-The large-beta sweep measures each profile's distance to the BPS Skyrme
-model of `KineticLaw.large_beta_limit`, K = B0^2 at twice mu, which the
-DBI model tends to as beta grows.
+Each works on the unit-free problem, a function of sigma = beta^2 / mu^2
+alone under the DBI law, and returns physical energies in the chart's
+energy unit.  The large-beta sweep measures each profile's distance to the
+model's profile at sigma = inf, the BPS Skyrme model the DBI model tends to.
 """
 
 from __future__ import annotations
@@ -24,12 +25,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .bps import static_density
 from .errors import DbisolError, NoSolitonError, SectorMismatchError
 from .model import ModelParams, PotentialSpec
 from .numerics import tanh_sinh
-from .profiles import (GridSpec, SolitonProfile, baby_old_radius, profile_field_at,
-                       skyrme_bps_radius, solve_profile)
+from .profiles import GridSpec, SolitonProfile, _in_range, _InverseMap, solve_profile
 
 __all__ = [
     "EnergyReport", "compute_energy_report",
@@ -49,23 +48,22 @@ def bps_energy_integral(model: ModelParams, potential: PotentialSpec,
                         field_range: tuple[float, float] | None = None) -> float:
     """Chart energy of the first-order profile by tanh-sinh quadrature.
 
-    Integrates the energy density against the inverse-map Jacobian over the
-    traversed field range.  At the vacuum the integrand vanishes like a power
-    of the field; where B0 underflows to zero it is taken as its limit 0.
+    Integrates (k + V) J / b, the unit-free (K + mu^2 V) / mu^2 against the
+    inverse-map Jacobian, over the traversed field range, in the chart's energy
+    unit.  At the vacuum the integrand vanishes like a power of the field;
+    where b underflows to zero it is taken as its limit 0.
     """
     chart = model.sector.chart_for(potential)
-    law = model.kinetic_law
+    law, sigma = model.kinetic_law, model.sigma
     lo, hi = field_range if field_range is not None else (0.0, chart.anti_vacuum)
-    scale = chart.slope_scale(model)
 
     def integrand(f):
         v = np.asarray(potential.evaluate(f), dtype=float)
-        b0 = law.density(model.mu ** 2 * v, model.beta)
-        dens = static_density(model, b0, v)
+        b = law.density(v, sigma)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(b0 > 0.0, dens * chart.jacobian(f) / (scale * b0), 0.0)
+            return np.where(b > 0.0, (law.kinetic(b, sigma) + v) * chart.jacobian(f) / b, 0.0)
 
-    return chart.prefactor(model) * tanh_sinh(integrand, lo, hi)
+    return chart.energy_unit(model) * tanh_sinh(integrand, lo, hi)
 
 
 def energy_quadrature(profile: SolitonProfile, model: ModelParams,
@@ -107,64 +105,66 @@ _STANDARD_SERIES = tuple((-1) ** m * 2.0 * (1.0 / ((2 * m + 1) * (2 * m + 3))
 
 
 def baby_energy_closed(params: ModelParams) -> float:
-    """Energy of the planar compacton of the linear potential.
+    """Energy of the DBI compacton whose potential is the chart volume V = vol(f):
+    planar V = h, and 3-D V = eta, so this is `skyrme_bps_energy_closed` too.
 
-    E = |n| pi beta^2 x [sqrt(1 + w^2) - asinh(w)/w], with x the radius per
-    charge and w = sqrt(v) x.  Below w = 0.2 the bracket cancels down to
-    (2/3) w^2 and its series is used instead (10 terms, within 4e-16),
-    with w^2 = r^2 (r^2 + 2), r = mu/beta; the exact form above is within 1e-14.
+    In the chart's energy unit it is int_0^T p dV, T = vol(anti_vacuum): with
+    z0 = sqrt(T (T + 2 s)), s = sigma, (z0 hypot(s, z0) - s^2 asinh(z0 / s)) / 2
+    below s = 1, and that over sqrt(2 s) above.  With q = T / (2 s), the bracket
+    then cancels down to (2/3) w^2 (T (1 + q))^(3/2), w^2 = 4 q (1 + q); below
+    w = 0.2 its series in w^2 is used instead (10 terms, within 4e-16), which
+    holds s = inf.
     """
     if params.mu == 0.0:
         raise DbisolError("closed form undefined at mu = 0 (no soliton)")
-    v = 8.0 * math.pi ** 2 * params.mu ** 4 / params.beta ** 2
-    xt = baby_old_radius(params) / abs(params.charge)
-    sv = math.sqrt(v)
-    if sv * xt < 0.2:
-        r2 = (params.mu / params.beta) ** 2
-        w2 = r2 * (r2 + 2.0)
+    chart = params.sector.chart
+    top = 1.0 / chart.unit_weight
+    s = max(params.sigma, math.ulp(0.0))    # an underflowed sigma: s^2 log(s) = 0
+    q = top / (2.0 * s)
+    w2 = 4.0 * q * (1.0 + q)
+    if w2 < 0.04:
         bracket = 0.0
         for c in _BABY_SERIES:
             bracket = bracket * w2 + c
-        val = xt * w2 * bracket
-    else:
-        val = xt * math.sqrt(1.0 + v * xt * xt) - math.asinh(sv * xt) / sv
-    return abs(params.charge) * math.pi * params.beta ** 2 * val
+        return chart.energy_unit(params) * (top * (1.0 + q)) ** 1.5 * bracket
+    z0 = math.sqrt(top * (top + 2.0 * s))
+    h = math.hypot(s, z0)
+    val = 0.5 * (z0 * h - s * s * (math.log(z0 + h) - math.log(s)))
+    return chart.energy_unit(params) * (val / math.sqrt(2.0 * s) if s >= 1.0 else val)
 
 
 def skyrme_standard_energy_closed(params: ModelParams) -> float:
     """Chart energy of the standard-potential compacton.
 
     E = sqrt(2) |n| beta / (3 pi sigma) * [ (1-s)^2 sqrt(s)
-        + (1-s)(1+s)^2 arctan(1/sqrt(s)) + (8/3) s^(3/2) ],  s = sigma.
+        + (1-s)(1+s)^2 arctan(1/sqrt(s)) + (8/3) s^(3/2) ],  s = sigma,
 
-    Obtained by integrating the on-law energy density against the implicit
-    profile.  Above s = 16 the bracket cancels at order s^(5/2) down to
-    (32/15) sqrt(s), and its series in 1/s is used instead (10 terms); both
-    branches are within 5e-14 of mpmath for s in [1e-6, 1e8].
+    the chart's energy unit times the bracket over sqrt(2 s) for s >= 1 and the
+    bracket below.  Obtained by integrating the on-law energy density against
+    the implicit profile.  Above s = 16 the bracket cancels at order s^(5/2)
+    down to (32/15) sqrt(s), and its series in 1/s is used instead (10 terms),
+    which holds s = inf; both branches are within 5e-14 of mpmath for s in
+    [1e-6, 1e8].
     """
     if params.mu == 0.0:
         raise DbisolError("closed form undefined at mu = 0 (no soliton)")
     s = params.sigma
-    rs = math.sqrt(s)
     if s > 16.0:
         tail = 0.0
         for c in _STANDARD_SERIES:
             tail = tail / s + c
-        bracket = rs * (32.0 / 15.0 + tail / s)
+        val = (32.0 / 15.0 + tail / s) / math.sqrt(2.0)
     else:
-        bracket = (1.0 - s) ** 2 * rs + (1.0 - s) * (1.0 + s) ** 2 * math.atan(1.0 / rs) \
+        rs = math.sqrt(s)
+        val = (1.0 - s) ** 2 * rs + (1.0 - s) * (1.0 + s) ** 2 * math.atan2(1.0, rs) \
             + (8.0 / 3.0) * s * rs
-    return math.sqrt(2.0) * abs(params.charge) * params.beta / (3.0 * math.pi * s) * bracket
+        if s >= 1.0:
+            val /= math.sqrt(2.0) * rs
+    return params.sector.chart.energy_unit(params) * val
 
 
-def skyrme_bps_energy_closed(params: ModelParams) -> float:
-    """Chart energy of the cubic-vacuum-potential compacton."""
-    if params.mu == 0.0:
-        raise DbisolError("closed form undefined at mu = 0 (no soliton)")
-    s = params.sigma
-    z0 = skyrme_bps_radius(s)
-    val = z0 * math.sqrt(1.0 + (z0 / s) ** 2) - s * math.asinh(z0 / s)
-    return math.sqrt(2.0) * params.beta / (6.0 * math.pi) * abs(params.charge) * val
+# the compacton of V = eta on the 3-D chart is that of V = h on the planar one
+skyrme_bps_energy_closed = baby_energy_closed
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +180,10 @@ def energy_per_charge_average(model: ModelParams, potential: PotentialSpec) -> f
     if model.mu == 0.0:
         warnings.warn("mu = 0 admits no soliton; returning zero energy", stacklevel=2)
         return 0.0
-    law = model.kinetic_law
-
-    def dual(s):
-        return law.dual(model.mu ** 2 * np.asarray(potential.evaluate(s), dtype=float),
-                        model.beta)
-
+    law, sigma = model.kinetic_law, model.sigma
     chart = model.sector.chart
-    return chart.average_factor * chart.average(dual)
+    return chart.average_factor * model.units[1] * chart.average(
+        lambda s: law.dual(potential.evaluate(s), sigma))
 
 
 def power_family_energy_per_charge(model: ModelParams, potential: PotentialSpec) -> float:
@@ -202,12 +198,14 @@ def power_family_energy_per_charge(model: ModelParams, potential: PotentialSpec)
 class MuSweepResult:
     mus: tuple[float, ...]
     energies: tuple[float, ...]
-    slope: float
+    slope: float | None
+    exponent: float | None = None
 
 
 def small_mu_sweep(model: ModelParams, mus: Sequence[float],
                    potential: PotentialSpec) -> MuSweepResult:
-    """Least-squares slope through the origin of E(mu).
+    """Least-squares slope through the origin of E(mu) under the DBI law; under the
+    power law, E ~ mu^(2 - 1/alpha_k) exactly, the slope of log E against log mu.
 
     Under the DBI law the slope tends to |n| c <sqrt V> as mu -> 0, with c the
     chart's average_factor and <.> its target average.  A potential of
@@ -217,11 +215,17 @@ def small_mu_sweep(model: ModelParams, mus: Sequence[float],
         raise DbisolError("need at least 3 mu values for a slope estimate")
     if 0.0 in mus:
         raise NoSolitonError("mu = 0 admits no soliton")
-    energies = [bps_energy_integral(replace(model, mu=float(mu)), potential) for mu in mus]
+    energies = [_in_range("energy", bps_energy_integral(replace(model, mu=float(mu)), potential))
+                for mu in mus]
     mu_arr = np.asarray(mus, dtype=float)
     e_arr = np.asarray(energies)
-    slope = float(np.dot(e_arr, mu_arr) / np.dot(mu_arr, mu_arr))
-    return MuSweepResult(tuple(map(float, mus)), tuple(map(float, energies)), slope)
+    mus, energies = tuple(map(float, mus)), tuple(map(float, energies))
+    if model.kinetic_law.mu_exponent is None:
+        return MuSweepResult(mus, energies, float(np.dot(e_arr, mu_arr) / np.dot(mu_arr, mu_arr)))
+    if len(set(mus)) < 3:
+        raise DbisolError("need at least 3 distinct mu values for an exponent fit")
+    exponent = np.polyfit(np.log(mu_arr), np.log(e_arr), 1)[0]
+    return MuSweepResult(mus, energies, None, float(exponent))
 
 
 @dataclass(frozen=True)
@@ -236,23 +240,27 @@ def large_beta_sweep(model: ModelParams, betas: Sequence[float],
                      potential: PotentialSpec) -> BetaSweepResult:
     """Sup-norm distance of profiles to the large-beta limit, with decay fit.
 
-    The limit is the BPS Skyrme model of `KineticLaw.large_beta_limit`, solved
-    at each beta like any other; the distance decays like beta^-2.  A
-    potential of another sector's chart raises SectorMismatchError.  A model
-    under the power law, which has no beta, raises DbisolError.
+    The limit is the model's profile at sigma = inf, B0 = 2 mu sqrt(V), at the
+    same coordinates; the distance decays like beta^-2.  A potential of
+    another sector's chart raises SectorMismatchError.  A model under the
+    power law, which has no beta, raises DbisolError.
     """
-    limit = model.kinetic_law.large_beta_limit(model)
+    if model.kinetic_law.mu_exponent is not None:
+        raise DbisolError("the large-beta limit is the DBI law's; the power law has no beta")
     if len(set(betas)) < 3:
         raise DbisolError("need at least 3 distinct beta values for an exponent fit")
+    chart = model.sector.chart_for(potential)
+    limit = _InverseMap(model, potential, math.inf)
     energies = []
     distances = []
     for beta in betas:
         p = replace(model, beta=float(beta))
         prof = solve_profile(p, potential, GridSpec(count=800))
-        energies.append(bps_energy_integral(p, potential))
-        limit_field = profile_field_at(replace(limit, beta=p.beta), potential,
-                                       prof.coordinates)
-        distances.append(float(np.max(np.abs(prof.field - limit_field))))
+        energies.append(_in_range("energy", bps_energy_integral(p, potential)))
+        # the limit's length unit is p's at its U_B = mu
+        unit = chart.length_unit(p) * (p.units[0] / p.mu)
+        distances.append(float(np.max(np.abs(prof.field - limit.field_at(prof.coordinates,
+                                                                          unit)))))
     fit = np.polyfit(np.log(np.asarray(betas, dtype=float)), np.log(np.asarray(distances)), 1)
     return BetaSweepResult(tuple(map(float, betas)), tuple(map(float, energies)),
                            tuple(map(float, distances)), float(fit[0]))
@@ -279,19 +287,18 @@ def _closed_form_for(model: ModelParams, potential: PotentialSpec) -> float | No
         return None
     # the tag pins the sector: the energy quadrature has already checked the
     # potential's domain against the model's chart
-    if potential.tag == "old-baby-power" and abs(potential.vacuum_exponent - 1.0) < 1e-12:
+    if potential.tag == "bps-potential" or (
+            potential.tag == "old-baby-power" and abs(potential.vacuum_exponent - 1.0) < 1e-12):
         return baby_energy_closed(model)
     if potential.tag == "skyrme-standard":
         return skyrme_standard_energy_closed(model)
-    if potential.tag == "bps-potential":
-        return skyrme_bps_energy_closed(model)
     return None
 
 
 def compute_energy_report(profile: SolitonProfile, model: ModelParams,
                           potential: PotentialSpec) -> EnergyReport:
     """Quadrature energy with closed-form and average-route cross checks."""
-    e_quad = energy_quadrature(profile, model, potential)
+    e_quad = _in_range("energy", energy_quadrature(profile, model, potential))
     charge = charge_quadrature(profile, model)
     closed = _closed_form_for(model, potential)
     avg = energy_per_charge_average(model, potential)

@@ -3,16 +3,17 @@
 Profiles are built by quadrature of the separable inverse map: the
 first-order law gives the slope as a function of the field alone, so the
 coordinate is the integral of 1/slope from the anti-vacuum boundary, taken
-in s = ln(field).  There the integrand behaves like exp(kappa s) at the
-vacuum, kappa half the threshold margin: a tail (kappa <= 0) is resolved
-down to FIELD_FLOOR, and a compacton's piece below a small field is summed
-in closed form.  A composite Gauss-Legendre rule (numerics.CumulativeIntegral)
+in s = ln(field), and in the unit-free coordinate of the chart's length
+unit, where it depends on the couplings only through sigma = beta^2 / mu^2,
+the only DBI shape parameter; profiles are sampled in physical coordinates.
+There the integrand behaves like exp(kappa s) at the vacuum, kappa half the
+threshold margin: a tail (kappa <= 0) is resolved down to FIELD_FLOOR, and
+a compacton's piece below a small field is summed in closed form.  A composite Gauss-Legendre rule (numerics.CumulativeIntegral)
 reaches machine precision on the rest; it evaluates the integrand once per
 node, and inverts the map on the interpolants through those node values.
 This quadrature is the only profile solver; the tests check it against an
-mpmath oracle written apart from the package.  Every profile is that of a
-model's own first-order law: the DBI law's large-beta limit is a model too
-(`KineticLaw.large_beta_limit`), solved like any other.
+mpmath oracle written apart from the package.  The DBI law's large-beta
+limit is its profile at sigma = inf.
 
 Closed-form evaluators for the three exactly solvable cases live here too,
 together with tail classification.
@@ -26,13 +27,13 @@ from __future__ import annotations
 import enum
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .bps import static_density
 from .errors import DbisolError, NoSolitonError
 from .model import KineticLaw, ModelParams, PotentialSpec, Sector, _eta
 from .numerics import CumulativeIntegral, bisect_monotone, uniform_mesh
@@ -136,19 +137,23 @@ def angular_profile(theta):
 # closed forms
 
 def baby_old_radius(params: ModelParams) -> float:
-    return abs(params.charge) / (2.0 * math.pi) * math.sqrt(
-        1.0 / (2.0 * params.beta ** 2) + 1.0 / params.mu ** 2)
+    return abs(params.charge) / (2.0 * math.pi) * math.hypot(1.0 / params.mu,
+                                                             1.0 / (math.sqrt(2.0) * params.beta))
 
 
 def baby_old_exact(x, params: ModelParams):
-    """Planar compacton of the linear potential V = h."""
+    """Planar compacton of the linear potential V = h under the DBI law: with
+    nu = U_B / mu, kappa = U_B / (sqrt2 beta) and u = (x0 - x) / length_unit,
+    h = 2 u^2 / (nu^2 + sqrt(nu^4 + 4 kappa^2 u^2))."""
     xx = np.asarray(x, dtype=float)
     if np.any(xx < 0):
         raise DbisolError("coordinate must be non-negative")
     x0 = baby_old_radius(params)
-    v = 8.0 * math.pi ** 2 * params.mu ** 4 / (params.charge ** 2 * params.beta ** 2)
-    w2 = v * (xx - x0) ** 2
-    h = params.beta ** 2 / params.mu ** 2 * w2 / (1.0 + np.sqrt(1.0 + w2))
+    b_unit = params.units[0]
+    nu2 = (b_unit / params.mu) ** 2
+    kappa = b_unit / (math.sqrt(2.0) * params.beta)
+    u = (x0 - xx) / params.sector.chart.length_unit(params)
+    h = 2.0 * u * u / (nu2 + np.hypot(nu2, 2.0 * kappa * u))
     out = np.where(xx <= x0, h, 0.0)
     return out if out.ndim else float(out)
 
@@ -162,13 +167,13 @@ def skyrme_standard_implicit_lhs(xi, sigma: float):
     s2 = np.sin(0.5 * x) ** 2
     c2 = np.cos(0.5 * x) ** 2
     out = (sigma + 1.0 - 2.0 * s2) * np.sqrt(c2 * (sigma + s2)) \
-        + (1.0 - sigma ** 2) * np.arctan(np.sqrt(c2 / (sigma + s2)))
+        + (1.0 - sigma * sigma) * np.arctan(np.sqrt(c2 / (sigma + s2)))
     return out if out.ndim else float(out)
 
 
 def skyrme_standard_radius(sigma: float) -> float:
     rs = math.sqrt(sigma)
-    return rs * (1.0 + sigma) + (1.0 - sigma ** 2) * math.atan(1.0 / rs)
+    return rs * (1.0 + sigma) + (1.0 - sigma * sigma) * math.atan2(1.0, rs)
 
 
 def skyrme_standard_exact(z, sigma: float):
@@ -200,20 +205,15 @@ def skyrme_bps_radius(sigma: float) -> float:
     return 0.5 * math.sqrt(math.pi) * math.sqrt(math.pi + 4.0 * sigma)
 
 
-def _eta_of_z(z, sigma: float):
-    z0 = skyrme_bps_radius(sigma)
-    w = (z0 - np.asarray(z, dtype=float)) / sigma
-    return sigma * w * w / (1.0 + np.sqrt(1.0 + w * w))
-
-
 def skyrme_bps_exact(z, sigma: float):
-    """Profile of the cubic-vacuum potential: closed form in eta, inverted to xi."""
+    """Profile of the cubic-vacuum potential: eta = d^2 / (sigma + hypot(sigma, d)) at
+    d = z0 - z, inverted to xi."""
     if sigma <= 0:
         raise DbisolError("sigma must be positive")
     zz = np.atleast_1d(np.asarray(z, dtype=float))
     z0 = skyrme_bps_radius(sigma)
-    target = _eta_of_z(np.clip(zz, 0.0, z0), sigma)
-    xi = bisect_monotone(_eta, target, 0.0, math.pi, increasing=True)
+    d = z0 - np.clip(zz, 0.0, z0)
+    xi = bisect_monotone(_eta, d * d / (sigma + np.hypot(sigma, d)), 0.0, math.pi, increasing=True)
     xi = np.where(zz >= z0, 0.0, xi)
     xi = np.where(zz <= 0.0, math.pi, xi)
     return xi if np.ndim(z) else float(xi[0])
@@ -298,18 +298,20 @@ def _profile_on_law(model: ModelParams, potential: PotentialSpec, coords: np.nda
     through the law; samples at the vacuum (field 0) are zero in every column.
     """
     chart = model.sector.chart
+    law, sigma = model.kinetic_law, model.sigma
+    length = chart.length_unit(model)
     inside = field > 0.0
     deriv = np.zeros_like(field)
     edens = np.zeros_like(field)
     cdens = np.zeros_like(field)
     f = field[inside]
     v = np.asarray(potential.evaluate(f), dtype=float)
-    b0 = model.kinetic_law.density(model.mu ** 2 * v, model.beta)
-    edens[inside] = chart.prefactor(model) * static_density(model, b0, v)
-    # y is the Jacobian times the slope; where the Jacobian vanishes at the
-    # anti-vacuum boundary, the slope itself diverges
-    y = -chart.slope_scale(model) * b0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    b = law.density(v, sigma)
+    # an energy density past the double range fails validate_invariants; where
+    # the Jacobian vanishes at the anti-vacuum boundary, the slope itself diverges
+    with np.errstate(all="ignore"):
+        edens[inside] = chart.energy_unit(model) / length * (law.kinetic(b, sigma) + v)
+        y = -b / length    # the Jacobian times the slope
         deriv[inside] = y / chart.jacobian(f)
     if chart.slope_pole:
         deriv[inside & (field >= chart.anti_vacuum - 1e-12)] = -np.inf
@@ -327,6 +329,12 @@ def _profile_on_law(model: ModelParams, potential: PotentialSpec, coords: np.nda
     )
 
 
+def _in_range(name: str, value: float) -> float:
+    if not sys.float_info.min <= value <= sys.float_info.max:
+        raise DbisolError(f"the {name} {value:g} leaves the double range at these couplings")
+    return value
+
+
 def _require_potential_term(model: ModelParams) -> None:
     if model.mu == 0.0:
         raise NoSolitonError(
@@ -335,39 +343,35 @@ def _require_potential_term(model: ModelParams) -> None:
 
 
 class _InverseMap:
-    """Cumulative inverse map of one first-order profile.
+    """Cumulative inverse map X(field) of one first-order profile at shape sigma, in
+    the unit-free coordinate X = x / length_unit, and its inverse."""
 
-    Carries the quadrature of coordinate(field) and inverts it on arbitrary
-    coordinate grids.
-    """
-
-    def __init__(self, model: ModelParams, potential: PotentialSpec):
+    def __init__(self, model: ModelParams, potential: PotentialSpec, sigma: float):
         chart = model.sector.chart_for(potential)
         _require_potential_term(model)
-        scale = chart.slope_scale(model)
+        law = model.kinetic_law
 
         def g(s):
-            # |d(coordinate)/d(ln field)|
+            # |dX/d(ln field)|
             f = np.exp(np.asarray(s, dtype=float))
-            b0 = model.kinetic_law.density(model.mu ** 2 * potential.evaluate(f), model.beta)
-            return f * (chart.jacobian(f) / (scale * b0))
+            return f * (chart.jacobian(f) / law.density(potential.evaluate(f), sigma))
 
         exponent = potential.vacuum_exponent
         self.compact = classify_localization(exponent, model.sector,
-                                             model.kinetic_law) is LocalizationClass.COMPACTON
+                                             law) is LocalizationClass.COMPACTON
         self.anti = chart.anti_vacuum
         # a compacton's g vanishes like exp(kappa s), kappa half the threshold
         # margin, so its piece below lo is g(ln lo) / kappa, up to an error of
         # order lo^(kappa + delta), delta >= 0.01 the next power in B0; lo
         # keeps V(lo) a normal double.  A tail stops at FIELD_FLOOR.
-        self._kappa = 0.5 * model.kinetic_law.threshold_margin(exponent, chart.threshold)
+        self._kappa = 0.5 * law.threshold_margin(exponent, chart.threshold)
         self._lo = max(_COMPACTON_SPLIT, 1e-300 ** (1.0 / exponent)) if self.compact \
             else FIELD_FLOOR
         if not potential.evaluate(self._lo) > 0.0:
             raise DbisolError(f"the potential V underflows to 0 at the field floor "
                               f"{self._lo:g}, so the inverse map cannot reach it")
         mesh = uniform_mesh(math.log(self._lo), math.log(self.anti))
-        # an integrand that overflows, divides by zero or turns NaN (B0
+        # an integrand that overflows, divides by zero or turns NaN (b
         # underflowing where V does not) leaves a non-finite total
         with np.errstate(all="ignore"):
             self._cum = CumulativeIntegral(g, mesh)
@@ -376,14 +380,12 @@ class _InverseMap:
         if not math.isfinite(self.extent) or self.extent <= 0:
             raise DbisolError("inverse map integral is not finite for this model and potential")
 
-    def field_at(self, coords) -> np.ndarray:
-        """Field at each coordinate.
-
-        Exactly the anti-vacuum value at coordinates <= 0 and, for a
-        compacton, exactly 0 at coordinates >= the radius.
-        """
+    def field_at(self, coords, unit: float) -> np.ndarray:
+        """Field at each coordinate, in a length unit; exactly the anti-vacuum value
+        at coordinates <= 0 and, for a compacton, 0 at and past unit * extent."""
         x = np.asarray(coords, dtype=float)
-        y = self.extent - x
+        # X from the vacuum end, exact where it is small
+        y = (unit * self.extent - x) / unit
         field = np.exp(self._cum.invert(y - self._below))
         if self.compact:
             # below lo the integral from the vacuum is below * (field / lo)^kappa
@@ -394,27 +396,30 @@ class _InverseMap:
 
 def profile_field_at(model: ModelParams, potential: PotentialSpec, coords) -> np.ndarray:
     """Field values of the first-order profile at arbitrary coordinates."""
-    return _InverseMap(model, potential).field_at(coords)
+    unit = model.sector.chart.length_unit(model)
+    return _InverseMap(model, potential, model.sigma).field_at(coords, unit)
 
 
 def solve_profile(model: ModelParams, potential: PotentialSpec,
                   grid_spec: GridSpec | None = None) -> SolitonProfile:
     """Construct the symmetric profile of the first-order law.
 
-    The inverse map coordinate(field) is integrated by a composite
-    Gauss-Legendre rule in a regularized parameter and then inverted on a
-    uniform coordinate grid.  Compact profiles report their radius and are
-    padded with 10 exact-zero samples; others are resolved down to
-    FIELD_FLOOR.
+    The inverse map X(field) of the unit-free problem is integrated by a
+    composite Gauss-Legendre rule in ln(field) and then inverted on a uniform
+    coordinate grid, x = length_unit X.  Compact profiles report their radius
+    and are padded with 10 exact-zero samples; others are resolved down to
+    FIELD_FLOOR.  An extent past the normal doubles raises DbisolError.
     """
     grid = grid_spec or GridSpec()
-    inv = _InverseMap(model, potential)
-    coords = np.linspace(0.0, inv.extent, grid.count)
-    field = inv.field_at(coords)
+    inv = _InverseMap(model, potential, model.sigma)
+    unit = model.sector.chart.length_unit(model)
+    extent = _in_range("profile's extent", unit * inv.extent)
+    coords = np.linspace(0.0, extent, grid.count)
+    field = inv.field_at(coords, unit)
     if inv.compact:
         coords = np.concatenate([coords, coords[-1] + (coords[1] - coords[0]) * np.arange(1, 11)])
         field = np.concatenate([field, np.zeros(10)])
-        return _profile_on_law(model, potential, coords, field, inv.extent)
+        return _profile_on_law(model, potential, coords, field, extent)
     return _profile_on_law(model, potential, coords, field, None, FIELD_FLOOR)
 
 

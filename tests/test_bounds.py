@@ -238,7 +238,8 @@ class TestOptimize:
         with pytest.raises(DbisolError):
             optimize_bound(65)
 
-    @pytest.mark.parametrize("beta", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf,
+                                      1e200, 1e-170])
     def test_rejects_bad_beta(self, beta):
         with pytest.raises(DbisolError, match="beta must be positive and finite"):
             optimize_bound(3, beta)

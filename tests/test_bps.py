@@ -36,17 +36,18 @@ def skyrme(**kw):
 
 def dbi_density(v, params):
     """B0 of the DBI first-order law at potential value v."""
-    return KineticLaw.dbi().density(params.mu ** 2 * np.asarray(v, dtype=float), params.beta)
+    return params.units[0] * KineticLaw.dbi().density(v, params.sigma)
 
 
 def power_density(v, mu, alpha_k):
     """B0 of the pure-power first-order law at potential value v."""
-    return KineticLaw.power(alpha_k).density(mu ** 2 * np.asarray(v, dtype=float), 1.0)
+    model = baby(mu=mu, kinetic_law=KineticLaw.power(alpha_k))
+    return model.units[0] * model.kinetic_law.density(v, model.sigma)
 
 
 def law_density(params, potential, field):
     """B0 of the model's first-order law at target coordinates."""
-    return params.kinetic_law.density(params.mu ** 2 * potential.evaluate(field), params.beta)
+    return params.units[0] * params.kinetic_law.density(potential.evaluate(field), params.sigma)
 
 
 class TestDbiDensity:
@@ -68,12 +69,11 @@ class TestDbiDensity:
         assert np.all(vals < math.sqrt(2) * p.beta)
 
     def test_large_beta_limit_rate(self):
-        # deviation from the limit model's density 2 mu sqrt(V) decays like beta^-2
+        # deviation from the sigma = inf density 2 mu sqrt(V) decays like beta^-2
         betas = np.array([10.0, 100.0, 1000.0])
         devs = []
         for b in betas:
-            limit = KineticLaw.dbi().large_beta_limit(baby(beta=b))
-            want = law_density(limit, OLD, 1.0)
+            want = law_density(baby(beta=1e300), OLD, 1.0)
             assert want == 2.0
             devs.append(abs(dbi_density(1.0, baby(beta=b)) - want) / want)
         slope = np.polyfit(np.log(betas), np.log(devs), 1)[0]
@@ -109,7 +109,9 @@ def assert_first_order_relation(alpha_k, beta, mu2v):
     """B0 = KineticLaw.density solves B0 K'(B0) - K(B0) = mu^2 V to 1e-12
     relative, with K from the mpmath oracle and K' = mp.diff(K)."""
     law = KineticLaw.dbi() if alpha_k is None else KineticLaw.power(alpha_k)
-    b0 = float(law.density(mu2v, beta))
+    # at mu = 1, so that V = mu^2 V
+    model = baby(beta=beta, kinetic_law=law)
+    b0 = model.units[0] * float(law.density(mu2v, model.sigma))
     with mp.workdps(40):
         a = None if alpha_k is None else mp.mpf(alpha_k)
         w = mp.mpf(b0)
@@ -140,8 +142,9 @@ class TestNumericDensity:
 
 
 def chart_slope(field, potential, params):
-    """Jacobian times dfield/dcoordinate on the first-order law, from the chart's scale."""
-    return -params.sector.chart.slope_scale(params) * law_density(params, potential, field)
+    """Jacobian times dfield/dcoordinate on the first-order law, -b / length_unit."""
+    b = params.kinetic_law.density(potential.evaluate(field), params.sigma)
+    return -b / params.sector.chart.length_unit(params)
 
 
 class TestSlopes:
@@ -153,7 +156,8 @@ class TestSlopes:
                                                               abs=1e-12)
 
     def test_baby_mu_zero_flat(self):
-        assert chart_slope(0.7, OLD, baby(mu=0.0)) == 0.0
+        # the slope is B0 over a coordinate scale: B0 = U_B b vanishes with U_B = mu
+        assert law_density(baby(mu=0.0), OLD, 0.7) == 0.0
 
     def test_baby_domain_error(self):
         with pytest.raises(SectorMismatchError):
@@ -294,7 +298,7 @@ class TestBpsLaw:
     def test_power_law_origin(self):
         model = baby(kinetic_law=KineticLaw.power(1.0))
         v = np.linspace(0.0, 1.0, 11)
-        np.testing.assert_array_equal(model.kinetic_law.density(model.mu ** 2 * v, model.beta),
+        np.testing.assert_array_equal(model.kinetic_law.density(v, model.sigma),
                                       power_density(v, 1.0, 1.0))
         assert float(law_density(model, OLD, 0.25)) == pytest.approx(0.5, abs=1e-14)
 
@@ -304,10 +308,10 @@ class TestBpsLaw:
         chart = model.sector.chart
         prof = solve_profile(model, STD, GridSpec(count=200))
         inside = prof.field > 0.0
-        b0 = law_density(model, STD, prof.field[inside])
+        b = model.kinetic_law.density(STD.evaluate(prof.field[inside]), model.sigma)
         np.testing.assert_array_equal(
             prof.charge_density[inside],
-            model.charge * chart.unit_weight * np.abs(-chart.slope_scale(model) * b0))
+            model.charge * chart.unit_weight * np.abs(-b / chart.length_unit(model)))
 
     @pytest.mark.parametrize("kinetic_law", [KineticLaw.dbi(), KineticLaw.power(0.75)])
     def test_potential_evaluated_once_per_node(self, kinetic_law):

@@ -48,11 +48,11 @@ class TestChartIdentities:
     @PROPERTY
     @given(SECTORS, log_uniform(1e-4, 1e4), st.integers(-50, 50).filter(lambda n: n != 0))
     def test_average_factor_follows_from_the_other_facts(self, sector, beta, n):
-        # the energy (prefactor / slope_scale) int J P is prefactor <P> /
-        # (slope_scale unit_weight), and |n| average_factor <P> per charge
+        # the energy energy_unit int J p is energy_unit <p> / unit_weight, and
+        # |n| average_factor U_P <p> per charge
         chart, model = sector.chart, ModelParams(beta, 1.0, n, sector)
-        lhs = chart.average_factor * abs(n) * chart.slope_scale(model) * chart.unit_weight
-        assert lhs == pytest.approx(chart.prefactor(model), rel=1e-15, abs=0.0)
+        lhs = chart.average_factor * abs(n) * model.units[1] * chart.unit_weight
+        assert lhs == pytest.approx(chart.energy_unit(model), rel=1e-15, abs=0.0)
 
     @PROPERTY
     @given(SECTORS, st.floats(1e-5, 1.0 - 1e-5))
@@ -110,17 +110,21 @@ class TestEomFlux:
            log_uniform(0.1, 10.0))
     def test_flux_is_the_slope_derivative_of_the_density(self, alpha_k, q, beta):
         law = KineticLaw.dbi() if alpha_k is None else KineticLaw.power(alpha_k)
-        # a fraction of the DBI ceiling sqrt(2) beta, and the same B0 for the power law
+        # a fraction of the DBI ceiling sqrt(2) beta, and the same B0 for the power law;
+        # at mu = 1, K = k and K' = U_P k' at b = B0 / U_B
         b0 = q * math.sqrt(2.0) * beta
+        model = ModelParams(beta, 1.0, 1, Sector.BABY2D, law)
+        (b_unit, p_unit), sigma = model.units, model.sigma
         with mp.workdps(30):
             a = None if alpha_k is None else mp.mpf(alpha_k)
             want_slope = mp.diff(lambda t: kinetic(t, mp.mpf(beta), a), mp.mpf(b0))
             want = kinetic(mp.mpf(b0), mp.mpf(beta), a)
-        assert float(law.kinetic_slope(b0, beta)) == pytest.approx(float(want_slope), rel=1e-12,
-                                                                   abs=0)
-        assert float(law.kinetic(b0, beta)) == pytest.approx(float(want), rel=1e-12, abs=0)
+        b = b0 / b_unit
+        assert p_unit * float(law.kinetic_slope(b, sigma)) == pytest.approx(
+            float(want_slope), rel=1e-12, abs=0)
+        assert float(law.kinetic(b, sigma)) == pytest.approx(float(want), rel=1e-12, abs=0)
         # K' is odd in B0, as the slope's sign flips with the charge's
-        assert float(law.kinetic_slope(-b0, beta)) == -float(law.kinetic_slope(b0, beta))
+        assert float(law.kinetic_slope(-b, sigma)) == -float(law.kinetic_slope(b, sigma))
 
 
 # where a sector member may be named or a sector compared: the enum and the

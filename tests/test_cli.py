@@ -184,8 +184,7 @@ class TestVerifyCommand:
         report = json.loads((tmp_path / "v.json").read_text())
         assert report["all_passed"] is True
         names = {c["name"] for c in report["checks"]}
-        assert {"closed_vs_quadrature", "charge_quantization", "linearity",
-                "eom_convergence"} <= names
+        assert {"closed_vs_quadrature", "charge_quantization", "eom_convergence"} <= names
 
     def test_skyrme_suite_passes(self, tmp_path):
         code = main(["verify", "--sector", "skyrme", "--out", str(tmp_path / "v")])
@@ -428,6 +427,20 @@ class TestSweepCommand:
         exponent = json.loads((tmp_path / "s.json").read_text())["exponent"]
         assert exponent == pytest.approx(-2.0, rel=0, abs=0.05)
 
+    @pytest.mark.parametrize("sector,pot,alpha_k", [("baby", "old:1", 2.0), ("baby", "old:3", 0.75),
+                                                    ("skyrme", "bps", 2.0)])
+    def test_power_law_mu_axis_fits_the_exponent(self, tmp_path, capfd, sector, pot, alpha_k):
+        # the power law has no shape parameter: E ~ mu^(2 - 1/alpha_k) exactly
+        assert main(["sweep", "--sector", sector, "--potential", pot, "--alpha-k", str(alpha_k),
+                     "--axis", "mu", "--values", "1e-2,1e-3,1e-4",
+                     "--out", str(tmp_path / "s")]) == 0
+        data = json.loads((tmp_path / "s.json").read_text())
+        law = 2.0 - 1.0 / alpha_k
+        assert "slope" not in data and data["law_exponent"] == law
+        assert abs(data["exponent"] - law) <= 1e-12
+        assert capfd.readouterr().out.startswith(
+            f"fitted exponent = {data['exponent']:.17g} (law: {law:.17g})\n")
+
 
 class TestClassifyCommand:
     @pytest.mark.parametrize("sector,pot,expected", [
@@ -479,7 +492,8 @@ class TestPowerLaw3D:
         report = json.loads((tmp_path / "v.json").read_text())
         assert report["all_passed"] is True
         names = [c["name"] for c in report["checks"]]
-        assert len(names) == 8 and not any(n.startswith("closed_vs_quadrature") for n in names)
+        # one model for the three sigma: the power law has no shape parameter
+        assert len(names) == 3 and not any(n.startswith("closed_vs_quadrature") for n in names)
 
     def test_verify_mu_zero_exits_two(self, tmp_path, capfd):
         code = main(["verify", "--sector", "skyrme", "--alpha-k", "2", "--mu", "0",

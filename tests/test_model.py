@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbisol import (DbisolError, KineticLaw, ModelParams, Sector,
-                    fit_vacuum_exponent, make_potential)
+                    fit_vacuum_exponent, large_beta_sweep, make_potential, solve_profile)
 
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -221,26 +221,35 @@ class TestValidateParams:
 
 
 class TestLargeBetaLimit:
-    """The DBI law's beta -> infinity limit is the BPS Skyrme model K = B0^2 at 2 mu."""
+    """The DBI law's beta -> infinity limit is sigma = inf, the BPS Skyrme model
+    K = B0^2 at 2 mu."""
 
     @pytest.mark.parametrize("sector", list(Sector))
     def test_is_the_alpha_one_model_at_twice_mu(self, sector):
-        model = params(beta=3.0, mu=0.7, charge=-2, sector=sector)
-        limit = model.kinetic_law.large_beta_limit(model)
-        assert limit == replace(model, kinetic_law=KineticLaw.power(1.0), mu=1.4)
+        # beta / mu = 1e200 / 0.7 squares past the double range to sigma = inf
+        model = params(beta=1e200, mu=0.7, charge=-2, sector=sector)
+        assert model.sigma == math.inf
+        limit = replace(model, kinetic_law=KineticLaw.power(1.0), mu=1.4)
+        pot = make_potential("old-baby-power", 1.0) if sector is Sector.BABY2D \
+            else make_potential("bps-potential")
+        got, want = solve_profile(model, pot), solve_profile(limit, pot)
+        assert got.compacton_radius == pytest.approx(want.compacton_radius, rel=1e-15, abs=0)
+        np.testing.assert_allclose(got.field, want.field, rtol=0, atol=1e-14)
 
     @PROPERTY
     @given(log_uniform(1e-8, 1e8), log_uniform(1e-8, 1e8), log_uniform(1e-4, 1e4))
     def test_density_is_twice_mu_sqrt_v(self, mu, v, beta):
-        # B0^2 / 4 = mu^2 V, the law of K = B0^2 / 4, the DBI K as beta grows
-        limit = KineticLaw.dbi().large_beta_limit(params(beta=beta, mu=mu))
-        got = float(limit.kinetic_law.density(limit.mu ** 2 * v, limit.beta))
+        # B0^2 / 4 = mu^2 V, the law of K = B0^2 / 4, the DBI K as beta grows; a
+        # sigma past the double range is inf, and U_B = mu there
+        model = params(beta=beta * 1e300, mu=mu)
+        got = model.units[0] * float(model.kinetic_law.density(v, model.sigma))
         assert got == pytest.approx(2.0 * mu * math.sqrt(v), rel=1e-15, abs=0.0)
 
     def test_power_law_has_no_beta(self):
         model = params(kinetic_law=KineticLaw.power(2.0))
+        assert model.kinetic_law.mu_exponent == 1.5
         with pytest.raises(DbisolError, match="power law has no beta"):
-            model.kinetic_law.large_beta_limit(model)
+            large_beta_sweep(model, [10.0, 100.0, 1000.0], make_potential("old-baby-power", 1.0))
 
 
 class TestDual:
@@ -266,15 +275,17 @@ class TestDual:
     @PROPERTY
     @given(LAWS, log_uniform(1e-8, 1e8), log_uniform(1e-4, 1e4))
     def test_matches_mpmath(self, alpha_k, e, beta):
+        # at mu = 1, where P = U_P p(V) with V = mu^2 V
         mu2v = e * beta ** 2
         want = self.mp_dual(mu2v, beta, alpha_k)
-        got = float(self.law(alpha_k).dual(mu2v, beta))
+        model = params(beta=beta, kinetic_law=self.law(alpha_k))
+        got = model.units[1] * float(model.kinetic_law.dual(mu2v, model.sigma))
         assert abs(got - want) <= 1e-13 * want
 
     @PROPERTY
     @given(LAWS, log_uniform(1e-8, 10.0), log_uniform(1e-4, 1e4))
     def test_is_the_slope_at_the_laws_density(self, alpha_k, e, beta):
         # composed from K' and B0, the DBI form cancels like e^2 for large e
-        law, mu2v = self.law(alpha_k), e * beta ** 2
-        want = float(law.kinetic_slope(law.density(mu2v, beta), beta))
-        assert float(law.dual(mu2v, beta)) == pytest.approx(want, rel=1e-12, abs=0)
+        law, mu2v, sigma = self.law(alpha_k), e * beta ** 2, params(beta=beta).sigma
+        want = float(law.kinetic_slope(law.density(mu2v, sigma), sigma))
+        assert float(law.dual(mu2v, sigma)) == pytest.approx(want, rel=1e-12, abs=0)

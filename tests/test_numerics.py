@@ -181,7 +181,7 @@ class TestCumulativeInversion:
 
     @pytest.mark.parametrize("model,pot", FAMILIES)
     def test_newton_matches_bisection(self, model, pot, recorded):
-        inv = _InverseMap(model, pot)
+        inv = _InverseMap(model, pot, model.sigma)
         (f, _), = recorded
         x = np.linspace(0.0, inv.extent, 1000)[1:-1]
         # the quadrature's share of the map: a compacton's piece below its
@@ -195,12 +195,12 @@ class TestCumulativeInversion:
 
     @pytest.mark.parametrize("model,pot", FAMILIES[::4])
     def test_integrand_calls_per_inversion(self, model, pot, recorded):
-        inv = _InverseMap(model, pot)
+        inv = _InverseMap(model, pot, model.sigma)
         (_, calls), = recorded
         assert len(inv._cum.edges) - 1 == SEGMENTS
         # one call on every node of the mesh, then none to invert
         assert calls == [SEGMENTS * 12]
-        inv.field_at(np.linspace(0.0, inv.extent, 1000))
+        inv.field_at(np.linspace(0.0, inv.extent, 1000), 1.0)
         assert calls == [SEGMENTS * 12]
 
     def test_prefix_is_compensated(self):

@@ -246,6 +246,15 @@ class TestSweeps:
         res = small_mu_sweep(baby(charge=4), [1e-2, 1e-3, 1e-4], OLD)
         assert res.slope == pytest.approx(8.0 / 3.0, rel=0.01, abs=0)
 
+    def test_small_mu_power_law_fits_the_exponent(self):
+        res = small_mu_sweep(baby(kinetic_law=KineticLaw.power(2.0)), [1e-2, 1e-3, 1e-4], OLD)
+        assert res.slope is None
+        assert abs(res.exponent - 1.5) <= 1e-12
+
+    def test_small_mu_power_law_needs_three_distinct_points(self):
+        with pytest.raises(DbisolError, match="3 distinct mu values"):
+            small_mu_sweep(baby(kinetic_law=KineticLaw.power(2.0)), [1e-2, 1e-2, 1e-3], OLD)
+
     def test_small_mu_needs_three_points(self):
         with pytest.raises(DbisolError):
             small_mu_sweep(baby(), [0.5], OLD)
@@ -276,17 +285,18 @@ class TestSweeps:
             sweep(skyrme(), values, OLD)
 
     def test_limiting_slope_value(self):
-        # dh/dx -> -(2 sqrt2 pi / |n|) mu sqrt(2 V) on the planar chart
-        limit = KineticLaw.dbi().large_beta_limit(baby())
-        b0 = limit.kinetic_law.density(limit.mu ** 2 * OLD.evaluate(1.0), limit.beta)
-        slope = -Sector.BABY2D.chart.slope_scale(limit) * b0
+        # dh/dx -> -(2 sqrt2 pi / |n|) mu sqrt(2 V) on the planar chart, at sigma = inf
+        limit = baby(beta=1e300)
+        b = limit.kinetic_law.density(OLD.evaluate(1.0), limit.sigma)
+        slope = -b / Sector.BABY2D.chart.length_unit(limit)
         assert slope == pytest.approx(-4.0 * math.pi, abs=1e-12)
 
     @pytest.mark.parametrize("mu,n", [(1.0, 1), (0.5, 2), (2.0, -3)])
     def test_limit_model_solves_the_bps_compacton(self, mu, n):
         # as beta -> infinity the planar compacton of V = h tends to
         # h = (2 pi mu (x0 - x) / |n|)^2 with x0 = |n| / (2 pi mu)
-        limit = KineticLaw.dbi().large_beta_limit(baby(mu=mu, charge=n))
+        limit = baby(beta=1e300, mu=mu, charge=n)
+        assert limit.sigma == math.inf
         x0 = abs(n) / (2.0 * math.pi * mu)
         x = np.linspace(0.0, 1.2 * x0, 241)
         want = np.where(x < x0, (2.0 * math.pi * mu * (x0 - x) / abs(n)) ** 2, 0.0)

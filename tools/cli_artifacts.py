@@ -1,8 +1,9 @@
 """Fingerprint the artifacts of a fixed set of `dbisol` runs.
 
-Runs 49 CLI configurations (solve, verify, bound, sweep and classify across
+Runs 53 CLI configurations (solve, verify, bound, sweep and classify across
 both sectors and every potential family; solve also next to the planar and
-the 3-D localization thresholds; bound also at the largest order and
+the 3-D localization thresholds and at couplings whose squares leave the
+double range; bound also at the largest order and
 at large beta, where its exact ray proof is hardest and its powers of beta
 would leave the float range, and at order 2 with beta = 100, where the
 Monte-Carlo screen also keeps spread rows whose largest uniform is small),
@@ -57,6 +58,9 @@ RUNS = (
     ("solve-old1-ak2-b6.07-m1.48", "solve --potential old:1 --alpha-k 2 --beta 6.07 --mu 1.48"),
     ("solve-old1.99", "solve --potential old:1.99"),
     ("solve-skyrme-power5.9", "solve --sector skyrme --potential power:5.9"),
+    ("solve-m1e-200", "solve --mu 1e-200"),
+    ("solve-b1e200", "solve --beta 1e200"),
+    ("solve-bps-m1e100", "solve --sector skyrme --potential bps --mu 1e100"),
     ("verify-baby", "verify"),
     ("verify-skyrme", "verify --sector skyrme"),
     ("verify-baby-n3", "verify --n 3"),
@@ -78,6 +82,7 @@ RUNS = (
      "sweep --sector skyrme --potential standard --axis mu --values 0.1,0.05,0.02"),
     ("sweep-bps-beta", "sweep --sector skyrme --potential bps --axis beta --values 10,100,1000"),
     ("sweep-old3-beta", "sweep --potential old:3 --axis beta --values 10,100,1000"),
+    ("sweep-old1-ak2-mu", "sweep --potential old:1 --alpha-k 2 --axis mu --values 1e-2,1e-3,1e-4"),
     ("classify-old1", "classify --potential old:1"),
     ("classify-old2", "classify --potential old:2"),
     ("classify-standard", "classify --sector skyrme --potential standard"),
