@@ -8,6 +8,9 @@ survives a failure.
 Exit codes: 0 success, 1 invalid configuration, 2 no soliton exists at the
 requested couplings, 3 verification failures, 4 the closed-form bound weights
 failed their root bracket or moment check, or the exact ray proof failed.
+
+Each command imports the modules it runs when it runs: `bound` never loads
+the profile solver, and the solver's commands never load the bounds.
 """
 
 from __future__ import annotations
@@ -17,18 +20,15 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bounds import certify, compare_reference, optimize_bound, sharpness
-from .bps import EOM_MIN_SAMPLES, eom_residual
+from ._files import write_atomic
 from .errors import DbisolError, NoSolitonError, OptimizerError
-from .model import KineticLaw, ModelParams, Sector, make_potential
-from .observables import compute_energy_report, large_beta_sweep, small_mu_sweep
-from .profiles import (GridSpec, _csv_rows, _require_potential_term, baby_old_exact,
-                       baby_old_radius, classify_localization, profile_on_grid,
-                       skyrme_standard_exact, skyrme_standard_radius, solve_profile, tail_fit,
-                       write_atomic, write_profile_csv)
+
+if TYPE_CHECKING:
+    from .model import ModelParams
 
 __all__ = ["main", "RunConfig"]
 
@@ -87,6 +87,8 @@ class RunConfig:
         return asdict(self)
 
     def model(self) -> ModelParams:
+        from .model import KineticLaw, ModelParams, Sector
+
         sector = {"baby": Sector.BABY2D, "skyrme": Sector.SKYRME3D}.get(self.sector)
         if sector is None:
             raise DbisolError(f"unknown sector {self.sector!r}")
@@ -94,6 +96,8 @@ class RunConfig:
         return ModelParams(self.beta, self.mu, self.n, sector, law)
 
     def make_potential(self):
+        from .model import make_potential
+
         tag = self.potential
         unknown = DbisolError(f"unknown potential {tag!r}; use old:A, standard, bps or power:A")
         family, _, exponent = tag.partition(":")
@@ -174,6 +178,10 @@ def _fmt(v: float) -> str:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
+    from .bps import EOM_MIN_SAMPLES, eom_residual
+    from .observables import compute_energy_report
+    from .profiles import GridSpec, solve_profile, write_profile_csv
+
     model = cfg.model()
     potential = cfg.make_potential()
     profile = solve_profile(model, potential, GridSpec(count=cfg.grid))
@@ -205,6 +213,11 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def _verify_checks(cfg: RunConfig) -> list[dict]:
+    from .model import make_potential
+    from .observables import compute_energy_report
+    from .profiles import (GridSpec, _require_potential_term, baby_old_exact, baby_old_radius,
+                           skyrme_standard_exact, skyrme_standard_radius, solve_profile)
+
     checks = []
 
     def add(name, passed, **details):
@@ -255,6 +268,10 @@ def _eom_check(model: ModelParams, pot, radius: float, exact, field_max: float,
     residual is that of the DBI law, whatever the model's own law.  perturb
     bends the coarse profile to show the failure path.
     """
+    from .bps import eom_residual
+    from .model import KineticLaw
+    from .profiles import profile_on_grid
+
     model = replace(model, kinetic_law=KineticLaw.dbi())
 
     def residual(delta, bent):
@@ -288,6 +305,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_bound(cfg: RunConfig) -> int:
+    from .bounds import certify, compare_reference, optimize_bound, sharpness
+
     cert = optimize_bound(cfg.order, cfg.beta)
     cert = certify(cert, cfg.samples, seed=cfg.seed)
     payload = asdict(cert)
@@ -323,6 +342,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
     the other sector's chart exits 1 with the line solve prints, and so does
     the beta axis under the power law, which has no beta.
     """
+    from ._csv import csv_rows
+    from .observables import large_beta_sweep, small_mu_sweep
+
     values = [float(v) for v in cfg.values.split(",") if v.strip()]
     model = cfg.model()
     pot = cfg.make_potential()
@@ -350,13 +372,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
         print(f"fitted exponent = {_fmt(res.exponent)}")
     else:
         raise DbisolError(f"unknown sweep axis {cfg.axis!r}")
-    write_atomic(cfg.out + ".csv", b"parameter,energy,distance_to_limit\n" + _csv_rows(rows))
+    write_atomic(cfg.out + ".csv", b"parameter,energy,distance_to_limit\n" + csv_rows(rows))
     write_json_atomic(cfg.out + ".json", fit)
     print(f"wrote {cfg.out}.csv and {cfg.out}.json")
     return 0
 
 
 def cmd_classify(cfg: RunConfig) -> int:
+    from .profiles import GridSpec, classify_localization, solve_profile, tail_fit
+
     model = cfg.model()
     potential = cfg.make_potential()
     predicted = classify_localization(potential.vacuum_exponent, model.sector,
@@ -449,6 +473,10 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except (DbisolError, OSError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: ran out of memory{detail}", file=sys.stderr)
         return 1
 
 

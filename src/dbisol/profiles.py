@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._files import write_atomic
 from .errors import DbisolError, NoSolitonError
 from .model import KineticLaw, ModelParams, PotentialSpec, Sector, _eta
 from .numerics import CumulativeIntegral, bisect_monotone, uniform_mesh
@@ -45,7 +44,7 @@ __all__ = [
     "skyrme_standard_exact", "skyrme_standard_radius", "skyrme_standard_implicit_lhs",
     "skyrme_bps_exact", "skyrme_bps_radius",
     "angular_profile", "classify_localization", "tail_fit", "endpoint_asymptotics",
-    "write_atomic", "write_profile_csv",
+    "write_profile_csv",
 ]
 
 
@@ -162,16 +161,34 @@ def skyrme_standard_implicit_lhs(xi, sigma: float):
     """Left side of the implicit profile relation, in half-angle form.
 
     Monotone decreasing from the radius value at xi = 0 to 0 at xi = pi.
+    With s2, c2 = sin^2, cos^2(xi / 2) and q = sigma + s2 it is
+    (q + c2 - 2 s2) sqrt(c2 q) + (1 - sigma^2) arctan(sqrt(y)), y = c2 / q.
+    Above sigma = 16 the two terms cancel like sigma eps, and their sum in
+    series of y <= 1 / sigma is used instead (13 terms):
+    sqrt(c2 q) (c2 (1 + T) + y ((1 + s2) S - 2 s2 T)), S = sum (-y)^m / (2m + 1)
+    and T = sum (-y)^m / (2m + 3) the series of arctan.
     """
     x = np.asarray(xi, dtype=float)
     s2 = np.sin(0.5 * x) ** 2
     c2 = np.cos(0.5 * x) ** 2
-    out = (sigma + 1.0 - 2.0 * s2) * np.sqrt(c2 * (sigma + s2)) \
-        + (1.0 - sigma * sigma) * np.arctan(np.sqrt(c2 / (sigma + s2)))
+    if sigma > 16.0:
+        q = sigma + s2
+        y = c2 / q
+        ser = tser = 0.0
+        for m in range(12, -1, -1):
+            ser = 1.0 / (2 * m + 1) - y * ser
+            tser = 1.0 / (2 * m + 3) - y * tser
+        out = np.sqrt(c2 * q) * (c2 * (1.0 + tser) + y * ((1.0 + s2) * ser - 2.0 * s2 * tser))
+    else:
+        out = (sigma + 1.0 - 2.0 * s2) * np.sqrt(c2 * (sigma + s2)) \
+            + (1.0 - sigma * sigma) * np.arctan(np.sqrt(c2 / (sigma + s2)))
     return out if out.ndim else float(out)
 
 
 def skyrme_standard_radius(sigma: float) -> float:
+    """The compacton's z radius, the implicit relation at xi = 0."""
+    if sigma > 16.0:
+        return skyrme_standard_implicit_lhs(0.0, sigma)
     rs = math.sqrt(sigma)
     return rs * (1.0 + sigma) + (1.0 - sigma * sigma) * math.atan2(1.0, rs)
 
@@ -436,31 +453,13 @@ def profile_on_grid(field_fn: Callable[[np.ndarray], np.ndarray], model: ModelPa
     return _profile_on_law(model, potential, coords, field, compacton_radius)
 
 
-def write_atomic(path, data: str | bytes) -> None:
-    """Write text or bytes to a temporary file next to path, then rename it onto path."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".dbisol-")
-    try:
-        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _csv_rows(table) -> bytes:
-    """CSV lines of a 2-D float array, each value b"%.17g" % v byte for byte."""
+def write_profile_csv(profile: SolitonProfile, path) -> None:
+    """Export the sample table atomically; each value is b"%.17g" of the stored double."""
     # imported here: without cached bytecode every import compiles the
     # kernel, which only a CSV writer needs
     from ._csv import csv_rows
-    return csv_rows(table)
 
-
-def write_profile_csv(profile: SolitonProfile, path) -> None:
-    """Export the sample table atomically; each value is b"%.17g" of the stored double."""
     table = np.column_stack([profile.coordinates, profile.field, profile.derivative,
                              profile.energy_density, profile.charge_density])
     write_atomic(path, b"coordinate,field,derivative,energy_density,charge_density\n"
-                 + _csv_rows(table))
+                 + csv_rows(table))

@@ -238,7 +238,7 @@ class TestVerifyCommand:
             dropped.add((rep.grid_spacing, int((prof.field > 1e-12).sum()) - len(rep.residuals)))
             return rep
 
-        with mock.patch("dbisol.cli.eom_residual", recording):
+        with mock.patch("dbisol.bps.eom_residual", recording):
             for k in (-8, -1, 0, 1, 8):
                 stretch = 1.0 + k * 1e-9
                 _eom_check(model, pot, stretch * radius, lambda x: exact(x / stretch),
@@ -288,13 +288,13 @@ class TestBoundCommand:
         assert "ray proof: lower bound " in capsys.readouterr().out
 
     def test_failed_proof_exits_four(self, tmp_path, capsys):
-        from dbisol import bounds
+        from dbisol import optimize_bound
 
         def inflated(order, beta):
-            cert = bounds.optimize_bound(order, beta)
+            cert = optimize_bound(order, beta)
             return replace(cert, constant=1.1 * cert.constant)
 
-        with mock.patch("dbisol.cli.optimize_bound", inflated):
+        with mock.patch("dbisol.bounds.optimize_bound", inflated):
             code = main(["bound", "--order", "3", "--samples", "1000",
                          "--out", str(tmp_path / "b")])
         out, err = capsys.readouterr()
@@ -570,6 +570,23 @@ class TestConfigHandling:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("message,line", [
+        ("Unable to allocate 2.00 GiB for an array",
+         "error: ran out of memory: Unable to allocate 2.00 GiB for an array\n"),
+        ("", "error: ran out of memory\n")])
+    def test_memory_error_prints_one_line(self, tmp_path, capsys, message, line):
+        # verify's fixed spacing can ask numpy for more memory than there is
+        def exhausted(*args, **kwargs):
+            raise MemoryError(message)
+
+        with mock.patch("dbisol.profiles.solve_profile", exhausted):
+            code = main(["verify", "--out", str(tmp_path / "v")])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert err == line
+        assert "Traceback" not in out + err
+        assert not (tmp_path / "v.json").exists()
+
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "dbisol.cli", "solve", "--out", str(tmp_path / "m")],

@@ -67,7 +67,11 @@ class TestTanhSinh:
 
 
 def test_import_loads_no_scipy():
-    code = ("import sys, dbisol; "
+    # every module: the package itself imports them on first use
+    code = ("import importlib, pkgutil, sys, dbisol\n"
+            "for m in pkgutil.iter_modules(dbisol.__path__):\n"
+            "    importlib.import_module('dbisol.' + m.name)\n"
+            "assert {'dbisol.bounds', 'dbisol.cli', 'dbisol._csv'} <= set(sys.modules)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)

@@ -100,6 +100,22 @@ class TestExactSkyrmeStandard:
             xi = skyrme_standard_exact(z0 - dz, sigma)
             assert xi / math.sqrt(2 * dz) == pytest.approx(sigma ** -0.25, rel=0.01, abs=0)
 
+    @pytest.mark.parametrize("k", range(-8, 21))
+    def test_matches_mpmath_at_every_sigma(self, k):
+        # above sigma = 16 the two terms of the relation cancel like sigma eps;
+        # the 40-digit reference keeps 20 digits of the radius at sigma = 1e20
+        sigma = 10.0 ** k
+        with mp.workdps(40):
+            s = mp.mpf(sigma)
+            radius = mp.sqrt(s) * (1 + s) + (1 - s * s) * mp.atan(1 / mp.sqrt(s))
+            assert abs(skyrme_standard_radius(sigma) - radius) <= 5e-14 * radius
+            xis = np.linspace(0.0, math.pi, 33)
+            for xi, got in zip(xis, skyrme_standard_implicit_lhs(xis, sigma)):
+                s2, c2 = mp.sin(mp.mpf(xi) / 2) ** 2, mp.cos(mp.mpf(xi) / 2) ** 2
+                lhs = (s + 1 - 2 * s2) * mp.sqrt(c2 * (s + s2)) \
+                    + (1 - s * s) * mp.atan(mp.sqrt(c2 / (s + s2)))
+                assert abs(got - lhs) <= 5e-14 * radius, xi
+
     def test_core_asymptote(self):
         # xi ~ pi - core * z^(1/3) near the origin
         for sigma in (1.0, 4.0):
