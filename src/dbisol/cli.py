@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -65,23 +65,40 @@ def write_json_atomic(path: str, obj) -> None:
 # ---------------------------------------------------------------------------
 # configuration
 
+_MODEL = ("solve", "verify", "sweep", "classify")  # the commands that run the configured model
+_EVERY = _MODEL + ("bound",)
+
+
+def _setting(default, read_by: tuple[str, ...], **flag):
+    """A RunConfig field; flag holds the add_argument keywords of its --<name>."""
+    return field(default=default, metadata={"read_by": read_by, "flag": flag})
+
+
 @dataclass
 class RunConfig:
+    """One run's settings.  Each field but `command` is a CLI setting, declared
+    once here: build_parser makes it the flag --<name> (dashes for underscores)
+    of each command in its read_by, and a config file line <name>=<value> is
+    that flag.  Artifacts record every field, defaults included."""
+
     command: str = ""
-    sector: str = "baby"
-    potential: str = "old:1"
-    beta: float = 1.0
-    mu: float = 1.0
-    n: int = 1
-    alpha_k: float | None = None
-    grid: int = 1000
-    out: str | None = None
-    seed: int = 0
-    order: int = 3
-    samples: int = 1_000_000
-    axis: str = "mu"
-    values: str = ""
-    inject_perturbation: bool = False
+    sector: str = _setting("baby", _MODEL, choices=("baby", "skyrme"))
+    potential: str = _setting("old:1", _MODEL, help="old:A | standard | bps | power:A")
+    beta: float = _setting(1.0, _EVERY, type=float)
+    mu: float = _setting(1.0, _MODEL, type=float)
+    n: int = _setting(1, _MODEL, type=int)
+    alpha_k: float | None = _setting(None, _MODEL, type=float,
+                                     help="use the pure-power kinetic law with this exponent")
+    grid: int = _setting(1000, ("solve", "verify", "classify"), type=int)
+    out: str | None = _setting(None, _EVERY, help="output path prefix")
+    seed: int = _setting(0, _EVERY, type=int)
+    order: int = _setting(3, ("bound",), type=int)
+    samples: int = _setting(1_000_000, ("bound",), type=int)
+    axis: str = _setting("mu", ("sweep",), choices=("mu", "beta"))
+    values: str = _setting("", ("sweep",), help="comma-separated parameter values")
+    inject_perturbation: bool = _setting(
+        False, ("verify",), action="store_true",
+        help="perturb the exact profile to exercise the residual check")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -123,51 +140,39 @@ class RunConfig:
         raise unknown
 
 
-_BOOL_KEYS = {"inject_perturbation"}
-_INT_KEYS = {"n", "grid", "seed", "order", "samples"}
-_FLOAT_KEYS = {"beta", "mu", "alpha_k"}
+_SWITCHES = {f.name for f in fields(RunConfig) if f.metadata.get("flag", {}).get("action")}
 
 
-def _coerce(key: str, raw: str):
-    if key in _BOOL_KEYS:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    return raw.strip()
+def read_config_file(path: str, command: str = "solve") -> dict:
+    """The settings a config file gives `command`, typed by its parser.
 
-
-def read_config_file(path: str) -> dict:
-    """key=value lines, # comments; keys match flag names with underscores."""
-    out = {}
+    Each `key=value` line (blank lines and `#` comments aside) is the flag
+    `--key=value` of the command (solve by default), so it is typed and
+    checked as the flag is, and a key the command does not read is an error.
+    The switch `inject_perturbation` takes `true` (the flag) or `false` (its
+    absence).  An error names path:lineno.
+    """
+    parser = build_parser().commands[command]
+    settings = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise DbisolError(f"{path}:{lineno}: expected key=value")
-            key, raw = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key not in {f.name for f in fields(RunConfig)}:
-                raise DbisolError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _coerce(key, raw)
-    return out
-
-
-def merge_config(command: str, args: argparse.Namespace) -> RunConfig:
-    """Precedence: flags over config file over defaults."""
-    cfg = RunConfig(command=command)
-    file_values = read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, val in file_values.items():
-        setattr(cfg, key, val)
-    for f in fields(RunConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None and flag is not False:
-            setattr(cfg, f.name, flag)
-    cfg.command = command
-    return cfg
+            key, eq, value = (part.strip() for part in line.partition("="))
+            flag = "--" + key.replace("_", "-")
+            switch = key.replace("-", "_") in _SWITCHES and value in ("true", "false")
+            try:
+                if not eq:
+                    parser.error("expected key=value")
+                parsed = vars(parser.parse_args([flag] if switch else [f"{flag}={value}"]))
+                if "config" in parsed:
+                    parser.error("a config file cannot name another")
+            except _UsageError as exc:
+                where = f": error: {path}:{lineno}: "
+                raise _UsageError(str(exc).replace(": error: ", where, 1)) from None
+            settings.update({k: value == "true" for k in parsed} if switch else parsed)
+    return settings
 
 
 # ---------------------------------------------------------------------------
@@ -348,32 +353,27 @@ def cmd_sweep(cfg: RunConfig) -> int:
     values = [float(v) for v in cfg.values.split(",") if v.strip()]
     model = cfg.model()
     pot = cfg.make_potential()
-    rows = []
     if cfg.axis == "mu":
         res = small_mu_sweep(model, values, pot)
-        for mu, e in zip(res.mus, res.energies):
-            rows.append((mu, e, e))
-        fit = {"axis": "mu", "values": list(res.mus), "energies": list(res.energies),
-               "seed": cfg.seed, "config": cfg.to_dict()}
+        rows = list(zip(res.mus, res.energies, res.energies))
+        fit = {"axis": "mu", "values": list(res.mus), "energies": list(res.energies)}
         if res.slope is None:
-            law = model.kinetic_law.mu_exponent
-            fit.update(exponent=res.exponent, law_exponent=law)
-            print(f"fitted exponent = {_fmt(res.exponent)} (law: {_fmt(law)})")
+            fit.update(exponent=res.exponent, law_exponent=model.kinetic_law.mu_exponent)
         else:
             fit["slope"] = res.slope
-            print(f"fitted slope = {_fmt(res.slope)}")
-    elif cfg.axis == "beta":
-        res = large_beta_sweep(model, values, pot)
-        for b, e, d in zip(res.betas, res.energies, res.distances):
-            rows.append((b, e, d))
-        fit = {"axis": "beta", "values": list(res.betas), "energies": list(res.energies),
-               "distances": list(res.distances), "exponent": res.exponent,
-               "seed": cfg.seed, "config": cfg.to_dict()}
-        print(f"fitted exponent = {_fmt(res.exponent)}")
     else:
-        raise DbisolError(f"unknown sweep axis {cfg.axis!r}")
+        res = large_beta_sweep(model, values, pot)
+        rows = list(zip(res.betas, res.energies, res.distances))
+        fit = {"axis": "beta", "values": list(res.betas), "energies": list(res.energies),
+               "distances": list(res.distances), "exponent": res.exponent}
+    name = "slope" if "slope" in fit else "exponent"
+    if not math.isfinite(fit[name]):
+        raise DbisolError(f"the fitted {name} is {fit[name]!r}")
+    fit.update(seed=cfg.seed, config=cfg.to_dict())
     write_atomic(cfg.out + ".csv", b"parameter,energy,distance_to_limit\n" + csv_rows(rows))
     write_json_atomic(cfg.out + ".json", fit)
+    law = fit.get("law_exponent")
+    print(f"fitted {name} = {_fmt(fit[name])}" + ("" if law is None else f" (law: {_fmt(law)})"))
     print(f"wrote {cfg.out}.csv and {cfg.out}.json")
     return 0
 
@@ -401,70 +401,56 @@ def cmd_classify(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="key=value config file; flags take precedence")
-    p.add_argument("--sector", choices=["baby", "skyrme"])
-    p.add_argument("--potential", help="old:A | standard | bps | power:A")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--alpha-k", dest="alpha_k", type=float,
-                   help="use the pure-power kinetic law with this exponent")
-    p.add_argument("--grid", type=int)
-    p.add_argument("--out", help="output path prefix")
-    p.add_argument("--seed", type=int)
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="dbisol", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", help="solve a profile, export CSV and JSON summary")
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="run the consistency suites")
-    _add_common(p)
-    p.add_argument("--inject-perturbation", action="store_true", default=None,
-                   help="perturb the exact profile to exercise the residual check")
-
-    p = sub.add_parser("bound", help="optimize and certify an energy bound")
-    _add_common(p)
-    p.add_argument("--order", type=int)
-    p.add_argument("--samples", type=int)
-
-    p = sub.add_parser("sweep", help="coupling sweeps with fitted limit laws")
-    _add_common(p)
-    p.add_argument("--axis", choices=["mu", "beta"])
-    p.add_argument("--values", help="comma-separated parameter values")
-
-    p = sub.add_parser("classify", help="localization class, predicted and fitted")
-    _add_common(p)
-    return parser
-
-
 _COMMANDS = {
-    "solve": cmd_solve,
-    "verify": cmd_verify,
-    "bound": cmd_bound,
-    "sweep": cmd_sweep,
-    "classify": cmd_classify,
+    "solve": (cmd_solve, "solve a profile, export CSV and JSON summary"),
+    "verify": (cmd_verify, "run the consistency suites"),
+    "bound": (cmd_bound, "optimize and certify an energy bound"),
+    "sweep": (cmd_sweep, "coupling sweeps with fitted limit laws"),
+    "classify": (cmd_classify, "localization class, predicted and fitted"),
 }
 
 
+class _UsageError(DbisolError):
+    """A parser error, `<prog>: error: <message>`, which main prints as one line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
+def build_parser() -> _Parser:
+    """The `dbisol` parser; `commands` maps each subcommand to its own parser, which
+    takes --config and the settings the subcommand reads, and leaves unset those not given."""
+    parser = _Parser(prog="dbisol", description=__doc__.splitlines()[0], allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, help_) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_, argument_default=argparse.SUPPRESS,
+                           allow_abbrev=False)
+        p.add_argument("--config", help="key=value config file; flags take precedence")
+        for f in fields(RunConfig):
+            if command in f.metadata.get("read_by", ()):
+                p.add_argument("--" + f.name.replace("_", "-"), **f.metadata["flag"])
+    parser.commands = sub.choices
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; flags take precedence over the config file, the file over defaults."""
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = merge_config(args.command, args)
-        if cfg.out is None:
-            cfg.out = args.command
-        return _COMMANDS[args.command](cfg)
+        args, extras = parser.parse_known_args(argv)
+        settings = vars(args)
+        command = settings.pop("command")
+        if extras:
+            parser.commands[command].error("unrecognized arguments: " + " ".join(extras))
+        path = settings.pop("config", None)
+        file_settings = read_config_file(path, command) if path else {}
+        return _COMMANDS[command][0](RunConfig(command, **{"out": command, **file_settings,
+                                                           **settings}))
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     except NoSolitonError as exc:
         print(f"no soliton: {exc}", file=sys.stderr)
         return 2

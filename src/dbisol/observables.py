@@ -221,7 +221,11 @@ def small_mu_sweep(model: ModelParams, mus: Sequence[float],
     e_arr = np.asarray(energies)
     mus, energies = tuple(map(float, mus)), tuple(map(float, energies))
     if model.kinetic_law.mu_exponent is None:
-        return MuSweepResult(mus, energies, float(np.dot(e_arr, mu_arr) / np.dot(mu_arr, mu_arr)))
+        norm = np.dot(mu_arr, mu_arr)
+        if norm < np.finfo(float).tiny:
+            raise DbisolError(f"the slope fit's sum of mu^2 underflows to {norm:.17g}; "
+                              f"the largest mu must be at least 1.5e-154")
+        return MuSweepResult(mus, energies, float(np.dot(e_arr, mu_arr) / norm))
     if len(set(mus)) < 3:
         raise DbisolError("need at least 3 distinct mu values for an exponent fit")
     exponent = np.polyfit(np.log(mu_arr), np.log(e_arr), 1)[0]
@@ -259,8 +263,11 @@ def large_beta_sweep(model: ModelParams, betas: Sequence[float],
         energies.append(_in_range("energy", bps_energy_integral(p, potential)))
         # the limit's length unit is p's at its U_B = mu
         unit = chart.length_unit(p) * (p.units[0] / p.mu)
-        distances.append(float(np.max(np.abs(prof.field - limit.field_at(prof.coordinates,
-                                                                          unit)))))
+        distance = float(np.max(np.abs(prof.field - limit.field_at(prof.coordinates, unit))))
+        if distance == 0.0:
+            raise DbisolError(f"at beta = {float(beta):.17g} the profile equals the large-beta "
+                              f"limit's to rounding; the decay fit needs smaller beta")
+        distances.append(distance)
     fit = np.polyfit(np.log(np.asarray(betas, dtype=float)), np.log(np.asarray(distances)), 1)
     return BetaSweepResult(tuple(map(float, betas)), tuple(map(float, energies)),
                            tuple(map(float, distances)), float(fit[0]))

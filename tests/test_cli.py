@@ -5,7 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 
 from dbisol import (baby_old_exact, baby_old_radius, eom_residual, make_potential,
                     skyrme_standard_exact, skyrme_standard_radius)
-from dbisol.cli import RunConfig, _eom_check, main, read_config_file
+from dbisol.cli import RunConfig, _eom_check, build_parser, main, read_config_file
 
 
 def run_cli(args, tmp_path, capsys=None):
@@ -61,9 +61,9 @@ class TestSolveCommand:
         assert not (tmp_path / "x.json").exists()
 
     def test_bad_sector_exits_one(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--sector", "mars", "--out", str(tmp_path / "x")])
-        assert exc.value.code == 1
+        assert main(["solve", "--sector", "mars", "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == ("dbisol solve: error: argument --sector: invalid "
+                                           "choice: 'mars' (choose from 'baby', 'skyrme')\n")
 
     @pytest.mark.parametrize("flag,value", [("--beta", "nan"), ("--mu", "inf"),
                                             ("--beta", "-inf")])
@@ -158,9 +158,9 @@ class TestSolveCommand:
         assert code == 0
 
     def test_tol_flag_is_gone(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--tol", "1e-9", "--out", str(tmp_path / "x")])
-        assert exc.value.code == 1
+        assert main(["solve", "--tol", "1e-9", "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == ("dbisol solve: error: unrecognized arguments: "
+                                           "--tol 1e-9\n")
 
     def test_failed_rename_keeps_old_csv(self, tmp_path, monkeypatch):
         out = tmp_path / "s"
@@ -175,6 +175,13 @@ class TestSolveCommand:
         unchanged = (tmp_path / "s.csv").read_text() == before
         assert unchanged, "the CSV of the failed run replaced the old one"
         assert not [p for p in os.listdir(tmp_path) if p.startswith(".dbisol-")]
+
+    def test_unwritable_out_names_the_artifact(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x"
+        assert main(["solve", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: '{out}.csv'\n"
+        assert ".dbisol-" not in err
 
 
 class TestVerifyCommand:
@@ -312,9 +319,9 @@ class TestBoundCommand:
         assert data["min_slack"] >= -1e-12
 
     def test_compare_pavlovskii_flag_is_gone(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bound", "--compare-pavlovskii", "--out", str(tmp_path / "b")])
-        assert exc.value.code == 1
+        assert main(["bound", "--compare-pavlovskii", "--out", str(tmp_path / "b")]) == 1
+        assert capsys.readouterr().err == ("dbisol bound: error: unrecognized arguments: "
+                                           "--compare-pavlovskii\n")
 
     @pytest.mark.parametrize("beta", ["-1", "0", "nan", "inf", "-inf"])
     def test_bad_beta_exits_one(self, tmp_path, capsys, beta):
@@ -394,6 +401,40 @@ class TestSweepCommand:
         assert err == message + "\n"
         assert out == ""
         assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("args,message", [
+        (["--axis", "beta", "--values", "1e8,1e9,1e10"], "at beta = 100000000 the profile"),
+        (["--sector", "skyrme", "--potential", "bps", "--axis", "beta",
+          "--values", "1e8,1e9,1e10"], "at beta = 1000000000 the profile"),
+        (["--axis", "beta", "--values", "1e6,1e7,1e8"], "at beta = 100000000 the profile"),
+        (["--axis", "mu", "--values", "1e-300,1e-301,1e-302"],
+         "the slope fit's sum of mu^2 underflows to 0;"),
+    ], ids=["beta-planar", "beta-3d", "beta-1e6", "mu-underflow"])
+    def test_rounding_floor_fails_in_one_line(self, tmp_path, capfd, args, message):
+        # the sup distance to the large-beta limit is exactly 0 from beta = 1e8 planar
+        # (1e9 in 3-D) on, and the squares of mu underflow to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["sweep", *args, "--out", str(tmp_path / "s")])
+        out, err = capfd.readouterr()
+        assert code == 1
+        assert err.startswith("error: " + message) and err.count("\n") == 1
+        assert out == ""  # no "fitted exponent = nan"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_fit_writes_and_prints_nothing(self, tmp_path, capfd):
+        from dbisol.observables import BetaSweepResult
+
+        def diverged(model, betas, potential):
+            return BetaSweepResult((10.0, 100.0, 1000.0), (1.0, 1.0, 1.0), (1.0, 0.1, 0.01),
+                                   math.nan)
+
+        with mock.patch("dbisol.observables.large_beta_sweep", diverged):
+            code = main(["sweep", "--axis", "beta", "--values", "10,100,1000",
+                         "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert capfd.readouterr() == ("", "error: the fitted exponent is nan\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("args", [["--sector", "skyrme", "--potential", "old:2"],
                                       ["--potential", "bps"]], ids=["planar", "3d"])
@@ -511,6 +552,135 @@ class TestPowerLaw3D:
         assert code == 1
         assert err == SKYRME_OF_PLANAR + "\n"
         assert out == ""
+
+
+# the settings each command reads; every other RunConfig field but command is refused
+_MODEL_SETTINGS = {"sector", "potential", "beta", "mu", "n", "alpha_k", "out", "seed"}
+READS = {
+    "solve": _MODEL_SETTINGS | {"grid"},
+    "verify": _MODEL_SETTINGS | {"grid", "inject_perturbation"},
+    "bound": {"beta", "out", "seed", "order", "samples"},
+    "sweep": _MODEL_SETTINGS | {"axis", "values"},
+    "classify": _MODEL_SETTINGS | {"grid"},
+}
+GOOD = {"sector": "baby", "potential": "old:1", "beta": "1", "mu": "1", "n": "1",
+        "alpha_k": "2", "grid": "1000", "out": "o", "seed": "0", "order": "3",
+        "samples": "1000", "axis": "mu", "values": "0.1,0.05,0.02",
+        "inject_perturbation": "true"}
+# a value each command that reads the setting refuses; {tmp} is the test's directory
+BAD = {"sector": "mars", "potential": "mexican", "beta": "nan", "mu": "inf", "n": "1.5",
+       "alpha_k": "abc", "grid": "1", "out": "{tmp}/missing/o", "seed": "1.5",
+       "order": "65", "samples": "-5", "axis": "gamma", "values": "0.5",
+       "inject_perturbation": "maybe"}
+# what a command needs besides defaults to succeed
+BASE = {"bound": {"samples": "1000"}, "sweep": {"values": "0.1,0.05,0.02"}}
+
+
+def _flag(name: str, value: str | None = None) -> str:
+    flag = "--" + name.replace("_", "-")
+    return flag if value is None else f"{flag}={value}"
+
+
+def _base_flags(command: str, tmp_path, without: str) -> list[str]:
+    settings = {"out": str(tmp_path / "o"), **BASE.get(command, {})}
+    return [_flag(k, v) for k, v in settings.items() if k != without]
+
+
+class TestSettings:
+    """Each setting is declared once; a config file line is the flag it names."""
+
+    def test_each_command_takes_the_settings_it_reads(self):
+        commands = build_parser().commands
+        assert set(commands) == set(READS)
+        flags = {c: {o for a in p._actions for o in a.option_strings
+                     if o.startswith("--") and o != "--help"} for c, p in commands.items()}
+        for command, reads in READS.items():
+            assert flags[command] == {"--config"} | {_flag(k) for k in reads}
+        assert sum(map(len, flags.values())) == 48
+        assert sum(map(len, READS.values())) == 43
+        assert set(GOOD) == {f.name for f in fields(RunConfig)} - {"command"}
+
+    def test_config_keys_are_the_flags(self, tmp_path):
+        # every setting a command reads, as lines of one file, reads as its flags do
+        keys = 0
+        for command, reads in READS.items():
+            path = tmp_path / f"{command}.cfg"
+            path.write_text("".join(f"{k}={GOOD[k]}\n" for k in sorted(reads)))
+            flags = [_flag(k) if k == "inject_perturbation" else _flag(k, GOOD[k])
+                     for k in sorted(reads)]
+            parsed = vars(build_parser().commands[command].parse_args(flags))
+            assert read_config_file(str(path), command) == parsed
+            keys += len(parsed)
+        assert keys == 43
+
+    @pytest.mark.parametrize("value,flagged", [("true", True), ("false", False)])
+    def test_switch_line_is_the_flag_or_its_absence(self, tmp_path, value, flagged):
+        path = tmp_path / "v.cfg"
+        path.write_text(f"inject_perturbation={value}\n")
+        assert read_config_file(str(path), "verify") == {"inject_perturbation": flagged}
+
+    @pytest.mark.parametrize("command,name", sorted((c, k) for c, r in READS.items() for k in r))
+    def test_bad_value_fails_as_flag_and_as_line(self, tmp_path, capfd, command, name):
+        bad = BAD[name].format(tmp=tmp_path)
+        base = _base_flags(command, tmp_path, name)
+        assert main([command, *base, _flag(name, bad)]) == 1
+        flag_out, flag_err = capfd.readouterr()
+        path = tmp_path / "run.cfg"
+        path.write_text(f"# one bad line\n{name}={bad}\n")
+        assert main([command, *base, "--config", str(path)]) == 1
+        file_out, file_err = capfd.readouterr()
+        assert flag_err.count("\n") == 1 and flag_err.endswith("\n")
+        # the same line, which names the file's line where the parser refused it
+        assert file_err in (flag_err, flag_err.replace("error: ", f"error: {path}:2: ", 1))
+        assert "Traceback" not in flag_err + file_err
+        assert not list(tmp_path.glob("o.*"))
+
+    @pytest.mark.parametrize("command,name", sorted(
+        (c, k) for c in READS for k in GOOD if k not in READS[c]))
+    def test_unread_setting_is_refused_as_flag_and_as_line(self, tmp_path, capfd, command,
+                                                          name):
+        base = _base_flags(command, tmp_path, name)
+        flag = _flag(name) if name == "inject_perturbation" else _flag(name, GOOD[name])
+        assert main([command, *base, flag]) == 1
+        assert capfd.readouterr().err == (f"dbisol {command}: error: unrecognized arguments: "
+                                          f"{flag}\n")
+        path = tmp_path / "run.cfg"
+        # false is the switch's absence, yet a command that does not read it refuses it
+        path.write_text(f"{name}={'false' if name == 'inject_perturbation' else GOOD[name]}\n")
+        assert main([command, *base, "--config", str(path)]) == 1
+        assert capfd.readouterr().err == (f"dbisol {command}: error: {path}:1: unrecognized "
+                                          f"arguments: {flag}\n")
+        assert not list(tmp_path.glob("o.*"))
+
+    @pytest.mark.parametrize("line,message", [
+        ("command=bound", "unrecognized arguments: --command=bound"),
+        ("config=other.cfg", "a config file cannot name another"),
+        ("sector", "expected key=value"),
+        ("sec=baby", "unrecognized arguments: --sec=baby"),
+        ("inject_perturbation=maybe",
+         "argument --inject-perturbation: ignored explicit argument 'maybe'"),
+    ])
+    def test_file_line_errors_name_the_line(self, tmp_path, capfd, line, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"\n# comment\n{line}\n")
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "v")]) == 1
+        out, err = capfd.readouterr()
+        assert err == f"dbisol verify: error: {path}:3: {message}\n"
+        assert out == ""
+
+    def test_flags_override_the_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("order=2\nsamples=1000\nseed=5\n")
+        assert main(["bound", "--config", str(path), "--seed", "6",
+                     "--out", str(tmp_path / "b")]) == 0
+        data = json.loads((tmp_path / "b.json").read_text())
+        assert (data["order"], data["samples"], data["seed"]) == (2, 1000, 6)
+
+    def test_help_is_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", "-h"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dbisol bound [-h] [--config CONFIG]")
 
 
 class TestDeterminism:

@@ -117,8 +117,12 @@ def test_sigma_inf_is_the_bps_skyrme_limit(sector):
 def test_no_traceback_at_large_couplings(command, coupling, sector, potential, tmp_path, capfd):
     args = [command, coupling, "1e200", "--sector", sector, "--potential", potential,
             "--out", str(tmp_path / "o")]
-    args += {"sweep": ["--values", "0.1,0.05,0.02"], "bound": ["--samples", "1000"]}.get(
-        command, [])
+    if command == "bound":
+        # bound reads beta but no mu, sector or potential
+        args = [command, "--samples", "1000", "--out", str(tmp_path / "o")] + (
+            [coupling, "1e200"] if coupling == "--beta" else [])
+    if command == "sweep":
+        args += ["--values", "0.1,0.05,0.02"]
     code = main(args)
     out, err = capfd.readouterr()
     assert "Traceback" not in err
