@@ -182,18 +182,25 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _require_residual_samples(grid: int, profile) -> None:
+    """Exit 1 naming the smallest --grid whose profile the residual check can take."""
+    from .bps import EOM_MIN_SAMPLES
+
+    short = EOM_MIN_SAMPLES - len(profile.coordinates)
+    if short > 0:
+        raise DbisolError(f"--grid {grid} is too small for the residual check; "
+                          f"use --grid {grid + short} or more")
+
+
 def cmd_solve(cfg: RunConfig) -> int:
-    from .bps import EOM_MIN_SAMPLES, eom_residual
+    from .bps import eom_residual
     from .observables import compute_energy_report
     from .profiles import GridSpec, solve_profile, write_profile_csv
 
     model = cfg.model()
     potential = cfg.make_potential()
     profile = solve_profile(model, potential, GridSpec(count=cfg.grid))
-    short = EOM_MIN_SAMPLES - len(profile.coordinates)
-    if short > 0:
-        raise DbisolError(f"--grid {cfg.grid} is too small for the residual check; "
-                          f"use --grid {cfg.grid + short} or more")
+    _require_residual_samples(cfg.grid, profile)
     profile.validate_invariants()
     report = compute_energy_report(profile, model, potential)
     resid = eom_residual(profile)
@@ -220,15 +227,14 @@ def cmd_solve(cfg: RunConfig) -> int:
 def _verify_checks(cfg: RunConfig) -> list[dict]:
     from .model import make_potential
     from .observables import compute_energy_report
-    from .profiles import (GridSpec, _require_potential_term, baby_old_exact, baby_old_radius,
-                           skyrme_standard_exact, skyrme_standard_radius, solve_profile)
+    from .profiles import GridSpec, solve_profile
 
     checks = []
 
     def add(name, passed, **details):
         checks.append({"name": name, "passed": bool(passed), **details})
 
-    def add_energy_checks(model, pot, label="", **charge_details):
+    def add_energy_checks(pot, label="", **charge_details):
         # a closed form exists for the DBI law and the built-in potentials only
         prof = solve_profile(model, pot, GridSpec(count=cfg.grid))
         rep = compute_energy_report(prof, model, pot)
@@ -242,55 +248,44 @@ def _verify_checks(cfg: RunConfig) -> list[dict]:
     pot = cfg.make_potential()
     model = cfg.model()
     if cfg.sector == "baby":
-        add_energy_checks(model, pot, n=model.charge)
-        checks.append(_eom_check(model, make_potential("old-baby-power", 1.0),
-                                 baby_old_radius(model), lambda x: baby_old_exact(x, model),
-                                 1.0, 1e-1 / (8.0 * math.pi ** 2), cfg.inject_perturbation))
+        add_energy_checks(pot, n=model.charge)
+        checks.append(_eom_check(model, make_potential("old-baby-power", 1.0), cfg.grid,
+                                 1e-1 / (8.0 * math.pi ** 2), cfg.inject_perturbation))
     else:
-        # energy checks at mu = 1 and three sigma, one under the power law (no shape)
-        _require_potential_term(model)
-        if not 0.0 < model.sigma < math.inf:
-            raise DbisolError("sigma = beta^2 / mu^2 leaves the double range")
-        for sigma in (0.25, 1.0, 4.0) if model.kinetic_law.mu_exponent is None else (1.0,):
-            for tag in ("standard", "bps"):
-                add_energy_checks(replace(model, beta=math.sqrt(sigma), mu=1.0),
-                                  replace(cfg, potential=tag).make_potential(),
-                                  f"[{tag},sigma={sigma}]")
-        checks.append(_eom_check(model, make_potential("skyrme-standard"),
-                                 skyrme_standard_radius(model.sigma),
-                                 lambda z: skyrme_standard_exact(z, model.sigma),
-                                 math.pi, 10.0, cfg.inject_perturbation))
+        for tag in ("standard", "bps"):
+            add_energy_checks(replace(cfg, potential=tag).make_potential(), f"[{tag}]")
+        checks.append(_eom_check(model, make_potential("skyrme-standard"), cfg.grid, 10.0,
+                                 cfg.inject_perturbation))
     return checks
 
 
-def _eom_check(model: ModelParams, pot, radius: float, exact, field_max: float,
-               residual_cap: float, perturb: bool) -> dict:
-    """Richardson check of the second-order residual on an exact DBI compacton.
+def _eom_check(model: ModelParams, pot, grid: int, cap: float, perturb: bool) -> dict:
+    """Richardson check of the second-order residual on the solver's DBI profile.
 
-    The residual at spacings 1e-3 and 5e-4, 1e-2 away from the support
-    edges (10 and 20 samples), must fall by a factor 3.5..4.5 (second
-    order), and the coarse one must stay below residual_cap.  The
-    residual is that of the DBI law, whatever the model's own law.  perturb
-    bends the coarse profile to show the failure path.
+    The residual at grid and at 2 grid - 1 samples (half the spacing),
+    round(0.02 (count - 1)) samples from the support edges, must fall by a
+    factor 3.5..4.5 (second order), and the coarse one must stay below cap.
+    The law is DBI whatever the model's own.  perturb adds a bump 2% of the
+    radius wide to the coarse profile, to show the failure path.
     """
     from .bps import eom_residual
     from .model import KineticLaw
-    from .profiles import profile_on_grid
+    from .profiles import GridSpec, solve_profile
 
     model = replace(model, kinetic_law=KineticLaw.dbi())
 
-    def residual(delta, bent):
-        prof = profile_on_grid(exact, model, pot, spacing=delta, extent=radius + 10 * delta,
-                               compacton_radius=radius)
+    def residual(count, bent):
+        prof = solve_profile(model, pot, GridSpec(count=count))
+        _require_residual_samples(grid, prof)
         if bent:
-            bump = 0.01 * np.exp(-((prof.coordinates - 0.5 * radius) / (20 * delta)) ** 2)
-            prof = replace(prof, field=np.clip(prof.field + bump, 0.0, field_max))
-        return eom_residual(prof, margin=round(1e-2 / delta)).max_abs_residual
+            bump = 0.01 * np.exp(-((prof.coordinates / prof.compacton_radius - 0.5) / 0.02) ** 2)
+            prof = replace(prof, field=np.clip(prof.field + bump, 0.0, prof.anti_vacuum))
+        return eom_residual(prof, margin=round(0.02 * (count - 1))).max_abs_residual
 
-    r1 = residual(1e-3, perturb)
-    r2 = residual(5e-4, False)
+    r1 = residual(grid, perturb)
+    r2 = residual(2 * grid - 1, False)
     ratio = r1 / r2
-    return {"name": "eom_convergence", "passed": bool(3.5 <= ratio <= 4.5 and r1 < residual_cap),
+    return {"name": "eom_convergence", "passed": bool(3.5 <= ratio <= 4.5 and r1 < cap),
             "residual_coarse": r1, "residual_fine": r2, "ratio": ratio}
 
 
@@ -347,7 +342,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
     the other sector's chart exits 1 with the line solve prints, and so does
     the beta axis under the power law, which has no beta.
     """
-    from ._csv import csv_rows
     from .observables import large_beta_sweep, small_mu_sweep
 
     values = [float(v) for v in cfg.values.split(",") if v.strip()]
@@ -370,7 +364,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if not math.isfinite(fit[name]):
         raise DbisolError(f"the fitted {name} is {fit[name]!r}")
     fit.update(seed=cfg.seed, config=cfg.to_dict())
-    write_atomic(cfg.out + ".csv", b"parameter,energy,distance_to_limit\n" + csv_rows(rows))
+    write_atomic(cfg.out + ".csv", "parameter,energy,distance_to_limit\n"
+                 + "".join(",".join(map(_fmt, row)) + "\n" for row in rows))
     write_json_atomic(cfg.out + ".json", fit)
     law = fit.get("law_exponent")
     print(f"fitted {name} = {_fmt(fit[name])}" + ("" if law is None else f" (law: {_fmt(law)})"))

@@ -245,9 +245,11 @@ def large_beta_sweep(model: ModelParams, betas: Sequence[float],
     """Sup-norm distance of profiles to the large-beta limit, with decay fit.
 
     The limit is the model's profile at sigma = inf, B0 = 2 mu sqrt(V), at the
-    same coordinates; the distance decays like beta^-2.  A potential of
-    another sector's chart raises SectorMismatchError.  A model under the
-    power law, which has no beta, raises DbisolError.
+    same coordinates; the distance decays like beta^-2.  A distance within 64
+    ulps of the anti-vacuum value is rounding and raises DbisolError naming
+    its beta.  A potential of another sector's chart raises
+    SectorMismatchError.  A model under the power law, which has no beta,
+    raises DbisolError.
     """
     if model.kinetic_law.mu_exponent is not None:
         raise DbisolError("the large-beta limit is the DBI law's; the power law has no beta")
@@ -264,7 +266,7 @@ def large_beta_sweep(model: ModelParams, betas: Sequence[float],
         # the limit's length unit is p's at its U_B = mu
         unit = chart.length_unit(p) * (p.units[0] / p.mu)
         distance = float(np.max(np.abs(prof.field - limit.field_at(prof.coordinates, unit))))
-        if distance == 0.0:
+        if distance <= 64 * math.ulp(chart.anti_vacuum):
             raise DbisolError(f"at beta = {float(beta):.17g} the profile equals the large-beta "
                               f"limit's to rounding; the decay fit needs smaller beta")
         distances.append(distance)

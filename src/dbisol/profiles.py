@@ -18,8 +18,8 @@ limit is its profile at sigma = inf.
 Closed-form evaluators for the three exactly solvable cases live here too,
 together with tail classification.
 
-CSV output (profiles here, sweeps in the CLI) writes each value as exactly
-b"%.17g" % v of the stored double; dbisol._csv describes its kernel.
+A profile CSV writes each value as exactly b"%.17g" % v of the stored
+double; dbisol._csv describes its kernel.
 """
 
 from __future__ import annotations

@@ -129,8 +129,9 @@ class TestEomFlux:
 
 # where a sector member may be named or a sector compared: the enum and the
 # chart table; the CLI's parser map, RunConfig.model; and verify's suite,
-# _verify_checks, which picks its checks by sector until it runs the
-# configured model (ROADMAP item 9)
+# _verify_checks, which picks by sector the exact potentials it checks
+# (planar old:1, 3-D standard and bps) until it checks the configured
+# potential under its own law (ROADMAP items 2 and 9)
 ALLOWED = {"model.py": {"Sector", "CHARTS"}, "cli.py": {"model", "_verify_checks"}}
 SECTOR_BRANCH = re.compile(
     r"Sector\.(BABY2D|SKYRME3D)|\bsector\s*[!=]=|[!=]=\s*[\w.]*\bsector\b")
@@ -157,9 +158,9 @@ def test_no_sector_branch_outside_the_chart_table():
 
 # where the kinetic law may be read or built: the law itself; the closed
 # forms, which exist for the DBI law only; the CLI's parser map,
-# RunConfig.model; the residual check _eom_check, which runs the DBI law on
-# an exact DBI compacton until verify runs the configured model (ROADMAP
-# item 9); and the default law of classify_localization
+# RunConfig.model; the residual check _eom_check, which forces the DBI law
+# whatever --alpha-k says until the residual means the same thing for every
+# law (ROADMAP items 2 and 9); and the default law of classify_localization
 LAW_ALLOWED = {"model.py": {"KineticLaw"}, "observables.py": {"_closed_form_for"},
                "cli.py": {"model", "_eom_check"}, "profiles.py": {"classify_localization"}}
 LAW_BRANCH = re.compile(r"\.(is_dbi|alpha_k)\b|KineticLaw\.(dbi|power)\(")

@@ -11,8 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dbisol import (baby_old_exact, baby_old_radius, eom_residual, make_potential,
-                    skyrme_standard_exact, skyrme_standard_radius)
+from dbisol import eom_residual, make_potential
 from dbisol.cli import RunConfig, _eom_check, build_parser, main, read_config_file
 
 
@@ -224,41 +223,94 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("sector,beta,mu,n", [("baby", 1.0, 1.0, 3), ("skyrme", 2.5, 0.7, 1)])
     def test_eom_check_margin_does_not_depend_on_rounding(self, sector, beta, mu, n):
-        # planar n = 3: the sample 10 spacings inside the support edge lies at
-        # 0.574 and the edge at 0.584, whose difference rounds below 1e-2; in
-        # 3-D at (2.5, 0.7) the same happens at 1e-3.  The same compacton on a
-        # radius up to 8e-9 relative larger or smaller counts every sample at
-        # least 10 (20) spacings inside the support at spacing 1e-3 (5e-4)
-        cfg = RunConfig(command="verify", sector=sector, beta=beta, mu=mu, n=n)
-        if sector == "baby":
-            model, pot = cfg.model(), make_potential("old-baby-power", 1.0)
-            radius, exact = baby_old_radius(model), lambda x: baby_old_exact(x, model)
-        else:
-            model = replace(cfg.model(), beta=beta / mu, mu=1.0)
-            pot, sigma = make_potential("skyrme-standard"), model.sigma
-            radius = skyrme_standard_radius(sigma)
-            exact = lambda z: skyrme_standard_exact(z, sigma)  # noqa: E731
+        # the margin is round(0.02 (count - 1)) samples from each support
+        # edge, counted by index: 20 at --grid 1000 and 40 at 1999 samples.
+        # At these couplings a margin in coordinates sits within rounding of
+        # a sample, yet on couplings up to 8e-9 relative off them each
+        # residual drops exactly twice the margin of the support
+        pot = make_potential("old-baby-power", 1.0) if sector == "baby" \
+            else make_potential("skyrme-standard")
         dropped = set()
 
         def recording(prof, **kw):
             rep = eom_residual(prof, **kw)
-            dropped.add((rep.grid_spacing, int((prof.field > 1e-12).sum()) - len(rep.residuals)))
+            dropped.add((len(prof.coordinates), int((prof.field > 1e-12).sum()) - len(rep.residuals)))
             return rep
 
         with mock.patch("dbisol.bps.eom_residual", recording):
             for k in (-8, -1, 0, 1, 8):
-                stretch = 1.0 + k * 1e-9
-                _eom_check(model, pot, stretch * radius, lambda x: exact(x / stretch),
-                           pot.domain[1], math.inf, False)
-        assert dropped == {(1e-3, 20), (5e-4, 40)}
+                cfg = RunConfig(command="verify", sector=sector, beta=beta * (1.0 + k * 1e-9),
+                                mu=mu, n=n)
+                _eom_check(cfg.model(), pot, 1000, math.inf, False)
+        assert dropped == {(1010, 40), (2009, 80)}
 
     def test_perturbation_fails_with_exit_three(self, tmp_path, capsys):
-        code = main(["verify", "--sector", "baby", "--inject-perturbation",
-                     "--out", str(tmp_path / "v")])
-        assert code == 3
+        for sector in ("baby", "skyrme"):
+            code = main(["verify", "--sector", sector, "--inject-perturbation",
+                         "--out", str(tmp_path / "v")])
+            assert code == 3
+            assert capsys.readouterr().err == "failed checks: eom_convergence\n"
+            report = json.loads((tmp_path / "v.json").read_text())
+            failed = [c for c in report["checks"] if not c["passed"]]
+            assert [c["name"] for c in failed] == ["eom_convergence"]
+
+    @pytest.mark.parametrize("args", [
+        ["--beta", "10", "--mu", "10"],
+        ["--sector", "skyrme", "--beta", "1.409", "--mu", "2.517", "--n", "2"],
+        ["--sector", "skyrme", "--beta", "1e5"],
+    ], ids=["baby-b10-m10", "skyrme-b1.409-m2.517-n2", "skyrme-b1e5"])
+    def test_checks_the_solvers_profiles_at_the_configured_couplings(self, tmp_path, capfd,
+                                                                     args):
+        # every check solves the configured couplings at --grid: the planar
+        # radius at (10, 10) is 0.019, which a fixed spacing of 1e-3 would
+        # cover with 20 samples, and the 3-D checks run at sigma = 0.31
+        # (n = 2) and 1e10
+        code = main(["verify", *args, "--out", str(tmp_path / "v")])
+        out, err = capfd.readouterr()
+        assert code == 0 and err == ""
         report = json.loads((tmp_path / "v.json").read_text())
-        failed = [c for c in report["checks"] if not c["passed"]]
-        assert any(c["name"] == "eom_convergence" for c in failed)
+        names = [c["name"] for c in report["checks"]]
+        if "skyrme" in args:
+            assert names == ["closed_vs_quadrature[standard]", "charge_quantization[standard]",
+                             "closed_vs_quadrature[bps]", "charge_quantization[bps]",
+                             "eom_convergence"]
+        else:
+            assert names == ["closed_vs_quadrature", "charge_quantization", "eom_convergence"]
+
+    @pytest.mark.parametrize("sector,args", [("baby", ["--mu", "1e-6"]),
+                                             ("skyrme", ["--beta", "1e5"]),
+                                             ("skyrme", ["--beta", "1e200"])],
+                             ids=["baby-m1e-6", "skyrme-b1e5", "skyrme-b1e200"])
+    def test_profile_sizes_do_not_grow_with_the_radius(self, tmp_path, sector, args):
+        # the residual's profiles have --grid and 2 grid - 1 samples and 10 of
+        # padding, whatever the radius: 1.6e5 planar at mu = 1e-6, 1.3e5 in
+        # 3-D at beta = 1e5
+        sizes = []
+
+        def recording(prof, **kw):
+            sizes.append(len(prof.coordinates))
+            return eom_residual(prof, **kw)
+
+        with mock.patch("dbisol.bps.eom_residual", recording):
+            main(["verify", "--sector", sector, *args, "--out", str(tmp_path / "v")])
+        assert sizes == [1010, 2009]
+
+    @pytest.mark.parametrize("sector", ["baby", "skyrme"])
+    def test_grid_too_small_for_residual_prints_the_line_solve_prints(self, tmp_path, capsys,
+                                                                      sector):
+        # the residual runs on a compacton, whose 10 padding samples count
+        out = str(tmp_path / "x")
+        potential = "old:1" if sector == "baby" else "standard"
+        solve = main(["solve", "--sector", sector, "--potential", potential, "--grid", "93",
+                      "--out", out])
+        expected = capsys.readouterr().err
+        assert solve == 1
+        assert expected == ("error: --grid 93 is too small for the residual check; "
+                            "use --grid 94 or more\n")
+        assert main(["verify", "--sector", sector, "--grid", "93", "--out", out]) == 1
+        assert capsys.readouterr() == ("", expected)
+        assert list(tmp_path.iterdir()) == []
+        assert main(["verify", "--sector", sector, "--grid", "94", "--out", out]) != 1
 
 
 class TestBoundCommand:
@@ -405,14 +457,20 @@ class TestSweepCommand:
     @pytest.mark.parametrize("args,message", [
         (["--axis", "beta", "--values", "1e8,1e9,1e10"], "at beta = 100000000 the profile"),
         (["--sector", "skyrme", "--potential", "bps", "--axis", "beta",
-          "--values", "1e8,1e9,1e10"], "at beta = 1000000000 the profile"),
-        (["--axis", "beta", "--values", "1e6,1e7,1e8"], "at beta = 100000000 the profile"),
+          "--values", "1e8,1e9,1e10"], "at beta = 100000000 the profile"),
+        (["--axis", "beta", "--values", "1e6,1e7,1e8"], "at beta = 10000000 the profile"),
+        (["--axis", "beta", "--values", "1e7,2e7,4e7"], "at beta = 10000000 the profile"),
+        (["--sector", "skyrme", "--potential", "bps", "--axis", "beta",
+          "--values", "1e7,2e7,4e7"], "at beta = 20000000 the profile"),
         (["--axis", "mu", "--values", "1e-300,1e-301,1e-302"],
          "the slope fit's sum of mu^2 underflows to 0;"),
-    ], ids=["beta-planar", "beta-3d", "beta-1e6", "mu-underflow"])
+    ], ids=["beta-planar", "beta-3d", "beta-1e6", "beta-1e7-planar", "beta-1e7-3d",
+            "mu-underflow"])
     def test_rounding_floor_fails_in_one_line(self, tmp_path, capfd, args, message):
-        # the sup distance to the large-beta limit is exactly 0 from beta = 1e8 planar
-        # (1e9 in 3-D) on, and the squares of mu underflow to 0
+        # the sup distance to the large-beta limit is within 64 ulps of the
+        # anti-vacuum value from beta = 1e7 planar (2.4e-15; 2e7 in 3-D, 1.1e-14)
+        # on, where a fitted exponent would be rounding (planar 1e7, 2e7, 4e7
+        # fit -1.05), and the squares of mu underflow to 0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code = main(["sweep", *args, "--out", str(tmp_path / "s")])
@@ -745,7 +803,7 @@ class TestEntryPoint:
          "error: ran out of memory: Unable to allocate 2.00 GiB for an array\n"),
         ("", "error: ran out of memory\n")])
     def test_memory_error_prints_one_line(self, tmp_path, capsys, message, line):
-        # verify's fixed spacing can ask numpy for more memory than there is
+        # a large enough --grid can ask numpy for more memory than there is
         def exhausted(*args, **kwargs):
             raise MemoryError(message)
 

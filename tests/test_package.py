@@ -87,3 +87,10 @@ class TestLoadedModules:
         loaded = after_command(args, tmp_path)
         assert "dbisol.profiles" in loaded
         assert not loaded & BOUND_ONLY
+
+    @pytest.mark.parametrize("axis,values", [("mu", "1e-2,1e-3,1e-4"), ("beta", "10,100,1000")])
+    def test_sweep_loads_no_csv_kernel(self, axis, values, tmp_path):
+        # a sweep writes its few rows with the CLI's %.17g formatter
+        loaded = after_command(["sweep", "--axis", axis, "--values", values], tmp_path)
+        assert "dbisol.observables" in loaded
+        assert "dbisol._csv" not in loaded

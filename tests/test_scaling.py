@@ -128,8 +128,8 @@ def test_no_traceback_at_large_couplings(command, coupling, sector, potential, t
     assert "Traceback" not in err
     if code == 3:
         # planar verify at sigma = inf: every energy check passes, and the
-        # Richardson check of its exact compacton sits at the rounding floor,
-        # as it does from beta = 1e3 on
+        # Richardson check of the solved compacton sits at the rounding
+        # floor, as it does at --grid 1000 from beta = 30 on (mu = 1)
         assert (command, coupling, sector) == ("verify", "--beta", "baby")
         assert err == "failed checks: eom_convergence\n"
     else:

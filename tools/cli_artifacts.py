@@ -1,9 +1,11 @@
 """Fingerprint the artifacts of a fixed set of `dbisol` runs.
 
-Runs 53 CLI configurations (solve, verify, bound, sweep and classify across
+Runs 57 CLI configurations (solve, verify, bound, sweep and classify across
 both sectors and every potential family; solve also next to the planar and
 the 3-D localization thresholds and at couplings whose squares leave the
-double range; bound also at the largest order and
+double range; verify also at large radii and at couplings where its
+residual once ran on too few samples; sweep also at the rounding floor,
+where it exits 1; bound also at the largest order and
 at large beta, where its exact ray proof is hardest and its powers of beta
 would leave the float range, and at order 2 with beta = 100, where the
 Monte-Carlo screen also keeps spread rows whose largest uniform is small),
@@ -68,6 +70,9 @@ RUNS = (
     ("verify-baby-perturbed", "verify --inject-perturbation"),
     ("verify-baby-ak2", "verify --alpha-k 2"),
     ("verify-skyrme-ak2", "verify --sector skyrme --alpha-k 2"),
+    ("verify-baby-b10-m10", "verify --beta 10 --mu 10"),
+    ("verify-skyrme-b1.409-m2.517-n2", "verify --sector skyrme --beta 1.409 --mu 2.517 --n 2"),
+    ("verify-skyrme-b1e5", "verify --sector skyrme --beta 1e5"),
     ("bound-3", "bound --order 3"),
     ("bound-8", "bound --order 8"),
     ("bound-3-b2", "bound --order 3 --beta 2"),
@@ -83,6 +88,7 @@ RUNS = (
     ("sweep-bps-beta", "sweep --sector skyrme --potential bps --axis beta --values 10,100,1000"),
     ("sweep-old3-beta", "sweep --potential old:3 --axis beta --values 10,100,1000"),
     ("sweep-old1-ak2-mu", "sweep --potential old:1 --alpha-k 2 --axis mu --values 1e-2,1e-3,1e-4"),
+    ("sweep-beta-floor", "sweep --axis beta --values 1e7,2e7,4e7"),
     ("classify-old1", "classify --potential old:1"),
     ("classify-old2", "classify --potential old:2"),
     ("classify-standard", "classify --sector skyrme --potential standard"),
