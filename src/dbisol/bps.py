@@ -33,6 +33,7 @@ class EomResidualReport:
     max_abs_residual: float
     residuals: np.ndarray
     coordinates: np.ndarray
+    rounding_floor: float
 
     def __post_init__(self):
         self.residuals.setflags(write=False)
@@ -49,12 +50,12 @@ def eom_residual(profile, *, margin: int = 5) -> EomResidualReport:
         R = -J d/dX (K'(B0) / U_P) - V'(f) = 0.
 
     Evaluated on interior samples only: full stencils, inside the support of
-    the field (above 1e-12), and at least margin samples away from any
-    support edge, where the derivative of a compact profile degenerates.  The
-    margin is counted by index, so that no rounding of the coordinates
-    decides.  The profile needs at least EOM_MIN_SAMPLES samples.
-    For a profile on the first-order law the maximum residual decays like the
-    square of the spacing.
+    the field (above 1e-12), and at least margin samples away from any support
+    edge, where the derivative of a compact profile degenerates.  The margin
+    is counted by index, so that no rounding of the coordinates decides.  The
+    profile needs at least EOM_MIN_SAMPLES samples.  On the first-order law
+    the maximum residual decays like the square of the spacing, down to
+    rounding_floor = eps/step^2 (step in X): f's rounding, differenced.
     """
     params = profile.params
     x = profile.coordinates
@@ -91,4 +92,4 @@ def eom_residual(profile, *, margin: int = 5) -> EomResidualReport:
     res = R[mask]
     coords = x[mask]
     max_abs = float(np.max(np.abs(res))) if res.size else 0.0
-    return EomResidualReport(delta, max_abs, res, coords)
+    return EomResidualReport(delta, max_abs, res, coords, float(np.finfo(float).eps / step ** 2))

@@ -245,11 +245,12 @@ def large_beta_sweep(model: ModelParams, betas: Sequence[float],
     """Sup-norm distance of profiles to the large-beta limit, with decay fit.
 
     The limit is the model's profile at sigma = inf, B0 = 2 mu sqrt(V), at the
-    same coordinates; the distance decays like beta^-2.  A distance within 64
-    ulps of the anti-vacuum value is rounding and raises DbisolError naming
-    its beta.  A potential of another sector's chart raises
-    SectorMismatchError.  A model under the power law, which has no beta,
-    raises DbisolError.
+    same coordinates; the distance decays like beta^-2.  Rounding adds up to 4
+    ulps of the anti-vacuum value (measured), 1/16 of a distance within 64
+    ulps, which raises DbisolError naming its beta: there a factor-2 step in
+    beta could move the fitted exponent by 0.2.  A potential of another
+    sector's chart raises SectorMismatchError.  A model under the power law,
+    which has no beta, raises DbisolError.
     """
     if model.kinetic_law.mu_exponent is not None:
         raise DbisolError("the large-beta limit is the DBI law's; the power law has no beta")

@@ -352,20 +352,16 @@ def _in_range(name: str, value: float) -> float:
     return value
 
 
-def _require_potential_term(model: ModelParams) -> None:
-    if model.mu == 0.0:
-        raise NoSolitonError(
-            "mu = 0 removes the potential term; the first-order law degenerates to "
-            "a vanishing slope and cannot connect the anti-vacuum boundary to the vacuum")
-
-
 class _InverseMap:
     """Cumulative inverse map X(field) of one first-order profile at shape sigma, in
     the unit-free coordinate X = x / length_unit, and its inverse."""
 
     def __init__(self, model: ModelParams, potential: PotentialSpec, sigma: float):
         chart = model.sector.chart_for(potential)
-        _require_potential_term(model)
+        if model.mu == 0.0:
+            raise NoSolitonError(
+                "mu = 0 removes the potential term; the first-order law degenerates to "
+                "a vanishing slope and cannot connect the anti-vacuum boundary to the vacuum")
         law = model.kinetic_law
 
         def g(s):

@@ -230,6 +230,13 @@ class TestEomResidual:
         bumped = eom_residual(exact_baby_profile(baby(), 1e-3, perturb=0.01)).max_abs_residual
         assert bumped > 10.0 * clean
 
+    def test_rounding_floor_is_eps_over_the_squared_step(self):
+        model = baby()
+        rep = eom_residual(exact_baby_profile(model, 1e-3))
+        step = rep.grid_spacing / model.sector.chart.length_unit(model)
+        want = np.finfo(float).eps / step ** 2
+        assert rep.rounding_floor == pytest.approx(want, rel=1e-15, abs=0)
+
     def test_residual_count_matches_interior(self):
         rep = eom_residual(exact_baby_profile(baby(), 1e-3))
         assert len(rep.residuals) == len(rep.coordinates)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from dbisol import eom_residual, make_potential
-from dbisol.cli import RunConfig, _eom_check, build_parser, main, read_config_file
+from dbisol.cli import (EOM_ROUNDING_FLOORS, RunConfig, _eom_check, build_parser, main,
+                        read_config_file)
 
 
 def run_cli(args, tmp_path, capsys=None):
@@ -223,8 +224,9 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("sector,beta,mu,n", [("baby", 1.0, 1.0, 3), ("skyrme", 2.5, 0.7, 1)])
     def test_eom_check_margin_does_not_depend_on_rounding(self, sector, beta, mu, n):
-        # the margin is round(0.02 (count - 1)) samples from each support
-        # edge, counted by index: 20 at --grid 1000 and 40 at 1999 samples.
+        # the margin is round(0.02 (grid - 1)) samples from each support
+        # edge, and twice that on the fine profile, counted by index: 20 at
+        # --grid 1000 and 40 at 1999 samples.
         # At these couplings a margin in coordinates sits within rounding of
         # a sample, yet on couplings up to 8e-9 relative off them each
         # residual drops exactly twice the margin of the support
@@ -276,6 +278,21 @@ class TestVerifyCommand:
                              "eom_convergence"]
         else:
             assert names == ["closed_vs_quadrature", "charge_quantization", "eom_convergence"]
+
+    @pytest.mark.parametrize("beta", ["30", "100", "300"])
+    def test_rounding_limited_residual_passes(self, tmp_path, capfd, beta):
+        # from beta = 30 (mu = 1) the planar residual at --grid 1000 is within
+        # a few rounding floors, so its ratio says nothing (1.84, 0.56, 0.24);
+        # a bump still fails there
+        out = str(tmp_path / "v")
+        assert main(["verify", "--beta", beta, "--out", out]) == 0
+        assert capfd.readouterr().err == ""
+        check = json.loads((tmp_path / "v.json").read_text())["checks"][-1]
+        assert check["name"] == "eom_convergence" and not 3.5 <= check["ratio"] <= 4.5
+        assert max(check["residual_coarse"], check["residual_fine"]) \
+            <= EOM_ROUNDING_FLOORS * check["rounding_floor"]
+        assert main(["verify", "--beta", beta, "--inject-perturbation", "--out", out]) == 3
+        assert capfd.readouterr().err == "failed checks: eom_convergence\n"
 
     @pytest.mark.parametrize("sector,args", [("baby", ["--mu", "1e-6"]),
                                              ("skyrme", ["--beta", "1e5"]),
@@ -479,6 +496,18 @@ class TestSweepCommand:
         assert err.startswith("error: " + message) and err.count("\n") == 1
         assert out == ""  # no "fitted exponent = nan"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [[], ["--sector", "skyrme", "--potential", "bps"]],
+                             ids=["planar", "3d"])
+    def test_decay_fit_above_the_rounding_floor(self, tmp_path, capfd, args):
+        # the smallest distances, 1.48e-14 planar and 2.56e-13 in 3-D at 4e6,
+        # are 67 and 577 ulps of the anti-vacuum value, above the 64 refused
+        code = main(["sweep", "--axis", "beta", "--values", "1e6,2e6,4e6", *args,
+                     "--out", str(tmp_path / "s")])
+        out, err = capfd.readouterr()
+        assert code == 0 and err == ""
+        exponent = json.loads((tmp_path / "s.json").read_text())["exponent"]
+        assert exponent == pytest.approx(-2.0, abs=0.01)
 
     def test_non_finite_fit_writes_and_prints_nothing(self, tmp_path, capfd):
         from dbisol.observables import BetaSweepResult
